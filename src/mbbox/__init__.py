@@ -36,8 +36,6 @@ from .errors import (
 from .mb_engine import (
     ContourSpec,
     EvalBreakdown,
-    PoleFamily,
-    QuadratureRule,
     mb_massless_eval,
     mb_massless_integrand,
     mb_onemass_eval,

@@ -142,65 +142,59 @@ def _env_default(name, cast, fallback):
         raise DegenerateKinematics(f"bad {name}={raw!r}")
 
 
-def _contours(cfg: RunConfig, k: Kinematics):
+def _contours(cfg: RunConfig, k: Kinematics) -> tuple:
+    """The route's default contours with the configured height and node count.
+
+    A height given without a node count keeps the default step.
+    """
     if cfg.integral == "massless":
-        spec = mb_engine.select_contour_massless(k.eps, k)
-        height = cfg.quad_height or spec.height
-        nodes = cfg.quad_nodes or int(2 * height * 64)
-        return mb_engine.ContourSpec(spec.abscissa, height, nodes)
-    ca, cb = mb_engine.select_contour_onemass(k.eps)
-    height = cfg.quad_height or ca.height
-    nodes = cfg.quad_nodes or ca.nodes
-    return (mb_engine.ContourSpec(ca.abscissa, height, nodes),
-            mb_engine.ContourSpec(cb.abscissa, height, nodes))
+        specs = (mb_engine.select_contour_massless(k.eps, k),)
+    else:
+        specs = mb_engine.select_contour_onemass(k.eps, k)
+    out = []
+    for spec in specs:
+        height = spec.height if cfg.quad_height is None else cfg.quad_height
+        if cfg.quad_nodes is None:
+            out.append(mb_engine.ContourSpec.from_step(spec.abscissa, height, spec.step))
+        else:
+            out.append(mb_engine.ContourSpec(spec.abscissa, height, cfg.quad_nodes))
+    return tuple(out)
+
+
+# (integral, method) -> route; the lambdas look the functions up at call time
+_ROUTES = {
+    ("massless", "closed"): lambda cfg, k: massless_box(k, cfg.cut),
+    ("massless", "closed_alt"): lambda cfg, k: massless_box_alt(k, cfg.cut),
+    ("massless", "feynman"): lambda cfg, k: oracles.feynman_1d_massless(k),
+    ("massless", "mb"): lambda cfg, k: mb_engine.mb_massless_eval(k, *_contours(cfg, k)),
+    ("massless", "residue"): lambda cfg, k: mb_engine.residue_massless(k, cfg.cut),
+    ("onemass", "closed"): lambda cfg, k: onemass_box(k, cfg.cut),
+    ("onemass", "closed_alt"): lambda cfg, k: onemass_box_alt(k, cfg.cut),
+    ("onemass", "feynman"): lambda cfg, k: oracles.feynman_1d_onemass(k),
+    ("onemass", "mb"): lambda cfg, k: mb_engine.mb_onemass_eval(k, *_contours(cfg, k)),
+    ("onemass", "residue"): lambda cfg, k: mb_engine.residue_onemass(k, cfg.cut),
+}
 
 
 def _evaluate(cfg: RunConfig) -> dict:
     k = cfg.kinematics()
+    route = _ROUTES.get(("massless" if k.msq is None else "onemass", cfg.method))
+    if route is None:
+        raise DegenerateKinematics(f"unknown method {cfg.method}")
     record: dict = {
         "integral": cfg.integral,
         "kinematics": {"s": k.s, "t": k.t, "msq": k.msq, "eps": k.eps},
         "method": cfg.method,
     }
-    if cfg.integral == "massless":
-        if cfg.method == "closed":
-            box = massless_box(k, cfg.cut)
-        elif cfg.method == "closed_alt":
-            box = massless_box_alt(k, cfg.cut)
-        elif cfg.method == "feynman":
-            box = oracles.feynman_1d_massless(k)
-        elif cfg.method == "mb":
-            box = mb_engine.mb_massless_eval(k, _contours(cfg, k))
-        elif cfg.method == "residue":
-            br = mb_engine.residue_massless(k, cfg.cut)
-            record["breakdown"] = _jsonable(
-                {**br.pieces, "delta_pole_coefficient": br.delta_pole_coefficient})
-            record["value"] = _c(br.pieces["total"])
-            record["diagnostics"] = {}
-            return record
-        else:
-            raise DegenerateKinematics(f"unknown method {cfg.method}")
+    result = route(cfg, k)
+    if isinstance(result, mb_engine.EvalBreakdown):
+        record["breakdown"] = _jsonable(
+            {**result.pieces, "delta_pole_coefficient": result.delta_pole_coefficient})
+        record["value"] = _c(result.pieces["total"])
+        record["diagnostics"] = {}
     else:
-        if cfg.method == "closed":
-            box = onemass_box(k, cfg.cut)
-        elif cfg.method == "closed_alt":
-            box = onemass_box_alt(k, cfg.cut)
-        elif cfg.method == "feynman":
-            box = oracles.feynman_1d_onemass(k)
-        elif cfg.method == "mb":
-            ca, cb = _contours(cfg, k)
-            box = mb_engine.mb_onemass_eval(k, ca, cb)
-        elif cfg.method == "residue":
-            br = mb_engine.residue_onemass(k, cfg.cut)
-            record["breakdown"] = _jsonable(
-                {**br.pieces, "delta_pole_coefficient": br.delta_pole_coefficient})
-            record["value"] = _c(br.pieces["total"])
-            record["diagnostics"] = {}
-            return record
-        else:
-            raise DegenerateKinematics(f"unknown method {cfg.method}")
-    record["value"] = _c(box.value)
-    record["diagnostics"] = _jsonable(box.diagnostics)
+        record["value"] = _c(result.value)
+        record["diagnostics"] = _jsonable(result.diagnostics)
     return record
 
 
@@ -343,7 +337,7 @@ def verify_massless(tol_residue: float = 1e-10, tol_oracle: float = 1e-8,
 
 
 def verify_onemass(tol_residue: float = 1e-10, tol_spurious: float = 1e-11,
-                   tol_mb: float = 1e-6) -> Report:
+                   tol_mb: float = 1e-11) -> Report:
     """Residue/closed/contour agreement on the one-mass grid, plus the massless limit."""
     checks: list = []
     for (s, t, m2, e) in ONEMASS_GRID:
@@ -427,38 +421,51 @@ def cmd_verify(suite: str, tol: float = 1e-11) -> Report:
     raise DegenerateKinematics(f"unknown suite {suite!r}")
 
 
-def _sweep_point(index: int, point: dict) -> dict:
+def _grid_inputs(index: int, point) -> dict:
+    """A grid point's integral and invariants, which must be numbers."""
+    if not isinstance(point, dict):
+        raise DegenerateKinematics(f"grid point {index} is not an object")
+    inputs = {"integral": point.get("integral", "massless")}
+    for key in ("s", "t", "msq", "eps"):
+        value = point.get(key)
+        if key == "msq" and value is None:
+            inputs[key] = None
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            inputs[key] = float(value)
+        else:
+            raise DegenerateKinematics(f"grid point {index}: {key}={value!r} is not a number")
+    return inputs
+
+
+def _sweep_point(index: int, point: dict, inputs: dict) -> dict:
     methods = point.get("methods", ["closed"])
-    base = {
-        "index": index,
-        "inputs": {key: point.get(key) for key in
-                   ("integral", "s", "t", "msq", "eps")},
-    }
+    base = {"index": index, "inputs": inputs}
     try:
         values = {}
         diagnostics = {}
         for method in methods:
-            cfg = RunConfig(integral=point.get("integral", "massless"),
-                            s=float(point["s"]), t=float(point["t"]),
-                            eps=float(point["eps"]),
-                            msq=point.get("msq"), method=method)
-            rec = _evaluate(cfg)
+            rec = _evaluate(RunConfig(method=method, **inputs))
             values[method] = rec["value"]
             diagnostics[method] = rec.get("diagnostics", {})
-        deviations = {}
-        names = sorted(values)
-        for i, m1 in enumerate(names):
-            for m2 in names[i + 1:]:
-                v1 = complex(values[m1]["re"], values[m1]["im"])
-                v2 = complex(values[m2]["re"], values[m2]["im"])
-                deviations[f"{m1}/{m2}"] = abs(v1 - v2) / max(abs(v1), 1e-300)
-        return {**base, "status": "ok", "values": values,
-                "deviations": deviations, "diagnostics": diagnostics}
     except DegenerateKinematics as exc:
         return {**base, "status": "skipped-degenerate", "reason": str(exc)}
+    except MbboxError as exc:
+        return {**base, "status": "failed", "reason": f"{type(exc).__name__}: {exc}"}
+    deviations = {}
+    names = sorted(values)
+    for i, m1 in enumerate(names):
+        for m2 in names[i + 1:]:
+            v1 = complex(values[m1]["re"], values[m1]["im"])
+            v2 = complex(values[m2]["re"], values[m2]["im"])
+            deviations[f"{m1}/{m2}"] = abs(v1 - v2) / max(abs(v1), 1e-300)
+    return {**base, "status": "ok", "values": values,
+            "deviations": deviations, "diagnostics": diagnostics}
 
 
 def cmd_sweep(grid_file: str, out_file: str | None, tol: float = 1e-8) -> Report:
+    """Evaluate a grid whose invariants are all checked first.  A point that
+    raises is recorded as ``skipped-degenerate`` (counted in ``warnings``)
+    or ``failed`` (in ``errors``), and the sweep goes on."""
     try:
         with open(grid_file) as fh:
             grid = json.load(fh)
@@ -467,14 +474,13 @@ def cmd_sweep(grid_file: str, out_file: str | None, tol: float = 1e-8) -> Report
     points = grid["points"] if isinstance(grid, dict) else grid
     if not isinstance(points, list):
         raise DegenerateKinematics("grid must be a list of points")
+    inputs = [_grid_inputs(i, p) for i, p in enumerate(points)]
     with ThreadPoolExecutor(max_workers=min(4, max(1, len(points)))) as pool:
-        records = list(pool.map(lambda ip: _sweep_point(*ip), enumerate(points)))
+        records = list(pool.map(_sweep_point, range(len(points)), points, inputs))
     failures = 0
-    warnings = 0
     max_dev = 0.0
     for rec in records:
-        if rec["status"] == "skipped-degenerate":
-            warnings += 1
+        if rec["status"] != "ok":
             continue
         worst = max(rec["deviations"].values(), default=0.0)
         max_dev = max(max_dev, worst)
@@ -483,7 +489,9 @@ def cmd_sweep(grid_file: str, out_file: str | None, tol: float = 1e-8) -> Report
             failures += 1
     report = Report(records=records, summary={
         "points": len(records), "failures": failures,
-        "warnings": warnings, "max_deviation": max_dev, "tol": tol,
+        "warnings": sum(r["status"] == "skipped-degenerate" for r in records),
+        "errors": sum(r["status"] == "failed" for r in records),
+        "max_deviation": max_dev, "tol": tol,
     })
     if out_file:
         with open(out_file, "w") as fh:
@@ -561,8 +569,8 @@ def main(argv: list[str] | None = None) -> int:
             cfg = RunConfig(integral=args.integral, s=args.s, t=args.t,
                             eps=args.eps, msq=args.msq, method=args.method,
                             cut=_CUTS[args.cut],
-                            quad_nodes=args.nodes or env_nodes,
-                            quad_height=args.height or env_height)
+                            quad_nodes=env_nodes if args.nodes is None else args.nodes,
+                            quad_height=env_height if args.height is None else args.height)
             report = cmd_eval(cfg)
             if args.json or args.out:
                 _emit(report, args)
@@ -590,6 +598,8 @@ def main(argv: list[str] | None = None) -> int:
             report = cmd_sweep(args.grid_file, args.out, tol)
             if not args.out:
                 _emit(report, args)
+            if report.summary["errors"]:
+                return EXIT_NOT_CONVERGED
             return EXIT_OK if report.summary["failures"] == 0 else EXIT_VERIFY_FAILED
         raise DegenerateKinematics(f"unknown command {args.command}")
     except (DegenerateKinematics, InfeasibleContour) as exc:

@@ -206,7 +206,8 @@ class RegulatorSeries:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        # only an exact zero annihilates: 0 + O(xi^k) keeps its truncation
+        if (self.exact and self.is_zero) or (other.exact and other.is_zero):
             return RegulatorSeries.zero(self.label)
         m = self.min_power + other.min_power
         if self.exact and other.exact:

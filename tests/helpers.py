@@ -1,5 +1,7 @@
-"""Shared helpers for the test suite: extrapolation-based coefficient extraction."""
+"""Shared helpers for the test suite: extrapolation-based coefficient
+extraction and an mpmath reference for the box values."""
 
+import mpmath as mp
 import numpy as np
 
 
@@ -34,3 +36,27 @@ def extract_laurent_by_sampling(fn, eps0=0.02, levels=6):
     r0 = (g - c_m2 - c_m1 * eps) / eps ** 2
     c_0 = neville_to_zero(eps, r0)
     return c_m2, c_m1, c_0
+
+
+def mp_box(s, t, eps, msq=None, dps=30):
+    """Box value from the closed form in mpmath (hyp2f1 and gamma), at ``dps`` digits.
+
+    Shares no code with the package.  On the Euclidean region the powers
+    are real and the principal value of 2F1(1, e; 1+e; z) on its cut is the
+    real part of either one-sided limit.
+    """
+    with mp.workdps(dps):
+        s, t, e = mp.mpf(s), mp.mpf(t), mp.mpf(eps)
+
+        def f21(z):
+            return mp.re(mp.hyp2f1(1, e, 1 + e, z))
+
+        pref = mp.gamma(e) ** 2 * mp.gamma(1 - e) / (mp.gamma(2 * e) * e) / (s * t)
+        if msq is None:
+            value = pref * ((-s) ** e * f21(1 + s / t) + (-t) ** e * f21(1 + t / s))
+        else:
+            m = mp.mpf(msq)
+            q = s + t - m
+            value = pref * ((-s) ** e * f21(q / t) + (-t) ** e * f21(q / s)
+                            - (-m) ** e * f21(m * q / (s * t)))
+        return float(value)

@@ -13,6 +13,8 @@ from mbbox.cli import (
     cmd_expand,
     main,
 )
+from mbbox.closed_form import Kinematics
+from mbbox.mb_engine import select_contour_massless
 
 
 def run_main(argv):
@@ -57,7 +59,7 @@ class TestEval:
     def test_not_converged_exit_code(self):
         code = run_main(["eval", "--s", "-1", "--t", "-2", "--eps", "0.3",
                          "--method", "mb", "--nodes", "40", "--height", "5"])
-        assert code in (EXIT_OK, EXIT_NOT_CONVERGED)  # depends on the floor rule
+        assert code == EXIT_NOT_CONVERGED
         code = run_main(["eval", "--integral", "onemass", "--s", "-1", "--t", "-2",
                          "--msq", "-0.5", "--eps", "0.3",
                          "--method", "mb", "--nodes", "64"])
@@ -135,6 +137,36 @@ class TestSweep:
         statuses = [r["status"] for r in report.records]
         assert statuses == ["ok", "skipped-degenerate"]
 
+    def test_failing_point_is_recorded(self, tmp_path):
+        # eps = 1e-6 needs more contour nodes than the cap allows
+        grid = {"points": [
+            {"integral": "massless", "s": -1.0, "t": -2.0, "eps": 1e-6,
+             "methods": ["mb"]},
+            {"integral": "massless", "s": -1.0, "t": -2.0, "eps": 0.3,
+             "methods": ["closed", "mb"]},
+        ]}
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps(grid))
+        out_file = tmp_path / "report.json"
+        code = run_main(["sweep", str(grid_file), "--out", str(out_file)])
+        assert code == EXIT_NOT_CONVERGED
+        report = Report.from_json(out_file.read_text())
+        assert report.summary["errors"] == 1
+        assert report.summary["failures"] == 0
+        bad, good = report.records
+        assert bad["status"] == "failed"
+        assert bad["reason"].startswith("NotConverged")
+        assert good["status"] == "ok" and good["pass"]
+        assert abs(good["values"]["mb"]["re"] - 24.077761462512434) < 1e-10
+
+    def test_non_numeric_field(self, tmp_path, capsys):
+        grid = [{"integral": "onemass", "s": -1.0, "t": -2.0, "msq": "-0.5",
+                 "eps": 0.3, "methods": ["closed"]}]
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps(grid))
+        assert run_main(["sweep", str(grid_file)]) == EXIT_INPUT_ERROR
+        assert "msq='-0.5'" in capsys.readouterr().err
+
     def test_empty_grid(self, tmp_path, capsys):
         grid_file = tmp_path / "grid.json"
         grid_file.write_text(json.dumps({"points": []}))
@@ -188,6 +220,15 @@ class TestEnvironmentOverrides:
         assert code == EXIT_OK
         rec = json.loads(capsys.readouterr().out)["records"][0]
         assert rec["diagnostics"]["nodes"] == 6000
+
+    def test_height_alone_keeps_default_step(self, capsys):
+        code = run_main(["eval", "--s", "-1", "--t", "-2", "--eps", "0.3",
+                         "--method", "mb", "--height", "3", "--json"])
+        assert code == EXIT_OK
+        diag = json.loads(capsys.readouterr().out)["records"][0]["diagnostics"]
+        default = select_contour_massless(0.3, Kinematics(s=-1.0, t=-2.0, eps=0.3))
+        assert diag["height"] == 3.0
+        assert default.step * 0.99 < diag["step"] <= default.step
 
     def test_bad_env_value(self, monkeypatch, capsys):
         monkeypatch.setenv("MBBOX_QUAD_NODES", "frogs")

@@ -1,15 +1,18 @@
+import math
+
+import numpy as np
 import pytest
 
-from mbbox import specfun as sf
+from helpers import mp_box
+
+from mbbox import mb_engine, specfun as sf
 from mbbox.closed_form import Kinematics, massless_box, onemass_box
 from mbbox.errors import InfeasibleContour, NotConverged, PoleError
 from mbbox.mb_engine import (
+    MAX_NODES,
     ContourSpec,
-    PoleDirection,
-    QuadratureRule,
     abscissa_is_feasible,
     circle_residue,
-    massless_pole_families,
     mb_massless_eval,
     mb_massless_integrand,
     mb_onemass_eval,
@@ -40,12 +43,6 @@ class TestContourSelection:
         for e in (0.0, 1.0, 1.5, -0.2):
             with pytest.raises(InfeasibleContour):
                 select_contour_massless(e)
-
-    def test_pole_family_multiplicities(self):
-        fams = massless_pole_families(0.3)
-        doubles = [f for f in fams if f.multiplicity == 2]
-        assert len(doubles) == 2
-        assert {f.direction for f in fams} == {PoleDirection.LEFT, PoleDirection.RIGHT}
 
     def test_onemass_example(self):
         ca, cb = select_contour_onemass(0.4)
@@ -105,8 +102,8 @@ class TestMasslessQuadrature:
         k = Kinematics(s=s, t=t, eps=eps)
         v = mb_massless_eval(k)
         c = massless_box(k).value
-        assert abs(v.value - c) < 1e-8 * abs(c)
-        assert v.diagnostics["node_doubling_delta"] <= v.diagnostics["error_estimate"]
+        assert abs(v.value - c) < 1e-12 * abs(c)
+        assert abs(v.value - c) <= v.diagnostics["error_estimate"]
 
     def test_real_at_symmetric_point(self):
         k = Kinematics(s=-1.0, t=-1.0, eps=0.3)
@@ -127,21 +124,37 @@ class TestMasslessQuadrature:
         with pytest.raises(InfeasibleContour):
             mb_massless_eval(k, ContourSpec(0.5, 40.0, 4096))
 
-    def test_tanh_sinh_rule(self):
-        # the double-exponential map clusters nodes at the truncation ends,
-        # so it needs a denser grid than the composite rule to resolve the
-        # mid-contour structure
+    def test_trapezoid_rule(self):
+        # an explicit line, well away from the default height and step
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
-        spec = ContourSpec(-0.85, 30.0, 16001, QuadratureRule.TANH_SINH)
-        v = mb_massless_eval(k, spec)
+        v = mb_massless_eval(k, ContourSpec(-0.85, 8.0, 2001))
         c = massless_box(k).value
-        assert abs(v.value - c) < 1e-8 * abs(c)
+        assert abs(v.value - c) < 1e-12 * abs(c)
+        assert v.diagnostics["step"] == 8.0 / 2000
 
     def test_not_converged_reported(self):
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
-        under_resolved = ContourSpec(-0.85, 30.0, 2001, QuadratureRule.TANH_SINH)
+        under_resolved = ContourSpec(-0.85, 6.0, 40)
         with pytest.raises(NotConverged):
             mb_massless_eval(k, under_resolved, tol=1e-10)
+
+    def test_node_cap_checked_before_allocation(self):
+        k = Kinematics(s=-1.0, t=-2.0, eps=1e-6)
+        spec = select_contour_massless(k.eps, k)
+        assert spec.nodes > 1000 * MAX_NODES
+        with pytest.raises(NotConverged):
+            mb_massless_eval(k)
+        with pytest.raises(NotConverged):
+            mb_massless_eval(Kinematics(s=-1.0, t=-2.0, eps=0.3),
+                             ContourSpec(-0.85, 6.0, 10 ** 12))
+
+    @pytest.mark.parametrize("s,t,eps", [(-1e-3, -2e5, 0.5), (-1.0, -2.0, 0.3),
+                                         (-3.0, -0.5, 0.05), (-1.0, -1e-4, 0.9)])
+    def test_error_estimate_bounds_true_error(self, s, t, eps):
+        # against an mpmath reference: the package's closed form itself is
+        # off by 3e-10 at |s/t| = 2e8
+        v = mb_massless_eval(Kinematics(s=s, t=t, eps=eps))
+        assert abs(v.value - mp_box(s, t, eps)) <= v.diagnostics["error_estimate"]
 
 
 class TestOneMassQuadrature:
@@ -152,8 +165,37 @@ class TestOneMassQuadrature:
         k = Kinematics(s=s, t=t, eps=eps, msq=m2)
         v = mb_onemass_eval(k)
         c = onemass_box(k).value
-        assert abs(v.value - c) < 1e-6 * abs(c)
-        assert v.diagnostics["node_doubling_delta"] <= v.diagnostics["error_estimate"]
+        assert abs(v.value - c) < 1e-11 * abs(c)
+        assert abs(v.value - c) <= v.diagnostics["error_estimate"]
+
+    def test_small_eps_matches_closed_form(self):
+        k = Kinematics(s=-1.0, t=-2.0, eps=0.05, msq=-0.5)
+        v = mb_onemass_eval(k)
+        c = onemass_box(k).value
+        assert abs(v.value - c) < 1e-11 * abs(c)
+
+    def test_fft_correlation_matches_direct_double_sum(self):
+        # the factorised FFT sum against the scalar integrand summed over
+        # every node pair of the same doubled grids (65 x 65 nodes)
+        k = Kinematics(s=-1.0, t=-2.0, eps=0.3, msq=-0.5)
+        ca = ContourSpec(-0.075, 4.0, 33)
+        cb = ContourSpec(-0.85, 4.0, 33)
+        fine, coarse, _ = mb_engine._mb_onemass_sums(k, ca, cb)
+        h = ca.step
+        alpha = ca.abscissa + 1j * ca.fine_heights()
+        beta = cb.abscissa + 1j * cb.fine_heights()
+        direct = sum(mb_onemass_integrand(a, b, k) for a in alpha for b in beta)
+        direct *= h * h / (4.0 * math.pi ** 2)
+        assert abs(fine - direct) < 1e-13 * abs(direct)
+        direct_coarse = sum(mb_onemass_integrand(a, b, k)
+                            for a in alpha[::2] for b in beta[::2])
+        direct_coarse *= 4.0 * h * h / (4.0 * math.pi ** 2)
+        assert abs(coarse - direct_coarse) < 1e-13 * abs(direct_coarse)
+
+    def test_contours_share_one_step(self):
+        k = Kinematics(s=-1.0, t=-2.0, eps=0.3, msq=-0.5)
+        with pytest.raises(InfeasibleContour):
+            mb_onemass_eval(k, ContourSpec(-0.075, 10.0, 801), ContourSpec(-0.85, 10.0, 802))
 
     def test_integrand_conjugate_symmetry(self):
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3, msq=-0.5)
