@@ -13,11 +13,9 @@ command-line tool with machine-readable reports.
 from .closed_form import (
     BoxValue,
     Kinematics,
-    OneMassAux,
     massless_box,
     massless_box_alt,
     massless_box_laurent,
-    onemass_aux,
     onemass_box,
     onemass_box_alt,
     onemass_box_laurent,

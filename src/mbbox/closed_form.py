@@ -25,12 +25,10 @@ from .specfun import (
 
 __all__ = [
     "Kinematics",
-    "OneMassAux",
     "BoxValue",
     "massless_box",
     "massless_box_alt",
     "massless_box_laurent",
-    "onemass_aux",
     "onemass_box",
     "onemass_box_alt",
     "onemass_box_laurent",
@@ -70,10 +68,6 @@ class Kinematics:
             if abs(self.t - self.msq) < DEGENERACY_RTOL * scale:
                 raise DegenerateKinematics("t - msq too close to zero")
 
-    @property
-    def has_mass(self) -> bool:
-        return self.msq is not None
-
     def require_massless(self):
         if self.msq is not None:
             raise DegenerateKinematics("operation defined for msq absent")
@@ -81,14 +75,6 @@ class Kinematics:
     def require_onemass(self):
         if self.msq is None:
             raise DegenerateKinematics("operation requires msq")
-
-
-@dataclass(frozen=True)
-class OneMassAux:
-    """Partial-fraction abscissae of the one-mass z-integrand."""
-
-    z0: float
-    z1: float
 
 
 @dataclass(frozen=True)
@@ -179,13 +165,6 @@ def massless_box_laurent(k: Kinematics) -> RegulatorSeries:
 # ---------------------------------------------------------------------------
 # one-mass box
 # ---------------------------------------------------------------------------
-
-def onemass_aux(k: Kinematics) -> OneMassAux:
-    """Abscissae z0, z1 of the partial-fraction split of the z-integrand."""
-    k.require_onemass()
-    s, t, m2 = k.s, k.t, k.msq
-    return OneMassAux(z0=(m2 - t) / (m2 - t - s), z1=m2 / (m2 - s))
-
 
 def onemass_box(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     """Exact one-mass box: mass-channel pair plus the t-channel term."""

@@ -60,6 +60,11 @@ DELTA = Regulator.DELTA
 # built: eps -> 0 raises NotConverged instead of allocating millions of nodes.
 MAX_NODES = 1 << 17
 
+# Largest node-doubling delta, relative to the value, that each contour
+# route accepts; above it the evaluation raises NotConverged.
+MASSLESS_DELTA_RTOL = 1e-9
+ONEMASS_DELTA_RTOL = 1e-5
+
 
 @dataclass(frozen=True)
 class ContourSpec:
@@ -216,15 +221,15 @@ def mb_massless_integrand(w, k: Kinematics):
                      + ln_gamma(-w) + 2.0 * ln_gamma(e - 1.0 - w) - lg2e)
 
 
-def mb_massless_eval(k: Kinematics, spec: ContourSpec | None = None,
-                     tol: float = 1e-9) -> BoxValue:
+def mb_massless_eval(k: Kinematics, spec: ContourSpec | None = None) -> BoxValue:
     """Massless box by the trapezoid rule along a truncated vertical line.
 
     The value is the doubled rule; the coarse rule is its even nodes.  The
     error estimate adds the doubling delta, the truncation tail and the
     rounding of the sum: the error of each node's six gamma factors times
     h sum |f| / 2 pi.  The evaluation fails with :class:`NotConverged`
-    when the doubling delta exceeds ``tol`` relative to the value.
+    when the doubling delta exceeds ``MASSLESS_DELTA_RTOL`` relative to the
+    value.
     """
     k.require_massless()
     if spec is None:
@@ -240,8 +245,9 @@ def mb_massless_eval(k: Kinematics, spec: ContourSpec | None = None,
     tail = (abs(f[0]) + abs(f[-1])) / (2.0 * math.pi * 3.0 * math.pi)
     rounding = 6.0 * _LN_GAMMA_ERR * weight * float(np.sum(np.abs(f)))
     scale = max(abs(fine), 1e-300)
-    if delta > tol * scale:
-        raise NotConverged(f"node-doubling delta {delta:.3e} above {tol:.1e} * |value|")
+    if delta > MASSLESS_DELTA_RTOL * scale:
+        raise NotConverged(f"node-doubling delta {delta:.3e} above "
+                           f"{MASSLESS_DELTA_RTOL:.1e} * |value|")
     return BoxValue(fine, "mb", {
         "nodes": spec.nodes,
         "height": spec.height,
@@ -313,12 +319,13 @@ def _mb_onemass_sums(k: Kinematics, ca: ContourSpec,
 
 
 def mb_onemass_eval(k: Kinematics, ca: ContourSpec | None = None,
-                    cb: ContourSpec | None = None, tol: float = 1e-5) -> BoxValue:
+                    cb: ContourSpec | None = None) -> BoxValue:
     """One-mass box by the trapezoid rule on both contours (inner alpha, outer beta).
 
     The two lines must share one step.  Diagnostics as for
     :func:`mb_massless_eval`; the rounding term counts seven gamma factors
-    per node and h^2 sum |f| / 4 pi^2.
+    per node and h^2 sum |f| / 4 pi^2, and the delta is held to
+    ``ONEMASS_DELTA_RTOL``.
     """
     k.require_onemass()
     if ca is None or cb is None:
@@ -336,8 +343,9 @@ def mb_onemass_eval(k: Kinematics, ca: ContourSpec | None = None,
     tail = (corner + edge_a + edge_b) / (4.0 * math.pi ** 2)
     rounding = 7.0 * _LN_GAMMA_ERR * abs_sum
     scale = max(abs(fine), 1e-300)
-    if delta > tol * scale:
-        raise NotConverged(f"node-doubling delta {delta:.3e} above {tol:.1e} * |value|")
+    if delta > ONEMASS_DELTA_RTOL * scale:
+        raise NotConverged(f"node-doubling delta {delta:.3e} above "
+                           f"{ONEMASS_DELTA_RTOL:.1e} * |value|")
     return BoxValue(fine, "mb", {
         "nodes": (ca.nodes, cb.nodes),
         "height": (ca.height, cb.height),

@@ -11,8 +11,6 @@ gamma prefactor itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
 
 from scipy.integrate import quad
 
@@ -21,8 +19,6 @@ from .errors import DomainError, NonConvergence, NotConverged
 from .specfun import ABOVE, BELOW, PV, CutPrescription, ln_gamma
 
 __all__ = [
-    "IntegrandKind",
-    "IntegrandSpec",
     "feynman_1d_massless",
     "feynman_1d_onemass",
     "euler_f21_oracle",
@@ -35,29 +31,6 @@ QUAD_EPSREL = 1e-12
 QUAD_LIMIT = 400
 
 
-class IntegrandKind(Enum):
-    MASSLESS_Z = "massless-z"
-    ONEMASS_Z = "onemass-z"
-    EULER_F21 = "euler-f21"
-    BETA_Y = "beta-y"
-    F2_DOUBLE_SERIES = "f2-double-series"
-
-
-@dataclass(frozen=True)
-class IntegrandSpec:
-    """Description of one oracle integrand and its endpoint singularities."""
-
-    kind: IntegrandKind
-    parameters: dict = field(default_factory=dict)
-    singular_exponents: tuple = ()  # (endpoint, exponent) pairs
-
-    def __post_init__(self):
-        for endpoint, expo in self.singular_exponents:
-            if expo <= -1.0:
-                raise DomainError(
-                    f"non-integrable exponent {expo} at endpoint {endpoint}")
-
-
 def _quad(f, a, b, tag):
     val, err, info = quad(f, a, b, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
                           limit=QUAD_LIMIT, full_output=True)[:3]
@@ -66,115 +39,82 @@ def _quad(f, a, b, tag):
     return val, err, info["neval"]
 
 
-def _sym_diff_quotient(a: float, b: float, p: float) -> float:
-    """(a**p - b**p) / (b - a) for positive a, b, stable near a == b."""
-    mid = 0.5 * (a + b)
-    d = 0.5 * (b - a)
-    r = d / mid
-    if abs(r) > 1e-4:
-        return (a ** p - b ** p) / (b - a)
-    # (-(mid-d)^p + (mid+d)^p)/(-2d) expanded in d/mid
-    c1 = (p - 1.0) * (p - 2.0) / 6.0
-    c2 = (p - 1.0) * (p - 2.0) * (p - 3.0) * (p - 4.0) / 120.0
-    return -p * mid ** (p - 1.0) * (1.0 + c1 * r * r + c2 * r ** 4)
-
-
 def _gamma_prefactor(eps: float) -> float:
     return math.exp(2.0 * ln_gamma(eps).real - ln_gamma(2.0 * eps).real
                     + ln_gamma(1.0 - eps).real)
 
 
-def _half_integral(eps, neg_s, neg_t, neg_m2, substitute, tag):
-    """Integral over z in [0, 1/2] of the z-representation.
+def _quotient(a: float, b: float, q: float) -> float:
+    """(1 - (a/b)**q) / (b - a) for a >= 0, b > 0, exact as a -> b and at a = 0.
 
-    The numerator piece singular at z = 0 behaves like (z q)^**(eps-1) with
-    q = neg_s + neg_m2; mapping z = u**(1/eps) makes the integrand bounded.
-    With ``substitute`` false the raw integrand is handed to the adaptive
-    rule unchanged.
+    With p = -q this is (a**p - b**p) / (b - a) times a**q.
     """
-    p = eps - 1.0
-
-    def f(z):
-        a = z * neg_s + (1.0 - z) * neg_m2
-        b = (1.0 - z) * neg_t
-        return _sym_diff_quotient(a, b, p)
-
-    if not substitute:
-        return _quad(f, 0.0, 0.5, tag)
-    if neg_m2 != 0.0:
-        # integrand already bounded at z = 0
-        return _quad(f, 0.0, 0.5, tag)
-
-    inv_eps = 1.0 / eps
-
-    def g(u):
-        z = u ** inv_eps
-        return f(z) * inv_eps * u ** (inv_eps - 1.0) if u > 0.0 else 0.0
-
-    # the z**(eps-1) factor times the Jacobian is exactly bounded; the
-    # remaining smooth piece vanishes at u = 0 because 1/eps > 1
-    return _quad(g, 0.0, 0.5 ** eps, tag)
+    r = a / b
+    if r == 0.0:
+        return 1.0 / b
+    d = a - b
+    if d == 0.0:
+        return q / b
+    return math.expm1(q * (math.log(r) if r < 0.5 else math.log1p(d / b))) / d
 
 
-def feynman_1d_massless(k: Kinematics, substitute: bool = True) -> BoxValue:
+def _half_integral(eps, near, near_m, far, far_m, tag):
+    """Integral over z in [0, 1/2] of (a**p - b**p) / (b - a), p = eps - 1,
+    with a = z near + (1-z) near_m and b = z far_m + (1-z) far.
+
+    The a**p term is singular at z = 0 when near_m = 0, and has a boundary
+    layer of width near_m when near_m is small.  The variable
+    v = a**eps - near_m**eps absorbs both: a**p dz/dv is the constant
+    1 / (eps (near - near_m)).  The expm1/log1p forms keep a - near_m
+    accurate when near_m is close to near.
+    """
+    q = 1.0 - eps
+    span = near - near_m
+    c = 1.0 / (eps * span)
+    base = near_m ** eps
+    if near_m == 0.0:
+        top = (0.5 * near) ** eps
+    else:
+        top = base * math.expm1(eps * math.log1p(span / (2.0 * near_m)))
+
+    def g(v):
+        if near_m == 0.0:
+            da = v ** (1.0 / eps)  # underflows to 0 near v = 0 when eps is small
+        else:
+            da = near_m * math.expm1(math.log1p(v / base) / eps)
+        z = da / span
+        return c * _quotient(near_m + da, z * far_m + (1.0 - z) * far, q)
+
+    return _quad(g, 0.0, top, tag)
+
+
+def _feynman(eps, neg_s, neg_t, neg_m2, name):
+    # the upper half is mirrored, z -> 1-z, so its singular end sits at z = 0
+    v1, e1, n1 = _half_integral(eps, neg_s, neg_m2, neg_t, 0.0, f"{name} z lower")
+    v2, e2, n2 = _half_integral(eps, neg_t, 0.0, neg_s, neg_m2, f"{name} z upper")
+    pref = _gamma_prefactor(eps)
+    return BoxValue(complex(pref * (v1 + v2)), "feynman", {
+        "neval": n1 + n2,
+        "abserr": pref * (e1 + e2),
+    })
+
+
+def feynman_1d_massless(k: Kinematics) -> BoxValue:
     """Massless box by direct quadrature of the one-dimensional z-integral.
 
     The integrand is (a**(e-1) - b**(e-1)) / (b - a) with a = z(-s) and
     b = (1-z)(-t); the apparent zero of the denominator inside (0, 1) is a
-    removable point and is evaluated through a guarded difference quotient.
+    removable point.
     """
     k.require_massless()
-    eps = k.eps
-    neg_s, neg_t = -k.s, -k.t
-    IntegrandSpec(IntegrandKind.MASSLESS_Z, {"s": k.s, "t": k.t, "eps": eps},
-                  ((0.0, eps - 1.0), (1.0, eps - 1.0)))
-    v1, e1, n1 = _half_integral(eps, neg_s, neg_t, 0.0, substitute, "massless z lower")
-    # mirror z -> 1-z maps the upper half onto the lower one with s <-> t
-    v2, e2, n2 = _half_integral(eps, neg_t, neg_s, 0.0, substitute, "massless z upper")
-    pref = _gamma_prefactor(eps)
-    return BoxValue(complex(pref * (v1 + v2)), "feynman", {
-        "neval": n1 + n2,
-        "abserr": pref * (e1 + e2),
-        "substituted": substitute,
-    })
+    return _feynman(k.eps, -k.s, -k.t, 0.0, "massless")
 
 
-def feynman_1d_onemass(k: Kinematics, substitute: bool = True) -> BoxValue:
-    """One-mass box by direct quadrature of its one-dimensional z-integral."""
+def feynman_1d_onemass(k: Kinematics) -> BoxValue:
+    """One-mass box by direct quadrature of its one-dimensional z-integral:
+    the massless integrand with a = z(-s) + (1-z)(-msq)."""
     k.require_onemass()
-    eps = k.eps
-    neg_s, neg_t, neg_m2 = -k.s, -k.t, -k.msq
-    IntegrandSpec(IntegrandKind.ONEMASS_Z,
-                  {"s": k.s, "t": k.t, "msq": k.msq, "eps": eps},
-                  ((1.0, eps - 1.0),))
-    # lower half: both numerator pieces regular (the mass term keeps the
-    # first one away from zero); upper half mirrored so the t-channel
-    # singularity sits at z = 0 where the substitution absorbs it
-    v1, e1, n1 = _half_integral(eps, neg_s, neg_t, neg_m2, False, "onemass z lower")
-
-    p = eps - 1.0
-
-    def f_upper(w):  # w = 1 - z
-        a = (1.0 - w) * neg_s + w * neg_m2
-        b = w * neg_t
-        return _sym_diff_quotient(a, b, p)
-
-    if substitute:
-        inv_eps = 1.0 / eps
-
-        def g(u):
-            w = u ** inv_eps
-            return f_upper(w) * inv_eps * u ** (inv_eps - 1.0) if u > 0.0 else 0.0
-
-        v2, e2, n2 = _quad(g, 0.0, 0.5 ** eps, "onemass z upper")
-    else:
-        v2, e2, n2 = _quad(f_upper, 0.0, 0.5, "onemass z upper")
-    pref = _gamma_prefactor(eps)
-    return BoxValue(complex(pref * (v1 + v2)), "feynman", {
-        "neval": n1 + n2,
-        "abserr": pref * (e1 + e2),
-        "substituted": substitute,
-    })
+    return _feynman(k.eps, -k.s, -k.t, -k.msq, "onemass")
 
 
 def _euler_segment(eps, w, lo, hi, tag):
@@ -229,8 +169,6 @@ def beta_oracle(eps: float) -> float:
     """Quadrature of the symmetric Beta integrand (y(1-y))**(eps-1)."""
     if not (0.0 < eps <= 1.0):
         raise DomainError(f"eps={eps} outside (0, 1]")
-    IntegrandSpec(IntegrandKind.BETA_Y, {"eps": eps},
-                  ((0.0, eps - 1.0), (1.0, eps - 1.0)))
     inv_eps = 1.0 / eps
 
     def g(u):
@@ -253,9 +191,6 @@ def f2_double_series(alpha: float, beta: float, beta_p: float,
     """
     if abs(x) + abs(y) >= 1.0:
         raise NonConvergence(f"|x|+|y|={abs(x)+abs(y):.4f} outside the convergence domain")
-    IntegrandSpec(IntegrandKind.F2_DOUBLE_SERIES,
-                  {"alpha": alpha, "beta": beta, "beta_p": beta_p,
-                   "gamma1": gamma1, "gamma2": gamma2})
     total = 0.0
     row_head = 1.0  # term at (k, n=0)
     ratio = abs(x) + abs(y)

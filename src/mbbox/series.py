@@ -16,7 +16,6 @@ auxiliary pole-splitting regulator (label ``DELTA``, default window
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,6 +27,7 @@ from .specfun import (
     digamma,
     li2,
     ln_gamma,
+    polygamma,
     _flip,
 )
 
@@ -333,47 +333,6 @@ class RegulatorSeries:
 
 
 # ---------------------------------------------------------------------------
-# polygamma by finite differences of digamma
-# ---------------------------------------------------------------------------
-
-def _psi_derivative(a: float, k: int) -> float:
-    """k-th derivative of digamma at a real non-pole point, k in 1..4.
-
-    Central stencils with one Richardson step; the step is tuned per order
-    to balance truncation against cancellation.  Good to ~1e-10 for k <= 2
-    and ~1e-8 for k in {3, 4}, which is ample for order-2 coefficients.
-    """
-    psi = lambda x: digamma(x).real
-
-    # exact recurrence psi^(k)(a) = psi^(k)(a+1) + (-1)^(k+1) k!/a^(k+1)
-    # moves the stencil away from the poles before differencing
-    acc = 0.0
-    kfact = math.factorial(k)
-    sign = 1.0 if k % 2 == 1 else -1.0
-    while a < 3.0:
-        acc += sign * kfact / a ** (k + 1)
-        a += 1.0
-
-    def stencil(h):
-        if k == 1:
-            return (psi(a + h) - psi(a - h)) / (2 * h)
-        if k == 2:
-            return (psi(a + h) - 2 * psi(a) + psi(a - h)) / (h * h)
-        if k == 3:
-            return (psi(a + 2 * h) - 2 * psi(a + h) + 2 * psi(a - h) - psi(a - 2 * h)) / (2 * h ** 3)
-        if k == 4:
-            return (psi(a + 2 * h) - 4 * psi(a + h) + 6 * psi(a) - 4 * psi(a - h)
-                    + psi(a - 2 * h)) / h ** 4
-        raise DomainError(f"psi derivative order {k} not supported")
-
-    h0 = {1: 1e-4, 2: 2e-3, 3: 6e-3, 4: 2e-2}[k]
-    # all stencils above have a leading h^2 error term
-    d1 = stencil(h0)
-    d2 = stencil(h0 / 2.0)
-    return acc + (4.0 * d2 - d1) / 3.0
-
-
-# ---------------------------------------------------------------------------
 # series-valued special functions
 # ---------------------------------------------------------------------------
 
@@ -381,8 +340,8 @@ def gamma_series(a: float, order: int, label: Regulator = Regulator.EPSILON) -> 
     """Expansion of Gamma(a + xi) through xi**order.
 
     At a non-positive integer ``a`` the result is the Laurent series with
-    its simple pole (min_power -1); elsewhere it is the Taylor series with
-    coefficients built from digamma and its finite-difference derivatives.
+    its simple pole (min_power -1); elsewhere it is the exponential of the
+    Taylor series of ln Gamma, whose coefficients are digamma and polygamma.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
@@ -401,7 +360,7 @@ def gamma_series(a: float, order: int, label: Regulator = Regulator.EPSILON) -> 
     fact = 1.0
     for k in range(2, order + 1):
         fact *= k
-        lg.append(complex(_psi_derivative(a, k - 1)) / fact)
+        lg.append(complex(polygamma(k - 1, a)) / fact)
     return RegulatorSeries(0, tuple(lg[: order + 1]), label, exact=False).exp()
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "ln_gamma_grid",
     "gamma",
     "digamma",
+    "polygamma",
     "li2",
     "f21_1e",
     "f21_2e",
@@ -174,7 +175,7 @@ def gamma(z) -> complex:
     return _require_finite(cmath.exp(ln_gamma(z)), "gamma")
 
 
-# Bernoulli numbers B_2 .. B_14 for the digamma asymptotic tail.
+# Bernoulli numbers B_2 .. B_14 for the digamma and polygamma asymptotic tails.
 _BERNOULLI_2N = (
     1.0 / 6.0,
     -1.0 / 30.0,
@@ -209,6 +210,29 @@ def digamma(z) -> complex:
     if out.imag == 0.0:
         out = complex(out.real, 0.0)
     return _require_finite(out, "digamma")
+
+
+def polygamma(k: int, x: float) -> float:
+    """k-th derivative of digamma at a real non-pole x, k >= 1.
+
+    Upward recurrence psi^(k)(x) = psi^(k)(x+1) + (-1)^(k+1) k! / x^(k+1)
+    to x >= 16, then the asymptotic series with the Bernoulli tail of
+    :func:`digamma`; that tail is good to double precision for k <= 4.
+    """
+    x = float(x)
+    if x <= 0.0 and x == math.floor(x):
+        raise PoleError(f"polygamma pole at x={x}")
+    sign = 1.0 if k % 2 == 1 else -1.0
+    kfact = math.factorial(k)
+    acc = 0.0
+    while x < 16.0:
+        acc += kfact / x ** (k + 1)
+        x += 1.0
+    # (k-1)!/x^k + k!/(2 x^(k+1)) + sum_j B_2j (2j+k-1)!/((2j)! x^(2j+k))
+    tail = math.factorial(k - 1) / x ** k + 0.5 * kfact / x ** (k + 1)
+    for j, b in enumerate(_BERNOULLI_2N, start=1):
+        tail += b * math.factorial(2 * j + k - 1) / (math.factorial(2 * j) * x ** (2 * j + k))
+    return sign * (acc + tail)
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,7 @@ def test_criterion_7_identity_suite():
 
 def test_criterion_8_contour_robustness():
     worst_drift = 0.0
-    worst_excess = 0.0
+    worst_ratio = 0.0
     for (s, t, e) in MASSLESS_GRID:
         k = Kinematics(s=s, t=t, eps=e)
         spec = select_contour_massless(e, k)
@@ -187,10 +187,9 @@ def test_criterion_8_contour_robustness():
         drift = abs(mb_massless_eval(k, shifted).value - base.value) \
             / abs(base.value)
         worst_drift = max(worst_drift, drift)
-        delta = base.diagnostics["node_doubling_delta"]
-        estimate = base.diagnostics["error_estimate"]
-        worst_excess = max(worst_excess, delta - estimate)
+        error = abs(base.value - massless_box(k).value)
+        worst_ratio = max(worst_ratio, error / base.diagnostics["error_estimate"])
     _report("criterion 8 (abscissa drift)", worst_drift, 1e-10)
-    _report("criterion 8 (doubling within estimate)", worst_excess, 0.0)
+    _report("criterion 8 (error over estimate)", worst_ratio, 1.0)
     assert worst_drift <= 1e-10
-    assert worst_excess <= 0.0
+    assert worst_ratio <= 1.0

@@ -3,10 +3,12 @@ import math
 
 import pytest
 
+from helpers import mp_box
 from mbbox.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
+    EXIT_VERIFY_FAILED,
     Report,
     RunConfig,
     cmd_eval,
@@ -65,6 +67,15 @@ class TestEval:
                          "--method", "mb", "--nodes", "64"])
         assert code == EXIT_NOT_CONVERGED
 
+    def test_feynman_small_eps(self, capsys):
+        # z**(eps-1) underflows near z = 0: no traceback, a value, exit 0
+        code = run_main(["eval", "--s=-1", "--t=-2", "--eps", "0.008",
+                         "--method", "feynman"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_OK and err == ""
+        ref = mp_box(-1.0, -2.0, 0.008)
+        assert abs(float(out.split()[0]) - ref) < 1e-12 * abs(ref)
+
     def test_no_locale_formatting(self, capsys):
         run_main(["eval", "--s", "-1", "--t", "-2", "--eps", "0.3", "--json"])
         out = capsys.readouterr().out
@@ -111,6 +122,14 @@ class TestVerify:
         summary = json.loads(capsys.readouterr().out)["summary"]
         assert summary["failures"] == 0
         assert summary["checks"] >= 35
+
+    def test_zero_tol_is_kept(self, monkeypatch, capsys):
+        # every identity deviates by more than zero, so both forms fail
+        assert run_main(["verify", "--suite", "identities", "--tol", "0"]) \
+            == EXIT_VERIFY_FAILED
+        assert json.loads(capsys.readouterr().out)["summary"]["failures"] > 0
+        monkeypatch.setenv("MBBOX_TOL", "0")
+        assert run_main(["verify", "--suite", "identities"]) == EXIT_VERIFY_FAILED
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -166,6 +185,13 @@ class TestSweep:
         grid_file.write_text(json.dumps(grid))
         assert run_main(["sweep", str(grid_file)]) == EXIT_INPUT_ERROR
         assert "msq='-0.5'" in capsys.readouterr().err
+
+    def test_zero_tol_is_kept(self, tmp_path):
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps([{"s": -1.0, "t": -2.0, "eps": 0.3}]))
+        out_file = tmp_path / "report.json"
+        run_main(["sweep", str(grid_file), "--out", str(out_file), "--tol", "0"])
+        assert Report.from_json(out_file.read_text()).summary["tol"] == 0.0
 
     def test_empty_grid(self, tmp_path, capsys):
         grid_file = tmp_path / "grid.json"

@@ -9,7 +9,6 @@ from mbbox.closed_form import (
     massless_box,
     massless_box_alt,
     massless_box_laurent,
-    onemass_aux,
     onemass_box,
     onemass_box_alt,
     onemass_box_laurent,
@@ -45,16 +44,6 @@ class TestKinematics:
             Kinematics(s=-1.0, t=-2.0, eps=0.3, msq=-1.0)   # s = msq
         with pytest.raises(DegenerateKinematics):
             Kinematics(s=-1.0, t=-2.0, eps=0.3, msq=-2.0)   # t = msq
-
-    def test_aux_values(self):
-        aux = onemass_aux(Kinematics(s=-1.0, t=-1.0, eps=0.3, msq=-0.5))
-        assert abs(aux.z0 - 1.0 / 3.0) < 1e-15
-        aux2 = onemass_aux(Kinematics(s=-2.0, t=-1.0, eps=0.3, msq=-0.5))
-        assert abs(aux2.z1 - (-1.0 / 3.0)) < 1e-15
-
-    def test_aux_massless_limit(self):
-        aux = onemass_aux(Kinematics(s=-1.0, t=-2.0, eps=0.3, msq=-1e-12))
-        assert abs(aux.z1) < 1e-11
 
 
 class TestMasslessBox:

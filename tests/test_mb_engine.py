@@ -136,7 +136,7 @@ class TestMasslessQuadrature:
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
         under_resolved = ContourSpec(-0.85, 6.0, 40)
         with pytest.raises(NotConverged):
-            mb_massless_eval(k, under_resolved, tol=1e-10)
+            mb_massless_eval(k, under_resolved)
 
     def test_node_cap_checked_before_allocation(self):
         k = Kinematics(s=-1.0, t=-2.0, eps=1e-6)

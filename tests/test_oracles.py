@@ -2,29 +2,17 @@ import math
 
 import pytest
 
+from helpers import mp_box
 from mbbox import specfun as sf
 from mbbox.closed_form import Kinematics, massless_box, onemass_box
 from mbbox.errors import DomainError, NonConvergence
 from mbbox.oracles import (
-    IntegrandKind,
-    IntegrandSpec,
     beta_oracle,
     euler_f21_oracle,
     f2_double_series,
     feynman_1d_massless,
     feynman_1d_onemass,
 )
-
-
-class TestIntegrandSpec:
-    def test_rejects_nonintegrable_exponent(self):
-        with pytest.raises(DomainError):
-            IntegrandSpec(IntegrandKind.BETA_Y, {}, ((0.0, -1.2),))
-
-    def test_accepts_integrable(self):
-        spec = IntegrandSpec(IntegrandKind.MASSLESS_Z, {"eps": 0.3},
-                             ((0.0, -0.7), (1.0, -0.7)))
-        assert spec.kind is IntegrandKind.MASSLESS_Z
 
 
 class TestFeynmanMassless:
@@ -47,12 +35,12 @@ class TestFeynmanMassless:
         hard = feynman_1d_massless(Kinematics(s=-1.0, t=-2.0, eps=0.8))
         assert hard.diagnostics["neval"] <= 2 * base.diagnostics["neval"]
 
-    def test_substitution_vs_raw(self):
-        for e in (0.5, 0.7):
-            k = Kinematics(s=-1.0, t=-2.0, eps=e)
-            a = feynman_1d_massless(k, substitute=True).value
-            b = feynman_1d_massless(k, substitute=False).value
-            assert abs(a - b) < 1e-9 * abs(a)
+    def test_against_mpmath(self):
+        # at eps = 0.008, z**(eps-1) underflows near z = 0
+        for e in (0.5, 0.7, 0.008):
+            ref = mp_box(-1.0, -2.0, e)
+            a = feynman_1d_massless(Kinematics(s=-1.0, t=-2.0, eps=e)).value
+            assert abs(a - ref) < 1e-12 * abs(ref)
 
 
 class TestFeynmanOneMass:
@@ -61,6 +49,18 @@ class TestFeynmanOneMass:
         a = feynman_1d_onemass(k).value
         b = onemass_box(k).value
         assert abs(a - b) < 1e-9 * abs(b)
+
+    @pytest.mark.parametrize("s, t, msq, eps", [
+        (-1.0, -2.0, -1e-9, 0.3),            # a msq**eps boundary layer at z = 0
+        (-1.0, -2.0, -1e-9, 0.05),
+        (-1.0, -2.0, -0.5, 0.008),           # z**(eps-1) underflows near z = 0
+        (-1.0, -2.0, -1.0000001, 0.3),       # msq -> s: a - msq must not cancel
+        (-55.0, -0.4, -3000.0, 0.45),        # |msq| > |s|: a falls across the half
+    ])
+    def test_against_mpmath(self, s, t, msq, eps):
+        k = Kinematics(s=s, t=t, eps=eps, msq=msq)
+        ref = mp_box(s, t, eps, msq)
+        assert abs(feynman_1d_onemass(k).value - ref) < 1e-12 * abs(ref)
 
     def test_massless_limit(self):
         a = feynman_1d_onemass(Kinematics(s=-1.0, t=-2.0, eps=0.3, msq=-1e-7)).value

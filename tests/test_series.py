@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -143,6 +144,13 @@ class TestGammaSeries:
         assert abs(g.coeff(1) + EULER_GAMMA) < 1e-12
         signs = [math.copysign(1.0, g.coeff(k).real) for k in range(5)]
         assert signs == [1.0, -1.0, 1.0, -1.0, 1.0]
+
+    @pytest.mark.parametrize("a", [1.0, 0.3, 0.7])
+    def test_coefficients_against_mpmath(self, a):
+        g = gamma_series(a, 4)
+        for k, ref in enumerate(mpmath.taylor(mpmath.gamma, a, 4)):
+            ref = float(ref)
+            assert abs(g.coeff(k) - ref) <= 1e-14 * max(1.0, abs(ref))
 
     def test_laurent_pole_part(self):
         g = gamma_series(0.0, 2)

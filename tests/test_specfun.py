@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 
 from mbbox import specfun as sf
@@ -52,6 +53,17 @@ class TestGammaFamily:
         for z in (0.3, 1.7, 5.2):
             fd = (sf.ln_gamma(z + h) - sf.ln_gamma(z - h)).real / (2 * h)
             assert abs(sf.digamma(z).real - fd) < 1e-8
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_polygamma_against_mpmath(self, k):
+        for x in (-1.3, -0.5, 0.02, 0.3, 1.0, 2.5, 3.5, 15.9, 16.0, 40.0):
+            ref = float(mpmath.polygamma(k, x))
+            assert abs(sf.polygamma(k, x) - ref) <= 1e-14 * abs(ref)
+
+    def test_polygamma_poles(self):
+        for x in (0.0, -2.0):
+            with pytest.raises(PoleError):
+                sf.polygamma(1, x)
 
     def test_overflow_is_an_error(self):
         with pytest.raises(OverflowError):
