@@ -52,8 +52,6 @@ from .oracles import (
 from .series import (
     Regulator,
     RegulatorSeries,
-    f21_1e_expansion,
-    f21_2e_expansion,
     gamma_series,
     power_series,
 )

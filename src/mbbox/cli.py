@@ -68,6 +68,7 @@ EXIT_NOT_CONVERGED = 3
 
 _CUTS = {"pv": PV, "above": ABOVE, "below": BELOW}
 _METHODS = ("closed", "closed_alt", "mb", "residue", "feynman")
+_INTEGRALS = ("massless", "onemass")
 
 
 @dataclass
@@ -85,11 +86,14 @@ class RunConfig:
     quad_height: float | None = None
 
     def kinematics(self) -> Kinematics:
-        if self.integral == "massless":
-            return Kinematics(s=self.s, t=self.t, eps=self.eps)
-        if self.msq is None:
-            raise DegenerateKinematics("onemass integral requires --msq")
+        _check_integral(self.integral, self.msq, "")
         return Kinematics(s=self.s, t=self.t, eps=self.eps, msq=self.msq)
+
+
+def _check_integral(integral, msq, where: str) -> None:
+    if integral not in _INTEGRALS or (msq is None) != (integral == "massless"):
+        raise DegenerateKinematics(f"{where}integral={integral!r} with msq={msq}: "
+                                   "msq is given for onemass and only for it")
 
 
 @dataclass
@@ -177,7 +181,7 @@ _ROUTES = {
 
 def _evaluate(cfg: RunConfig) -> dict:
     k = cfg.kinematics()
-    route = _ROUTES.get(("massless" if k.msq is None else "onemass", cfg.method))
+    route = _ROUTES.get((cfg.integral, cfg.method))
     if route is None:
         raise DegenerateKinematics(f"unknown method {cfg.method}")
     record: dict = {
@@ -402,7 +406,8 @@ def cmd_verify(suite: str, tol: float = 1e-11) -> Report:
 
 
 def _grid_inputs(index: int, point) -> dict:
-    """A grid point's integral and invariants, which must be numbers."""
+    """A grid point's integral and invariants, which must be finite numbers,
+    with msq given for the onemass integral only."""
     if not isinstance(point, dict):
         raise DegenerateKinematics(f"grid point {index} is not an object")
     inputs = {"integral": point.get("integral", "massless")}
@@ -410,10 +415,12 @@ def _grid_inputs(index: int, point) -> dict:
         value = point.get(key)
         if key == "msq" and value is None:
             inputs[key] = None
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        elif type(value) in (int, float) and abs(value) <= sys.float_info.max:
             inputs[key] = float(value)
         else:
-            raise DegenerateKinematics(f"grid point {index}: {key}={value!r} is not a number")
+            raise DegenerateKinematics(
+                f"grid point {index}: {key}={value!r} is not a finite number")
+    _check_integral(inputs["integral"], inputs["msq"], f"grid point {index}: ")
     return inputs
 
 
@@ -491,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_kinematics(p):
-        p.add_argument("--integral", choices=("massless", "onemass"),
+        p.add_argument("--integral", choices=_INTEGRALS,
                        default="massless")
         p.add_argument("--s", type=float, required=True)
         p.add_argument("--t", type=float, required=True)

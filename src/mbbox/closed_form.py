@@ -41,7 +41,8 @@ DEGENERACY_RTOL = 1e-12
 class Kinematics:
     """A single evaluation point: invariants s, t, optional m^2, and eps.
 
-    The Euclidean region is enforced: s < 0, t < 0, and msq < 0 when given.
+    Every invariant must be finite, and the Euclidean region is enforced:
+    s < 0, t < 0, and msq < 0 when given.
     Degenerate boundaries (s + t = m^2, s = m^2, t = m^2) are rejected
     because the hypergeometric arguments blow up there.
     """
@@ -52,6 +53,10 @@ class Kinematics:
     msq: float | None = None
 
     def __post_init__(self):
+        for name in ("s", "t", "msq", "eps"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DegenerateKinematics(f"{name}={value} is not finite")
         if not (self.s < 0.0 and self.t < 0.0):
             raise EuclideanRegionViolation(
                 f"need s < 0 and t < 0, got s={self.s}, t={self.t}")
@@ -61,12 +66,9 @@ class Kinematics:
             raise DegenerateKinematics(f"need 0 < eps < 1, got eps={self.eps}")
         if self.msq is not None:
             scale = max(abs(self.s), abs(self.t), abs(self.msq))
-            if abs(self.s + self.t - self.msq) < DEGENERACY_RTOL * scale:
-                raise DegenerateKinematics("s + t - msq too close to zero")
-            if abs(self.s - self.msq) < DEGENERACY_RTOL * scale:
-                raise DegenerateKinematics("s - msq too close to zero")
-            if abs(self.t - self.msq) < DEGENERACY_RTOL * scale:
-                raise DegenerateKinematics("t - msq too close to zero")
+            for name, x in (("s + t", self.s + self.t), ("s", self.s), ("t", self.t)):
+                if abs(x - self.msq) < DEGENERACY_RTOL * scale:
+                    raise DegenerateKinematics(f"{name} - msq too close to zero")
 
     def require_massless(self):
         if self.msq is not None:
@@ -87,41 +89,70 @@ class BoxValue:
 
 
 # ---------------------------------------------------------------------------
-# shared prefactors
+# the channel sum shared by both boxes
 # ---------------------------------------------------------------------------
 
-def _prefactor(k: Kinematics) -> float:
-    # Gamma(e)^2 / Gamma(2e) * Gamma(1-e) / e, assembled in log space
+def _channels(k: Kinematics) -> tuple:
+    """(sign, -invariant, 2F1 argument) of each channel, with q = s + t - msq;
+    the massless box is the one-mass box without its subtracted msq channel."""
+    s, t = k.s, k.t
+    q = s + t - (k.msq or 0.0)
+    if k.msq is None:
+        return ((1.0, -s, q / t), (1.0, -t, q / s))
+    return ((1.0, -s, q / t), (-1.0, -k.msq, k.msq * q / (s * t)), (1.0, -t, q / s))
+
+
+def _gammas(e: float) -> tuple:
+    # Gamma(e)^2 / Gamma(2e) and Gamma(1-e), from log space
+    return (math.exp(2.0 * ln_gamma(e).real - ln_gamma(2.0 * e).real),
+            math.exp(ln_gamma(1.0 - e).real))
+
+
+def _closed(k: Kinematics, cut: CutPrescription) -> complex:
     e = k.eps
-    return math.exp(2.0 * ln_gamma(e).real - ln_gamma(2.0 * e).real
-                    + ln_gamma(1.0 - e).real) / e
+    g2, g1me = _gammas(e)
+    total = sum(sign * neg ** e * f21_1e(z, e, cut) for sign, neg, z in _channels(k))
+    return g2 * g1me / e / (k.s * k.t) * total
 
 
-def _gamma_ratio_series(order: int = 2) -> RegulatorSeries:
-    # Gamma(1-e) Gamma(1+e)^2 / Gamma(1+2e) as an eps-series
-    num = gamma_series(1.0, order).scaled_arg(-1) * gamma_series(1.0, order) \
-        * gamma_series(1.0, order)
-    den = gamma_series(1.0, order).scaled_arg(2)
-    return num / den
+def _closed_alt(k: Kinematics, cut: CutPrescription) -> complex:
+    # F(1,e;1+e;z)/e = 1/e + z/(1+e) F(1,1+e;2+e;z), channel by channel
+    e = k.eps
+    g2, g1me = _gammas(e)
+    head = tail = 0.0
+    for sign, neg, z in _channels(k):
+        power = sign * neg ** e / (k.s * k.t)
+        head += power
+        tail += power * z * f21_2e(z, e, cut)
+    # head and tail cancel to 1e-9 at (s, t, msq, e) = (-1, -1e-3, -1e3, 0.99),
+    # so the order of these roundings sets the route's error there (6e-8)
+    return g2 * (g1me / e * head + g1me / (1.0 + e) * tail)
+
+
+def _laurent(k: Kinematics) -> RegulatorSeries:
+    s, t = k.s, k.t
+    m2 = k.msq or 0.0
+    u = (m2 - t) / s
+    v = (m2 - s) / t
+    # at msq = 0, uv = 1 and this is -log(s/t)^2/2 - pi^2/2
+    combo = (li2(u, PV) + li2(v, PV) - li2(u * v, PV)).real - math.pi ** 2 / 6.0
+    powers = power_series(-s, 2) + power_series(-t, 2)
+    if k.msq is not None:
+        powers = powers - power_series(-m2, 2)
+    g = gamma_series(1.0, 2)  # times Gamma(1-e) Gamma(1+e)^2 / Gamma(1+2e)
+    series = g.scaled_arg(-1) * g * g / g.scaled_arg(2) \
+        * (powers + RegulatorSeries(2, (complex(combo),)))
+    return (series * (2.0 / (s * t))).shifted(-2).truncated(0)
 
 
 # ---------------------------------------------------------------------------
-# massless box
+# the public routes: massless and one-mass box
 # ---------------------------------------------------------------------------
 
 def massless_box(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     """Exact massless box from the two-term hypergeometric representation."""
     k.require_massless()
-    e = k.eps
-    s, t = k.s, k.t
-    pref = _prefactor(k) / (s * t)
-    term_s = (-s) ** e * f21_1e(1.0 + s / t, e, cut)
-    term_t = (-t) ** e * f21_1e(1.0 + t / s, e, cut)
-    value = pref * (term_s + term_t)
-    return BoxValue(value, "closed", {
-        "s_term": pref * term_s,
-        "t_term": pref * term_t,
-    })
+    return BoxValue(_closed(k, cut), "closed")
 
 
 def massless_box_alt(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
@@ -132,18 +163,7 @@ def massless_box_alt(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     nontrivial numerical cross-check.
     """
     k.require_massless()
-    e = k.eps
-    s, t = k.s, k.t
-    g2 = math.exp(2.0 * ln_gamma(e).real - ln_gamma(2.0 * e).real)
-    g1me = math.exp(ln_gamma(1.0 - e).real)
-    zs = 1.0 + s / t
-    zt = 1.0 + t / s
-    head = g1me / e * ((-s) ** e + (-t) ** e) / (s * t)
-    tail = g1me / (1.0 + e) * (
-        (-s) ** e / (s * t) * zs * f21_2e(zs, e, cut)
-        + (-t) ** e / (s * t) * zt * f21_2e(zt, e, cut)
-    )
-    return BoxValue(g2 * (head + tail), "closed_alt", {})
+    return BoxValue(_closed_alt(k, cut), "closed_alt")
 
 
 def massless_box_laurent(k: Kinematics) -> RegulatorSeries:
@@ -154,52 +174,19 @@ def massless_box_laurent(k: Kinematics) -> RegulatorSeries:
     combination, which reduces to -log(s/t)^2/2 - pi^2/2.
     """
     k.require_massless()
-    s, t = k.s, k.t
-    big_l = math.log(s / t)
-    bracket = power_series(-s, 2) + power_series(-t, 2) \
-        + RegulatorSeries(2, (complex(-0.5 * big_l * big_l - 0.5 * math.pi ** 2),))
-    series = _gamma_ratio_series(2) * bracket
-    return (series * (2.0 / (s * t))).shifted(-2).truncated(0)
+    return _laurent(k)
 
-
-# ---------------------------------------------------------------------------
-# one-mass box
-# ---------------------------------------------------------------------------
 
 def onemass_box(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     """Exact one-mass box: mass-channel pair plus the t-channel term."""
     k.require_onemass()
-    e = k.eps
-    s, t, m2 = k.s, k.t, k.msq
-    q = s + t - m2
-    pref = _prefactor(k) / (s * t)
-    part1 = pref * ((-s) ** e * f21_1e(q / t, e, cut)
-                    - (-m2) ** e * f21_1e(m2 * q / (s * t), e, cut))
-    part2 = pref * (-t) ** e * f21_1e(q / s, e, cut)
-    return BoxValue(part1 + part2, "closed", {
-        "Im1": part1,
-        "Im2": part2,
-    })
+    return BoxValue(_closed(k, cut), "closed")
 
 
 def onemass_box_alt(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     """One-mass box in the three-power shifted-parameter form."""
     k.require_onemass()
-    e = k.eps
-    s, t, m2 = k.s, k.t, k.msq
-    q = s + t - m2
-    g2 = math.exp(2.0 * ln_gamma(e).real - ln_gamma(2.0 * e).real)
-    g1me = math.exp(ln_gamma(1.0 - e).real)
-    zt = q / t
-    zs = q / s
-    zm = m2 * q / (s * t)
-    head = g1me / e * ((-s) ** e + (-t) ** e - (-m2) ** e) / (s * t)
-    tail = g1me / (1.0 + e) * (
-        (-s) ** e / (s * t) * zt * f21_2e(zt, e, cut)
-        + (-t) ** e / (s * t) * zs * f21_2e(zs, e, cut)
-        - (-m2) ** e / (s * t) * zm * f21_2e(zm, e, cut)
-    )
-    return BoxValue(g2 * (head + tail), "closed_alt", {})
+    return BoxValue(_closed_alt(k, cut), "closed_alt")
 
 
 def onemass_box_laurent(k: Kinematics) -> RegulatorSeries:
@@ -211,10 +198,4 @@ def onemass_box_laurent(k: Kinematics) -> RegulatorSeries:
     with principal values where an argument exceeds one.
     """
     k.require_onemass()
-    s, t, m2 = k.s, k.t, k.msq
-    u = (m2 - t) / s
-    v = (m2 - s) / t
-    combo = (li2(u, PV) + li2(v, PV) - li2(u * v, PV)).real - math.pi ** 2 / 6.0
-    powers = power_series(-s, 2) + power_series(-t, 2) - power_series(-m2, 2)
-    series = _gamma_ratio_series(2) * (powers + RegulatorSeries(2, (complex(combo),)))
-    return (series * (2.0 / (s * t))).shifted(-2).truncated(0)
+    return _laurent(k)

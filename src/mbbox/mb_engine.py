@@ -79,16 +79,17 @@ class ContourSpec:
     nodes: int
 
     def __post_init__(self):
-        if self.height <= 0.0:
-            raise InfeasibleContour(f"height must be positive, got {self.height}")
+        if not 0.0 < self.height < math.inf:
+            raise InfeasibleContour(f"need a finite and positive height, got height={self.height}")
         if self.nodes < 32:
             raise InfeasibleContour(f"need at least 32 nodes, got {self.nodes}")
 
     @classmethod
     def from_step(cls, abscissa: float, height: float, step: float) -> "ContourSpec":
         """The line whose doubled rule has a step of at most ``step``."""
-        if not step > 0.0:
-            raise InfeasibleContour(f"step must be positive, got {step}")
+        if not (step > 0.0 and 0.0 < height < math.inf):
+            raise InfeasibleContour(f"need a finite and positive height and a positive "
+                                    f"step, got height={height}, step={step}")
         return cls(abscissa, height, math.ceil(height / step) + 1)
 
     @property

@@ -19,16 +19,14 @@ import cmath
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DivisionByZeroSeries, DomainError, PoleError
+from .errors import DivisionByZeroSeries, DomainError
 from .specfun import (
     PV,
     CutPrescription,
     cut_log,
     digamma,
-    li2,
     ln_gamma,
     polygamma,
-    _flip,
 )
 
 __all__ = [
@@ -37,8 +35,6 @@ __all__ = [
     "DEFAULT_WINDOW",
     "gamma_series",
     "power_series",
-    "f21_1e_expansion",
-    "f21_2e_expansion",
 ]
 
 
@@ -121,12 +117,6 @@ class RegulatorSeries:
         """Evaluate the truncated polynomial at a numeric regulator value."""
         x = complex(x)
         return sum(c * x ** (self.min_power + i) for i, c in enumerate(self.coeffs))
-
-    def __repr__(self):
-        terms = ", ".join(f"{p}: {c:.6g}" for p, c in
-                          zip(range(self.min_power, self.max_power + 1), self.coeffs))
-        tag = "exact" if self.exact else "trunc"
-        return f"RegulatorSeries[{self.label.value}, {tag}]({terms})"
 
     # -- helpers -----------------------------------------------------------
 
@@ -298,39 +288,6 @@ class RegulatorSeries:
         scale = cmath.exp(c0)
         return RegulatorSeries(0, tuple(scale * c for c in out), self.label, exact=False)
 
-    def log(self) -> "RegulatorSeries":
-        """log of the series; requires a nonzero constant term and no pole part."""
-        if self.min_power < 0 and any(c != 0 for c in self.coeffs[:max(0, -self.min_power)]):
-            raise DomainError("log of a series with a pole part")
-        c0 = self._get(0)
-        if c0 == 0:
-            raise DomainError("log of a series with vanishing constant term")
-        if self.exact:
-            lo, hi = DEFAULT_WINDOW[self.label]
-            top = max(hi, 1)
-        else:
-            top = self.max_power
-        u = [self._get(p) / c0 for p in range(1, top + 1)]
-        out = [0j] * (top + 1)
-        out[0] = cmath.log(c0)
-        term = [0j] * (top + 1)
-        term[0] = 1.0 + 0j
-        for k in range(1, top + 1):
-            new = [0j] * (top + 1)
-            for i in range(top + 1):
-                if term[i] == 0:
-                    continue
-                for j, uj in enumerate(u, start=1):
-                    if i + j <= top:
-                        new[i + j] += term[i] * uj
-            term = new
-            sgn = -1.0 if k % 2 == 0 else 1.0
-            for i in range(1, top + 1):
-                out[i] += sgn * term[i] / k
-            if all(c == 0 for c in term):
-                break
-        return RegulatorSeries(0, tuple(out), self.label, exact=False)
-
 
 # ---------------------------------------------------------------------------
 # series-valued special functions
@@ -379,50 +336,4 @@ def power_series(base, order: int, label: Regulator = Regulator.EPSILON,
     for k in range(1, order + 1):
         term = term * lb / k
         cs.append(term)
-    return RegulatorSeries(0, tuple(cs), label, exact=False)
-
-
-def _log_one_minus(z: complex, cut: CutPrescription) -> complex:
-    # log(1-z); for real z > 1 the side is the mirror of the side of z
-    w = 1.0 - z
-    if w.imag == 0.0 and w.real < 0.0:
-        return cut_log(w.real, _flip(cut))
-    if w == 0:
-        raise PoleError("log(1-z) singular at z=1")
-    return cmath.log(w)
-
-
-def f21_1e_expansion(z, order: int, cut: CutPrescription = PV,
-                     label: Regulator = Regulator.EPSILON) -> RegulatorSeries:
-    """Regulator expansion of 2F1(1, e; e+1; z): 1 - e log(1-z) - e^2 Li2(z) + ...
-
-    Supported through second order (the dilogarithm level).
-    """
-    z = complex(z)
-    if z == 1.0:
-        raise PoleError("expansion singular at z=1")
-    if order > 2:
-        raise DomainError("f21_1e_expansion supports order <= 2")
-    cs = [1.0 + 0j]
-    if order >= 1:
-        cs.append(-_log_one_minus(z, cut) if z != 0 else 0j)
-    if order >= 2:
-        cs.append(-li2(z, cut))
-    return RegulatorSeries(0, tuple(cs), label, exact=False)
-
-
-def f21_2e_expansion(z, order: int, cut: CutPrescription = PV,
-                     label: Regulator = Regulator.EPSILON) -> RegulatorSeries:
-    """Regulator expansion of z/(1+e) * 2F1(1, 1+e; 2+e; z) = -log(1-z) - e Li2(z) + ...
-
-    Supported through first order.
-    """
-    z = complex(z)
-    if z == 1.0:
-        raise PoleError("expansion singular at z=1")
-    if order > 1:
-        raise DomainError("f21_2e_expansion supports order <= 1")
-    cs = [-_log_one_minus(z, cut) if z != 0 else 0j]
-    if order >= 1:
-        cs.append(-li2(z, cut))
     return RegulatorSeries(0, tuple(cs), label, exact=False)

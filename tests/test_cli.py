@@ -67,6 +67,40 @@ class TestEval:
                          "--method", "mb", "--nodes", "64"])
         assert code == EXIT_NOT_CONVERGED
 
+    @pytest.mark.parametrize("method", ["closed", "closed_alt", "feynman", "residue"])
+    def test_non_finite_msq_rejected(self, method, capsys):
+        code = run_main(["eval", "--integral", "onemass", "--s", "-1", "--t", "-2",
+                         "--msq=-inf", "--eps", "0.3", "--method", method])
+        assert code == EXIT_INPUT_ERROR
+        assert "msq=-inf is not finite" in capsys.readouterr().err
+
+    def test_non_finite_t_rejected(self, capsys):
+        code = run_main(["eval", "--s", "-1", "--t=-inf", "--eps", "0.3",
+                         "--method", "feynman"])
+        assert code == EXIT_INPUT_ERROR
+        assert "t=-inf is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, env", [
+        (["--height", "nan"], None), (["--height", "inf"], None),
+        ([], "nan"), (["--nodes", "100", "--height", "nan"], None),
+        (["--integral", "onemass", "--msq", "-0.5", "--height", "inf"], None)])
+    def test_non_finite_height_rejected(self, args, env, monkeypatch, capsys):
+        if env is not None:
+            monkeypatch.setenv("MBBOX_QUAD_HEIGHT", env)
+        code = run_main(["eval", "--s", "-1", "--t", "-2", "--eps", "0.3",
+                         "--method", "mb", *args])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "InfeasibleContour: need a finite and positive height" in err
+        assert f"height={float(env or args[-1])}" in err
+
+    @pytest.mark.parametrize("command", ["eval", "expand"])
+    def test_msq_needs_onemass(self, command, capsys):
+        code = run_main([command, "--s", "-1", "--t", "-2", "--msq", "-0.5",
+                         "--eps", "0.3"])
+        assert code == EXIT_INPUT_ERROR
+        assert "integral='massless' with msq=-0.5" in capsys.readouterr().err
+
     def test_feynman_small_eps(self, capsys):
         # z**(eps-1) underflows near z = 0: no traceback, a value, exit 0
         code = run_main(["eval", "--s=-1", "--t=-2", "--eps", "0.008",
@@ -108,6 +142,12 @@ class TestExpand:
         dlog = math.log(1e-2) - math.log(1e-6)
         expected = -(2.0 / (s * t)) * dlog
         assert abs((rows[-1e-2][-1] - rows[-1e-6][-1]) - expected) < 1e-10
+
+    def test_non_finite_msq_rejected(self, capsys):
+        code = run_main(["expand", "--integral", "onemass", "--s", "-1", "--t", "-2",
+                         "--msq=-inf", "--eps", "0.3"])
+        assert code == EXIT_INPUT_ERROR
+        assert "msq=-inf is not finite" in capsys.readouterr().err
 
     def test_order_range_enforced(self):
         cfg = RunConfig("massless", -1.0, -2.0, 0.3)
@@ -185,6 +225,22 @@ class TestSweep:
         grid_file.write_text(json.dumps(grid))
         assert run_main(["sweep", str(grid_file)]) == EXIT_INPUT_ERROR
         assert "msq='-0.5'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"integral": "onemass", "msq": -math.inf}, "grid point 1: msq=-inf is not a finite"),
+        ({"integral": "massless", "s": -10 ** 400}, "grid point 1: s=-1000"),
+        ({"integral": "bogus", "msq": -0.5}, "grid point 1: integral='bogus' with"),
+        ({"integral": "massless", "msq": -0.5}, "grid point 1: integral='massless' with"),
+        ({"integral": "onemass"}, "grid point 1: integral='onemass' with msq=None")])
+    def test_bad_point_rejected(self, bad, message, tmp_path, capsys):
+        grid = [{"s": -1.0, "t": -2.0, "eps": 0.3},
+                {"s": -1.0, "t": -2.0, "eps": 0.3, **bad}]
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps(grid))
+        out_file = tmp_path / "report.json"
+        assert run_main(["sweep", str(grid_file), "--out", str(out_file)]) == EXIT_INPUT_ERROR
+        assert message in capsys.readouterr().err
+        assert not out_file.exists()
 
     def test_zero_tol_is_kept(self, tmp_path):
         grid_file = tmp_path / "grid.json"

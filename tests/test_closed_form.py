@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import mp_box
 from mbbox import specfun as sf
 from mbbox.closed_form import (
     Kinematics,
@@ -15,6 +16,7 @@ from mbbox.closed_form import (
 )
 from mbbox.errors import DegenerateKinematics, EuclideanRegionViolation
 from mbbox.oracles import feynman_1d_massless, feynman_1d_onemass
+from mbbox.series import RegulatorSeries, gamma_series, power_series
 
 MASSLESS_GRID = [(s, t, e)
                  for s in (-0.5, -1.0, -3.0)
@@ -37,6 +39,14 @@ class TestKinematics:
         with pytest.raises(DegenerateKinematics):
             Kinematics(s=-1.0, t=-2.0, eps=1.2)
 
+    @pytest.mark.parametrize("field", ["s", "t", "msq", "eps"])
+    @pytest.mark.parametrize("value", [-math.inf, math.inf, math.nan])
+    def test_non_finite_rejected(self, field, value):
+        point = dict(s=-1.0, t=-2.0, eps=0.3, msq=-0.5)
+        point[field] = value
+        with pytest.raises(DegenerateKinematics, match=f"{field}=.* is not finite"):
+            Kinematics(**point)
+
     def test_degeneracies_rejected(self):
         with pytest.raises(DegenerateKinematics):
             Kinematics(s=-1.0, t=-2.0, eps=0.3, msq=-3.0)   # s+t = msq
@@ -44,6 +54,24 @@ class TestKinematics:
             Kinematics(s=-1.0, t=-2.0, eps=0.3, msq=-1.0)   # s = msq
         with pytest.raises(DegenerateKinematics):
             Kinematics(s=-1.0, t=-2.0, eps=0.3, msq=-2.0)   # t = msq
+
+
+# ratios 10^+-3; (-1, -1e-3, -1e3, 0.99) is where the alternative form's
+# head and tail cancel to 1e-9 (6.3e-8 against mpmath)
+EXTREME_POINTS = [(-1.0, t, m2, e)
+                  for (t, m2) in ((-1e-3, None), (-1e3, None), (-1e-3, -1e3), (-1e3, -1e-3))
+                  for e in (0.02, 0.5, 0.99)]
+
+
+@pytest.mark.parametrize("s, t, m2, e", EXTREME_POINTS)
+@pytest.mark.parametrize("form", ["closed", "closed_alt"])
+def test_closed_forms_against_mpmath(form, s, t, m2, e):
+    routes = {("closed", True): massless_box, ("closed_alt", True): massless_box_alt,
+              ("closed", False): onemass_box, ("closed_alt", False): onemass_box_alt}
+    value = routes[form, m2 is None](Kinematics(s=s, t=t, eps=e, msq=m2)).value
+    ref = mp_box(s, t, e, m2)
+    tol = 1e-6 if (form, s, t, m2, e) == ("closed_alt", -1.0, -1e-3, -1e3, 0.99) else 1e-11
+    assert abs(value - ref) <= tol * abs(ref)
 
 
 class TestMasslessBox:
@@ -112,6 +140,20 @@ class TestMasslessLaurent:
         lhs = sf.li2(-s / t).real + sf.li2(-t / s).real
         rhs = -0.5 * math.log(s / t) ** 2 - math.pi ** 2 / 6.0
         assert abs(lhs - rhs) < 1e-12
+
+    @pytest.mark.parametrize("ratio", [1e-3, 0.5, 1.0, 1e3])
+    def test_finite_part_is_log_squared_form(self, ratio):
+        # the shared dilogarithm finite part against -log(s/t)^2/2 - pi^2/2
+        s, t = -ratio, -1.0
+        gammas = gamma_series(1.0, 2).scaled_arg(-1) * gamma_series(1.0, 2) \
+            * gamma_series(1.0, 2) / gamma_series(1.0, 2).scaled_arg(2)
+        finite = -0.5 * math.log(s / t) ** 2 - 0.5 * math.pi ** 2
+        bracket = power_series(-s, 2) + power_series(-t, 2) \
+            + RegulatorSeries(2, (complex(finite),))
+        ref = (gammas * bracket * (2.0 / (s * t))).shifted(-2).truncated(0)
+        lau = massless_box_laurent(Kinematics(s=s, t=t, eps=0.3))
+        for p in (-2, -1, 0):
+            assert abs(lau.coeff(p) - ref.coeff(p)) <= 1e-13 * max(1.0, abs(ref.coeff(p)))
 
     def test_matches_closed_form_at_small_eps(self):
         lau = massless_box_laurent(Kinematics(s=-0.5, t=-3.0, eps=0.3))

@@ -67,6 +67,13 @@ class TestContourSelection:
         with pytest.raises(InfeasibleContour):
             ContourSpec(-0.8, 10.0, 8)
 
+    @pytest.mark.parametrize("height", [math.nan, math.inf])
+    def test_contourspec_rejects_non_finite_height(self, height):
+        with pytest.raises(InfeasibleContour, match="finite and positive height"):
+            ContourSpec(-0.8, height, 64)
+        with pytest.raises(InfeasibleContour, match="finite and positive height"):
+            ContourSpec.from_step(-0.8, height, 0.1)
+
 
 class TestMasslessIntegrand:
     def test_conjugate_symmetry(self):

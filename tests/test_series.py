@@ -10,8 +10,6 @@ from mbbox.errors import DivisionByZeroSeries, DomainError
 from mbbox.series import (
     Regulator,
     RegulatorSeries,
-    f21_1e_expansion,
-    f21_2e_expansion,
     gamma_series,
     power_series,
 )
@@ -115,24 +113,9 @@ class TestExpLog:
         for k in range(0, 3):
             assert abs(s.coeff(k) - c ** k / math.factorial(k)) < 1e-14
 
-    def test_log_one_plus(self):
-        s = (RegulatorSeries.constant(1.0) + RegulatorSeries.variable()).log()
-        assert abs(s.coeff(1) - 1.0) < 1e-14
-        assert abs(s.coeff(2) + 0.5) < 1e-14
-
-    def test_round_trip(self):
-        s = (RegulatorSeries.constant(1.0) + RegulatorSeries.variable()).log().exp()
-        assert abs(s.coeff(0) - 1.0) < 1e-14
-        assert abs(s.coeff(1) - 1.0) < 1e-14
-        assert abs(s.coeff(2)) < 1e-14
-
     def test_exp_rejects_pole(self):
         with pytest.raises(DomainError):
             RegulatorSeries(-1, (1.0,)).exp()
-
-    def test_log_rejects_zero_constant(self):
-        with pytest.raises(DomainError):
-            RegulatorSeries.variable().log()
 
 
 class TestGammaSeries:
@@ -205,39 +188,3 @@ class TestPowerSeries:
     def test_zero_base_rejected(self):
         with pytest.raises(DomainError):
             power_series(0.0, 2)
-
-
-class TestHypergeometricExpansions:
-    def test_zero_argument(self):
-        s = f21_1e_expansion(0.0, 2)
-        assert s.coeff(0) == 1.0 and s.coeff(1) == 0 and s.coeff(2) == 0
-
-    def test_log_coefficient_on_cut(self):
-        # z = 1 + s/t with s=-1, t=-2: the linear coefficient is -log(s/t)
-        s, t = -1.0, -2.0
-        z = 1.0 + s / t
-        exp = f21_1e_expansion(z, 2, sf.PV)
-        assert abs(exp.coeff(1) - (-math.log(s / t))) < 1e-13
-
-    def test_dilog_coefficient(self):
-        exp = f21_1e_expansion(0.5, 2)
-        ref = -(math.pi ** 2 / 12 - math.log(2.0) ** 2 / 2)
-        assert abs(exp.coeff(2) - ref) < 1e-13
-
-    def test_matches_direct_small_eps(self):
-        for z, cut in ((0.5, sf.PV), (1.5, sf.ABOVE), (-2.0, sf.PV)):
-            series = f21_1e_expansion(z, 2, cut)
-            e = 1e-3
-            assert abs(series.eval_at(e) - sf.f21_1e(z, e, cut)) < 5e-8
-
-    def test_shifted_family_combination(self):
-        s2 = f21_2e_expansion(0.5, 1)
-        assert abs(s2.coeff(0) - math.log(2.0)) < 1e-14
-        # z -> 0 sends the whole combination to zero at leading order
-        assert abs(f21_2e_expansion(0.0, 1).coeff(0)) == 0.0
-
-    def test_order1_dilog_against_specfun(self):
-        s, t = -2.0, -1.0
-        z = 1.0 + t / s
-        exp = f21_2e_expansion(z, 1, sf.PV)
-        assert abs(exp.coeff(1) + sf.li2(z, sf.PV)) < 1e-13
