@@ -69,6 +69,7 @@ EXIT_NOT_CONVERGED = 3
 _CUTS = {"pv": PV, "above": ABOVE, "below": BELOW}
 _METHODS = ("closed", "closed_alt", "mb", "residue", "feynman")
 _INTEGRALS = ("massless", "onemass")
+_NUMBER_OPTIONS = ("--s", "--t", "--msq", "--eps", "--height")
 
 
 @dataclass
@@ -462,7 +463,9 @@ def cmd_sweep(grid_file: str, out_file: str | None, tol: float = 1e-8) -> Report
     if not isinstance(points, list):
         raise DegenerateKinematics("grid must be a list of points")
     inputs = [_grid_inputs(i, p) for i, p in enumerate(points)]
-    with ThreadPoolExecutor(max_workers=min(4, max(1, len(points)))) as pool:
+    # threads pay only for mb: numpy releases the interpreter lock, the other routes hold it
+    workers = 4 if any("mb" in p.get("methods", ["closed"]) for p in points) else 1
+    with ThreadPoolExecutor(max_workers=min(workers, max(1, len(points)))) as pool:
         records = list(pool.map(_sweep_point, range(len(points)), points, inputs))
     failures = 0
     max_dev = 0.0
@@ -536,6 +539,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(arg: str) -> bool:
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_numbers(argv: list[str]) -> list[str]:
+    """``--s -1e-3`` as ``--s=-1e-3``: argparse's negative-number pattern has
+    no exponent, so it would take a separate ``-1e-3`` for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _NUMBER_OPTIONS and arg.startswith("-") and _is_number(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _emit(report: Report, args) -> None:
     text = report.to_json()
     out = getattr(args, "out", None)
@@ -547,7 +570,7 @@ def _emit(report: Report, args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_join_numbers(sys.argv[1:] if argv is None else argv))
     try:
         env_tol = _env_default("MBBOX_TOL", float, None)
         env_nodes = _env_default("MBBOX_QUAD_NODES", int, None)

@@ -48,9 +48,6 @@ __all__ = [
     "mb_onemass_eval",
     "residue_massless",
     "residue_onemass",
-    "right_closure_term",
-    "residue_sum_right_closure",
-    "circle_residue",
 ]
 
 DELTA = Regulator.DELTA
@@ -516,62 +513,3 @@ def residue_onemass(k: Kinematics, cut: CutPrescription = PV) -> EvalBreakdown:
             "Im2b_algebraic": spur_2b,
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# term-by-term closure (debug oracle)
-# ---------------------------------------------------------------------------
-
-def circle_residue(f, w0: complex, radius: float, nodes: int = 64) -> complex:
-    """Residue of f at w0 by trapezoidal quadrature on a small circle."""
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    ring = np.exp(1j * theta)
-    pts = w0 + radius * ring
-    vals = np.array([f(p) for p in pts])
-    return complex(np.mean(vals * ring)) * radius
-
-
-def right_closure_term(k: Kinematics, n: int) -> complex:
-    """n-th contribution of the single-pole right family, in closed form.
-
-    Closing the contour to the right picks up minus the residues; this
-    returns the contribution (minus the residue) at w = n.
-    """
-    e = k.eps
-    sign = 1.0 if n % 2 == 0 else -1.0
-    rest = cmath.exp(
-        n * math.log(-k.t) - (2.0 - e + n) * math.log(-k.s)
-        + 2.0 * ln_gamma(n + 1.0) + ln_gamma(2.0 - e + n)
-        + 2.0 * ln_gamma(e - 1.0 - n) - ln_gamma(2.0 * e).real)
-    return sign / math.factorial(n) * rest
-
-
-def residue_sum_right_closure(k: Kinematics, n_terms: int = 40,
-                              tail_rtol: float = 1e-10) -> complex:
-    """Massless box by brute-force right closure: term-by-term residues.
-
-    Valid for |t| < |s| where the raw residue series converges.  Simple
-    poles contribute their closed-form terms; the double poles are
-    extracted numerically by contour-shrink (circle quadrature).  A
-    geometric tail bound certifies truncation.
-    """
-    k.require_massless()
-    e = k.eps
-    ratio = abs(k.t / k.s)
-    if ratio >= 1.0:
-        raise NotConverged("right closure requires |t| < |s|")
-    f = lambda w: mb_massless_integrand(w, k)
-    radius = 0.35 * min(e, 1.0 - e)
-    total = 0j
-    last = 0.0
-    for n in range(n_terms):
-        term_simple = right_closure_term(k, n)
-        term_double = -circle_residue(f, e - 1.0 + n, radius)
-        total += term_simple + term_double
-        last = abs(term_simple) + abs(term_double)
-        if last < tail_rtol * abs(total) * (1.0 - ratio) and n > 4:
-            return total
-    tail_bound = last * ratio / (1.0 - ratio)
-    if tail_bound > tail_rtol * abs(total):
-        raise NotConverged(f"right-closure tail bound {tail_bound:.2e} too large")
-    return total

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.integrate import quad
-
 from .closed_form import BoxValue, Kinematics
 from .errors import DomainError, NonConvergence, NotConverged
 from .specfun import ABOVE, BELOW, PV, CutPrescription, ln_gamma
@@ -29,6 +27,13 @@ __all__ = [
 QUAD_EPSABS = 1e-13
 QUAD_EPSREL = 1e-12
 QUAD_LIMIT = 400
+
+
+def quad(f, a, b, **kwargs):
+    """scipy's adaptive ``quad``, imported on the first call so that the
+    routes which never integrate numerically do not load scipy."""
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(f, a, b, **kwargs)
 
 
 def _quad(f, a, b, tag):

@@ -113,11 +113,6 @@ class RegulatorSeries:
                               f"(window {self.min_power}..{self.max_power})")
         return self.coeffs[power - self.min_power]
 
-    def eval_at(self, x) -> complex:
-        """Evaluate the truncated polynomial at a numeric regulator value."""
-        x = complex(x)
-        return sum(c * x ** (self.min_power + i) for i, c in enumerate(self.coeffs))
-
     # -- helpers -----------------------------------------------------------
 
     def _check_label(self, other: "RegulatorSeries"):

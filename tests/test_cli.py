@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +22,19 @@ from mbbox.cli import (
 from mbbox.closed_form import Kinematics
 from mbbox.mb_engine import select_contour_massless
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def run_main(argv):
     return main(argv)
+
+
+def run_fresh(code: str) -> list[str]:
+    """Output lines of ``code`` run in a new interpreter that imports from src."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 class TestEval:
@@ -101,6 +115,25 @@ class TestEval:
         assert code == EXIT_INPUT_ERROR
         assert "integral='massless' with msq=-0.5" in capsys.readouterr().err
 
+    def test_negative_exponent_as_separate_argument(self, capsys):
+        spaced = ["eval", "--s", "-1e-3", "--t", "-2E0", "--eps", "3e-1",
+                  "--method", "mb", "--height", "2.5e1"]
+        joined = ["eval", "--s=-1e-3", "--t=-2E0", "--eps=3e-1",
+                  "--method", "mb", "--height=2.5e1"]
+        assert run_main(spaced) == EXIT_OK
+        out = capsys.readouterr().out
+        assert run_main(joined) == EXIT_OK
+        assert out == capsys.readouterr().out
+        assert float(out.split()[0]) > 0.0
+
+    def test_unknown_option_after_number_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_main(["eval", "--s", "--bogus", "--t", "-2", "--eps", "0.3"])
+        assert exc.value.code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "argument --s: expected one argument" in err
+        assert "Traceback" not in err
+
     def test_feynman_small_eps(self, capsys):
         # z**(eps-1) underflows near z = 0: no traceback, a value, exit 0
         code = run_main(["eval", "--s=-1", "--t=-2", "--eps", "0.008",
@@ -148,6 +181,17 @@ class TestExpand:
                          "--msq=-inf", "--eps", "0.3"])
         assert code == EXIT_INPUT_ERROR
         assert "msq=-inf is not finite" in capsys.readouterr().err
+
+    def test_negative_exponent_as_separate_argument(self, capsys):
+        spaced = ["expand", "--integral", "onemass", "--s", "-1e-3", "--t", "-2",
+                  "--msq", "-1e-1", "--eps", "3e-1"]
+        joined = ["expand", "--integral", "onemass", "--s=-1e-3", "--t", "-2",
+                  "--msq=-1e-1", "--eps=3e-1"]
+        assert run_main(spaced) == EXIT_OK
+        out = capsys.readouterr().out
+        assert run_main(joined) == EXIT_OK
+        assert out == capsys.readouterr().out
+        assert len(out.splitlines()) == 3
 
     def test_order_range_enforced(self):
         cfg = RunConfig("massless", -1.0, -2.0, 0.3)
@@ -274,6 +318,65 @@ class TestSweep:
         assert out1.read_text() == out2.read_text()
         indices = [r["index"] for r in Report.from_json(out1.read_text()).records]
         assert indices == sorted(indices)
+
+
+    def test_mb_grid_keeps_order(self, tmp_path):
+        pts = [{"integral": "massless", "s": -s, "t": -2.0, "eps": 0.3,
+                "methods": ["closed", "mb"] if s > 2.0 else ["closed"]}
+               for s in (1.0, 1.5, 2.0, 2.5, 3.0)]
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps(pts))
+        out = tmp_path / "r.json"
+        assert run_main(["sweep", str(grid_file), "--out", str(out)]) == EXIT_OK
+        records = Report.from_json(out.read_text()).records
+        assert [r["index"] for r in records] == list(range(len(pts)))
+        for rec, pt in zip(records, pts):
+            assert sorted(rec["values"]) == sorted(pt["methods"])
+            closed = cmd_eval(RunConfig("massless", pt["s"], pt["t"], pt["eps"]))
+            assert rec["values"]["closed"] == closed.records[0]["value"]
+
+    @pytest.mark.parametrize("methods, workers", [
+        (["closed", "residue"], 1), (["closed", "feynman"], 1), (["closed", "mb"], 4)])
+    def test_threads_only_for_mb(self, methods, workers, tmp_path, monkeypatch):
+        import mbbox.cli as cli
+        seen = []
+
+        class Recording(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+        pts = [{"s": -1.0, "t": -2.0, "eps": 0.3, "methods": ["closed"]}] * 4
+        pts[-1] = {**pts[-1], "methods": methods}
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps(pts))
+        assert run_main(["sweep", str(grid_file), "--out", str(tmp_path / "r.json")]) \
+            == EXIT_OK
+        assert seen == [workers]
+
+
+class TestColdStart:
+    """scipy is imported by the first quadrature, not by the package."""
+
+    SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+    @pytest.mark.parametrize("method", [None, "closed", "mb"])
+    def test_no_scipy_without_quadrature(self, method):
+        code = "import sys\nimport mbbox.cli\n"
+        if method:
+            code += ("assert mbbox.cli.main(['eval', '--s=-1', '--t=-2', '--eps', '0.3', "
+                     f"'--method', {method!r}]) == 0\n")
+        assert run_fresh(code + self.SCIPY)[-1] == "[]"
+
+    def test_feynman_loads_scipy_and_integrates(self):
+        value, loaded = run_fresh(
+            "import sys\nimport mbbox.cli\n"
+            "assert mbbox.cli.main(['eval', '--s=-1', '--t=-2', '--eps', '0.3', "
+            "'--method', 'feynman']) == 0\n" + self.SCIPY)
+        re_part, im_part = map(float, value.split())
+        assert abs(re_part - 24.077761462512452) <= 1e-15 * re_part and im_part == 0.0
+        assert "'scipy.integrate'" in loaded
 
 
 class TestReportRoundTrip:

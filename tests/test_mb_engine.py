@@ -12,15 +12,12 @@ from mbbox.mb_engine import (
     MAX_NODES,
     ContourSpec,
     abscissa_is_feasible,
-    circle_residue,
     mb_massless_eval,
     mb_massless_integrand,
     mb_onemass_eval,
     mb_onemass_integrand,
     residue_massless,
     residue_onemass,
-    residue_sum_right_closure,
-    right_closure_term,
     select_contour_massless,
     select_contour_onemass,
 )
@@ -93,13 +90,6 @@ class TestMasslessIntegrand:
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
         with pytest.raises(PoleError):
             mb_massless_integrand(0.0 + 0j, k)
-
-    def test_residue_at_origin_matches_series_term(self):
-        k = Kinematics(s=-3.0, t=-1.0, eps=0.3)
-        f = lambda w: mb_massless_integrand(w, k)
-        numeric = -circle_residue(f, 0.0 + 0j, 0.1)
-        closed = right_closure_term(k, 0)
-        assert abs(numeric - closed) < 1e-12 * abs(closed)
 
 
 class TestMasslessQuadrature:
@@ -247,16 +237,6 @@ class TestResidueMassless:
         assert abs(pieces_sum - br.pieces["total"]) < 1e-14 * abs(pieces_sum)
         spur = sum(br.spurious_terms.values())
         assert abs(spur - br.pieces["spurious_sum"]) < 1e-14
-
-    def test_right_closure_equivalence(self):
-        k = Kinematics(s=-3.0, t=-1.0, eps=0.3)
-        rc = residue_sum_right_closure(k)
-        left_total = residue_massless(k).pieces["total"]
-        assert abs(rc - left_total) < 1e-9 * abs(left_total)
-
-    def test_right_closure_requires_convergent_ratio(self):
-        with pytest.raises(NotConverged):
-            residue_sum_right_closure(Kinematics(s=-1.0, t=-3.0, eps=0.3))
 
 
 class TestResidueOneMass:
