@@ -45,7 +45,6 @@ from .mb_engine import (
 from .oracles import (
     beta_oracle,
     euler_f21_oracle,
-    f2_double_series,
     feynman_1d_massless,
     feynman_1d_onemass,
 )
@@ -60,7 +59,6 @@ from .specfun import (
     BELOW,
     PV,
     CutPrescription,
-    appell_f2_reduced,
     digamma,
     f21_11,
     f21_11_split,

@@ -55,7 +55,6 @@ from .specfun import (
     f21_11,
     f21_11_split,
     f21_general_series,
-    appell_f2_reduced,
     cut_power,
     gamma,
     li2,
@@ -290,14 +289,6 @@ def verify_identities(tol: float = 1e-11) -> Report:
         _check(checks, f"regulated connection e={e} d={d} z={z}",
                abs(lhs - rhs) / max(1.0, abs(lhs)), tol)
 
-    for (b, bp, al, x, y) in ((1.0, 1.0, 1.7, 0.2, 0.3), (1.0, 1.0, 1.55, 0.3, 0.4),
-                              (0.7, 1.3, 1.6, 0.2, 0.3), (1.0, 1.0, 1.75, -0.3, 0.4),
-                              (1.2, 0.4, 2.3, 0.25, 0.35)):
-        lhs = appell_f2_reduced(b, bp, al, x, y)
-        rhs = oracles.f2_double_series(al, b, bp, al, al, x, y)
-        _check(checks, f"appell reduction a={al} x={x} y={y}",
-               abs(lhs - rhs) / max(1.0, abs(rhs)), tol)
-
     for e in (0.3, 0.45, 0.5, 0.7, 0.9):
         lhs = oracles.beta_oracle(e)
         rhs = abs(gamma(e)) ** 2 / gamma(2.0 * e).real
@@ -406,9 +397,10 @@ def cmd_verify(suite: str, tol: float = 1e-11) -> Report:
     raise DegenerateKinematics(f"unknown suite {suite!r}")
 
 
-def _grid_inputs(index: int, point) -> dict:
+def _grid_inputs(index: int, point) -> tuple[dict, list]:
     """A grid point's integral and invariants, which must be finite numbers,
-    with msq given for the onemass integral only."""
+    with msq given for the onemass integral only, and its list of method
+    names (``["closed"]`` when absent)."""
     if not isinstance(point, dict):
         raise DegenerateKinematics(f"grid point {index} is not an object")
     inputs = {"integral": point.get("integral", "massless")}
@@ -422,11 +414,14 @@ def _grid_inputs(index: int, point) -> dict:
             raise DegenerateKinematics(
                 f"grid point {index}: {key}={value!r} is not a finite number")
     _check_integral(inputs["integral"], inputs["msq"], f"grid point {index}: ")
-    return inputs
-
-
-def _sweep_point(index: int, point: dict, inputs: dict) -> dict:
     methods = point.get("methods", ["closed"])
+    if not (isinstance(methods, list) and all(m in _METHODS for m in methods)):
+        raise DegenerateKinematics(f"grid point {index}: methods={methods!r} is not a list "
+                                   f"of method names from {', '.join(_METHODS)}")
+    return inputs, methods
+
+
+def _sweep_point(index: int, inputs: dict, methods: list) -> dict:
     base = {"index": index, "inputs": inputs}
     try:
         values = {}
@@ -462,11 +457,13 @@ def cmd_sweep(grid_file: str, out_file: str | None, tol: float = 1e-8) -> Report
     points = grid["points"] if isinstance(grid, dict) else grid
     if not isinstance(points, list):
         raise DegenerateKinematics("grid must be a list of points")
-    inputs = [_grid_inputs(i, p) for i, p in enumerate(points)]
+    checked = [_grid_inputs(i, p) for i, p in enumerate(points)]
+    inputs = [c[0] for c in checked]
+    methods = [c[1] for c in checked]
     # threads pay only for mb: numpy releases the interpreter lock, the other routes hold it
-    workers = 4 if any("mb" in p.get("methods", ["closed"]) for p in points) else 1
+    workers = 4 if any("mb" in m for m in methods) else 1
     with ThreadPoolExecutor(max_workers=min(workers, max(1, len(points)))) as pool:
-        records = list(pool.map(_sweep_point, range(len(points)), points, inputs))
+        records = list(pool.map(_sweep_point, range(len(points)), inputs, methods))
     failures = 0
     max_dev = 0.0
     for rec in records:

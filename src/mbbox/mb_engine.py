@@ -94,11 +94,20 @@ class ContourSpec:
         """Step of the doubled rule."""
         return self.height / (self.nodes - 1)
 
-    def fine_heights(self) -> np.ndarray:
-        """Im w on the doubled rule; its even entries are the coarse nodes."""
+    def _check_cap(self):
         if self.nodes > MAX_NODES:
             raise NotConverged(f"{self.nodes} coarse nodes exceed the cap of {MAX_NODES}")
+
+    def fine_heights(self) -> np.ndarray:
+        """Im w on the doubled rule; its even entries are the coarse nodes."""
+        self._check_cap()
         return -self.height + self.step * np.arange(2 * self.nodes - 1)
+
+    def upper_heights(self) -> np.ndarray:
+        """The doubled rule's Im w >= 0, from 0 up: entry j is coarse when
+        j = nodes - 1 (mod 2)."""
+        self._check_cap()
+        return self.step * np.arange(self.nodes)
 
 
 @dataclass(frozen=True)
@@ -188,28 +197,40 @@ def select_contour_onemass(eps: float, k: Kinematics | None = None
 # ---------------------------------------------------------------------------
 
 # Worst absolute error of a grid log-gamma on these contours, against
-# mpmath.  A node's value carries it once per gamma factor, so the rounding
-# of h sum f is at most that count times this times h sum |f|; the FFT
-# correlation adds only about log2(length) * 2.2e-16 of the same sum.
+# mpmath.  The estimates count it once per gamma factor of the scalar
+# integrands, six massless and seven one-mass; the grid forms carry fewer
+# log-gammas (two and four) and turn the reflection pairs into cosecants
+# good to a few ulp, so that count bounds them.  The rounding of h sum f
+# is at most the count times this times h sum |f|; the FFT correlation
+# adds only about log2(length) * 2.2e-16 of the same sum.
 _LN_GAMMA_ERR = 1e-14
+
+
+def _pi_csc(z: np.ndarray) -> np.ndarray:
+    """pi / sin(pi z) = Gamma(z) Gamma(1 - z) on a grid, from exponentials
+    of the side of Im z that decays, so it stays finite at any height."""
+    side = np.where(z.imag < 0.0, -1.0, 1.0)
+    phase = 1j * math.pi * side * z
+    return 2j * math.pi * side * np.exp(phase) / np.expm1(2.0 * phase)
 
 
 def mb_massless_integrand(w, k: Kinematics):
     """Contour integrand of the massless box, including the 1/Gamma(2 eps) factor.
 
-    Accepts a complex scalar or an ndarray of contour points.  Scalars are
-    checked against the pole families; grids are assumed to sit on a
-    feasible contour.
+    Accepts a complex scalar or an ndarray of contour points.  Scalars take
+    the six gamma factors literally and are checked against the pole
+    families.  Grids are assumed to sit on a feasible contour and pair
+    Gamma(1+w) Gamma(-w) and Gamma(2-eps+w) Gamma(eps-1-w) by reflection,
+    each as pi / sin(pi z) at its argument of real part in (0, eps).
     """
     k.require_massless()
     e = k.eps
     ln_ms, ln_mt = math.log(-k.s), math.log(-k.t)
     lg2e = ln_gamma(2.0 * e).real
     if isinstance(w, np.ndarray):
-        lg = ln_gamma_grid
+        a, b = w + 1.0, e - 1.0 - w
         return np.exp(w * ln_mt - (2.0 - e + w) * ln_ms
-                      + 2.0 * lg(w + 1.0) + lg(2.0 - e + w) + lg(-w)
-                      + 2.0 * lg(e - 1.0 - w) - lg2e)
+                      + ln_gamma_grid(a) + ln_gamma_grid(b) - lg2e) * _pi_csc(a) * _pi_csc(b)
     w = complex(w)
     for arg in (w + 1.0, 2.0 - e + w, -w, e - 1.0 - w):
         if arg.imag == 0.0 and arg.real <= 0.0 and arg.real == math.floor(arg.real):
@@ -219,9 +240,20 @@ def mb_massless_integrand(w, k: Kinematics):
                      + ln_gamma(-w) + 2.0 * ln_gamma(e - 1.0 - w) - lg2e)
 
 
+def _mirror_sum(x: np.ndarray, first: int = 0, stride: int = 1) -> float:
+    """Whole-line sum of a quantity even in Im w, from its entries
+    x[first::stride] on the upper half, where x[j] sits at Im w = j h."""
+    total = 2.0 * float(np.sum(x[first::stride]))
+    return total - float(x[0]) if first == 0 else total
+
+
 def mb_massless_eval(k: Kinematics, spec: ContourSpec | None = None) -> BoxValue:
     """Massless box by the trapezoid rule along a truncated vertical line.
 
+    In the Euclidean region f(conj w) = conj f(w), so the rule sums only
+    the nodes with Im w >= 0: the node at Im w = 0 once, the others as
+    twice their real part, and the value is real.  Each node takes two
+    log-gammas and a reflection pair (see :func:`mb_massless_integrand`).
     The value is the doubled rule; the coarse rule is its even nodes.  The
     error estimate adds the doubling delta, the truncation tail and the
     rounding of the sum: the error of each node's six gamma factors times
@@ -234,19 +266,20 @@ def mb_massless_eval(k: Kinematics, spec: ContourSpec | None = None) -> BoxValue
         spec = select_contour_massless(k.eps, k)
     if not abscissa_is_feasible(spec.abscissa, k.eps):
         raise InfeasibleContour(f"abscissa {spec.abscissa} infeasible for eps={k.eps}")
-    f = mb_massless_integrand(spec.abscissa + 1j * spec.fine_heights(), k)
+    f = mb_massless_integrand(spec.abscissa + 1j * spec.upper_heights(), k)
+    size = np.abs(f)
     weight = spec.step / (2.0 * math.pi)
-    fine = weight * complex(np.sum(f))
-    coarse = 2.0 * weight * complex(np.sum(f[::2]))
+    fine = weight * _mirror_sum(f.real)
+    coarse = 2.0 * weight * _mirror_sum(f.real, (spec.nodes - 1) % 2, 2)
     delta = abs(fine - coarse)
-    # beyond the ends the integrand decays like exp(-3 pi |Im w|)
-    tail = (abs(f[0]) + abs(f[-1])) / (2.0 * math.pi * 3.0 * math.pi)
-    rounding = 6.0 * _LN_GAMMA_ERR * weight * float(np.sum(np.abs(f)))
+    # beyond both ends the integrand decays like exp(-3 pi |Im w|)
+    tail = 2.0 * size[-1] / (2.0 * math.pi * 3.0 * math.pi)
+    rounding = 6.0 * _LN_GAMMA_ERR * weight * _mirror_sum(size)
     scale = max(abs(fine), 1e-300)
     if delta > MASSLESS_DELTA_RTOL * scale:
         raise NotConverged(f"node-doubling delta {delta:.3e} above "
                            f"{MASSLESS_DELTA_RTOL:.1e} * |value|")
-    return BoxValue(fine, "mb", {
+    return BoxValue(complex(fine), "mb", {
         "nodes": spec.nodes,
         "height": spec.height,
         "abscissa": spec.abscissa,
@@ -284,46 +317,62 @@ def _correlate(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.fft.ifft(prod)[..., na - 1:nc]
 
 
-def _mb_onemass_sums(k: Kinematics, ca: ContourSpec,
-                     cb: ContourSpec) -> tuple[complex, complex, float]:
-    """Doubled and coarse trapezoid sums of the double contour, and the
-    doubled sum of |f|.
+def _onemass_grids(k: Kinematics, alpha: np.ndarray, beta: np.ndarray,
+                   sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A(alpha), B(beta) and C(sigma), whose product at sigma = alpha + beta
+    is the integrand over exp((eps - 2) ln(-t)) / Gamma(2 eps).  B and C
+    each pair two of their three gamma factors by reflection."""
+    e = k.eps
+    a = np.exp(ln_gamma_grid(-alpha) + alpha * math.log(-k.msq))
+    # Gamma(-beta) Gamma(1+beta) and Gamma(2-eps+sigma) Gamma(eps-1-sigma)
+    b = np.exp(ln_gamma_grid(e - 1.0 - beta) + beta * math.log(-k.s)) * _pi_csc(1.0 + beta)
+    c = np.exp(ln_gamma_grid(1.0 + sigma) - sigma * math.log(-k.t)) * _pi_csc(e - 1.0 - sigma)
+    return a, b, c
+
+
+def _mb_onemass_sums(k: Kinematics, ca: ContourSpec, cb: ContourSpec
+                     ) -> tuple[complex, complex, tuple[float, float]]:
+    """Doubled and coarse trapezoid sums of the double contour, then the
+    doubled sum of |f| and the tail estimate.
 
     Three gamma factors depend on alpha + beta only, so on grids with one
     step h the double sum is sum_i B_i sum_j A_j C_{i+j}, with A in alpha
     (inner), B in beta (outer) and C on the grid of alpha + beta.  That is
-    one correlation: O(n) gamma evaluations and an O(n log n) FFT.
+    one correlation: O(n) gamma evaluations and an O(n log n) FFT.  The
+    tail estimate sums |f| at the top corner and at the top centre of both
+    edges, all of them grid nodes.
     """
     e = k.eps
-    ln_ms, ln_mt, ln_mm = math.log(-k.s), math.log(-k.t), math.log(-k.msq)
     h = ca.step
     ya, yb = ca.fine_heights(), cb.fine_heights()
     alpha = ca.abscissa + 1j * ya
     beta = cb.abscissa + 1j * yb
     sigma = (ca.abscissa + cb.abscissa) + 1j * (
         h * np.arange(len(ya) + len(yb) - 1) - (ca.height + cb.height))
-    lg = ln_gamma_grid
-    a = np.exp(lg(-alpha) + alpha * ln_mm)
-    b = np.exp(lg(-beta) + lg(1.0 + beta) + lg(e - 1.0 - beta) + beta * ln_ms)
-    c = np.exp(lg(2.0 - e + sigma) + lg(e - 1.0 - sigma) + lg(1.0 + sigma)
-               - sigma * ln_mt)
+    a, b, c = _onemass_grids(k, alpha, beta, sigma)
     corr, corr_abs = _correlate(np.stack([a, np.abs(a)]), np.stack([c, np.abs(c)]))
-    weight = h * h * math.exp((e - 2.0) * ln_mt - ln_gamma(2.0 * e).real) \
-        / (4.0 * math.pi ** 2)
+    scale = math.exp((e - 2.0) * math.log(-k.t) - ln_gamma(2.0 * e).real) / (4.0 * math.pi ** 2)
+    weight = h * h * scale
     fine = weight * complex(b @ corr)
     coarse = 4.0 * weight * complex(b[::2] @ _correlate(a[::2], c[::2]))
     abs_sum = weight * float(np.abs(b) @ corr_abs.real)
-    return fine, coarse, abs_sum
+    # alpha and beta at the top of their lines or at Im 0
+    ia, ib = len(ya) - 1, len(yb) - 1
+    ja, jb = ca.nodes - 1, cb.nodes - 1
+    tail = scale * float(abs(a[ia] * b[ib] * c[ia + ib]) + abs(a[ia] * b[jb] * c[ia + jb])
+                         + abs(a[ja] * b[ib] * c[ja + ib]))
+    return fine, coarse, (abs_sum, tail)
 
 
 def mb_onemass_eval(k: Kinematics, ca: ContourSpec | None = None,
                     cb: ContourSpec | None = None) -> BoxValue:
     """One-mass box by the trapezoid rule on both contours (inner alpha, outer beta).
 
-    The two lines must share one step.  Diagnostics as for
-    :func:`mb_massless_eval`; the rounding term counts seven gamma factors
-    per node and h^2 sum |f| / 4 pi^2, and the delta is held to
-    ``ONEMASS_DELTA_RTOL``.
+    The two lines must share one step.  The grids take four log-gammas and
+    two reflection pairs (see :func:`_onemass_grids`).  Diagnostics as
+    for :func:`mb_massless_eval`; the rounding term counts the seven gamma
+    factors of the scalar integrand per node and h^2 sum |f| / 4 pi^2, and
+    the delta is held to ``ONEMASS_DELTA_RTOL``.
     """
     k.require_onemass()
     if ca is None or cb is None:
@@ -332,13 +381,8 @@ def mb_onemass_eval(k: Kinematics, ca: ContourSpec | None = None,
         cb = cb or cb0
     if not math.isclose(ca.step, cb.step, rel_tol=1e-12):
         raise InfeasibleContour(f"contour steps differ: {ca.step} and {cb.step}")
-    fine, coarse, abs_sum = _mb_onemass_sums(k, ca, cb)
+    fine, coarse, (abs_sum, tail) = _mb_onemass_sums(k, ca, cb)
     delta = abs(fine - coarse)
-    corner = abs(mb_onemass_integrand(ca.abscissa + 1j * ca.height,
-                                      cb.abscissa + 1j * cb.height, k))
-    edge_a = abs(mb_onemass_integrand(ca.abscissa + 1j * ca.height, cb.abscissa, k))
-    edge_b = abs(mb_onemass_integrand(ca.abscissa, cb.abscissa + 1j * cb.height, k))
-    tail = (corner + edge_a + edge_b) / (4.0 * math.pi ** 2)
     rounding = 7.0 * _LN_GAMMA_ERR * abs_sum
     scale = max(abs(fine), 1e-300)
     if delta > ONEMASS_DELTA_RTOL * scale:

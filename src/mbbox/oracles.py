@@ -1,11 +1,9 @@
 """Independent brute-force references for the closed-form and contour pipelines.
 
-Everything here goes through direct quadrature or direct series summation:
-the one-dimensional Feynman-parameter integrals for both boxes, the Euler
-integral behind the 2F1 family, the Beta integral behind the gamma
-prefactor, and the raw double series of the two-variable hypergeometric
-function.  The only shared code with the evaluators under test is the
-gamma prefactor itself.
+Everything here goes through direct quadrature: the one-dimensional
+Feynman-parameter integrals for both boxes, the Euler integral behind the
+2F1 family, and the Beta integral behind the gamma prefactor.  The only
+shared code with the evaluators under test is the gamma prefactor itself.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .closed_form import BoxValue, Kinematics
-from .errors import DomainError, NonConvergence, NotConverged
+from .errors import DomainError, NotConverged
 from .specfun import ABOVE, BELOW, PV, CutPrescription, ln_gamma
 
 __all__ = [
@@ -21,7 +19,6 @@ __all__ = [
     "feynman_1d_onemass",
     "euler_f21_oracle",
     "beta_oracle",
-    "f2_double_series",
 ]
 
 QUAD_EPSABS = 1e-13
@@ -182,42 +179,3 @@ def beta_oracle(eps: float) -> float:
 
     val, _, _ = _quad(g, 0.0, 0.5 ** eps, "beta")
     return 2.0 * val
-
-
-def f2_double_series(alpha: float, beta: float, beta_p: float,
-                     gamma1: float, gamma2: float, x: float, y: float,
-                     increment_tol: float = 1e-15,
-                     max_index: int = 4000) -> complex:
-    """Raw double series of the two-variable hypergeometric function F2.
-
-    Convergence requires |x| + |y| < 1.  Rows are summed with term
-    recurrences; summation stops once a full row contributes below the
-    increment tolerance and the geometric tail bound is negligible.
-    """
-    if abs(x) + abs(y) >= 1.0:
-        raise NonConvergence(f"|x|+|y|={abs(x)+abs(y):.4f} outside the convergence domain")
-    total = 0.0
-    row_head = 1.0  # term at (k, n=0)
-    ratio = abs(x) + abs(y)
-    for k in range(max_index):
-        term = row_head
-        row_sum = 0.0
-        small = 0
-        for n in range(max_index):
-            row_sum += term
-            step = (alpha + k + n) * (beta_p + n) / ((gamma2 + n) * (n + 1.0)) * y
-            term *= step
-            # rows peak near n ~ k |y|/(1-|y|); only stop once the inner
-            # ratio has dropped below one so the remaining tail contracts
-            small = small + 1 if abs(term) < increment_tol * max(1.0, abs(total + row_sum)) else 0
-            if small >= 2 and abs(step) < 0.95 and n > 2:
-                break
-        else:
-            raise NonConvergence("inner index cap reached")
-        total += row_sum
-        # geometric tail estimate for the remaining rows
-        tail = abs(row_sum) * ratio / (1.0 - ratio)
-        if abs(row_sum) < increment_tol * max(1.0, abs(total)) and tail < 1e-13 * max(1.0, abs(total)) and k > 2:
-            return complex(total)
-        row_head *= (alpha + k) * (beta + k) / ((gamma1 + k) * (k + 1.0)) * x
-    raise NonConvergence("outer index cap reached")

@@ -2,9 +2,8 @@
 
 Everything here is a pure function of its arguments: log-gamma / gamma /
 digamma, the dilogarithm, the two Gauss hypergeometric families
-F(1, b; 1+b; z) and F(1, 1; c; z) with their analytic continuations, a
-generic power-series kernel, and the reduction of the Appell F2 function
-with repeated parameters.
+F(1, b; 1+b; z) and F(1, 1; c; z) with their analytic continuations, and
+a generic power-series kernel.
 
 Branch conventions, fixed globally:
 
@@ -43,7 +42,6 @@ __all__ = [
     "f21_11",
     "f21_general_series",
     "f21_11_split",
-    "appell_f2_reduced",
     "cut_log",
     "cut_power",
 ]
@@ -535,24 +533,3 @@ def f21_11_split(t_over_s, eps: float, cut: CutPrescription = PV) -> tuple[compl
         wpow = one_minus_z ** (-eps)
     tail = coef * wpow * zpow
     return _require_finite(head, "continuation head"), _require_finite(tail, "continuation tail")
-
-
-def appell_f2_reduced(beta: float, beta_p: float, alpha: float, x, y,
-                      cut: CutPrescription = PV) -> complex:
-    """F2(alpha, beta, beta'; alpha, alpha; x, y) via its one-variable reduction.
-
-    Valid whenever both lower parameters equal the first upper parameter:
-    the double series collapses to
-    ``(1-x)^{-beta} (1-y)^{-beta'} 2F1(beta, beta'; alpha; xy/((1-x)(1-y)))``.
-    """
-    x = complex(x)
-    y = complex(y)
-    if x == 1.0 or y == 1.0:
-        raise DomainError("reduction singular at x=1 or y=1")
-    w = x * y / ((1.0 - x) * (1.0 - y))
-    if (beta, beta_p) == (1.0, 1.0):
-        f = _f21_one_one(alpha, w, cut)
-    else:
-        f = f21_general_series(beta, beta_p, alpha, w)
-    out = (1.0 - x) ** (-beta) * (1.0 - y) ** (-beta_p) * f
-    return _require_finite(out, "appell_f2_reduced")

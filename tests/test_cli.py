@@ -286,6 +286,19 @@ class TestSweep:
         assert message in capsys.readouterr().err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("methods", ["mb", 5, ["bogus"], ["closed", None]])
+    def test_bad_methods_rejected(self, methods, tmp_path, capsys):
+        grid = [{"s": -1.0, "t": -2.0, "eps": 0.3},
+                {"s": -1.0, "t": -2.0, "eps": 0.3, "methods": methods}]
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps(grid))
+        out_file = tmp_path / "report.json"
+        assert run_main(["sweep", str(grid_file), "--out", str(out_file)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert f"grid point 1: methods={methods!r} is not a list of method names" in err
+        assert "Traceback" not in err
+        assert not out_file.exists()
+
     def test_zero_tol_is_kept(self, tmp_path):
         grid_file = tmp_path / "grid.json"
         grid_file.write_text(json.dumps([{"s": -1.0, "t": -2.0, "eps": 0.3}]))

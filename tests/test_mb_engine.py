@@ -91,6 +91,24 @@ class TestMasslessIntegrand:
         with pytest.raises(PoleError):
             mb_massless_integrand(0.0 + 0j, k)
 
+    @pytest.mark.parametrize("eps, c", [(0.02, None), (0.3, None), (0.99, None),
+                                        (0.3, -0.95), (0.3, -0.75)])
+    def test_grid_reflection_form_matches_scalar(self, eps, c):
+        # two log-gammas and two cosecants against the six gamma factors
+        k = Kinematics(s=-1.0, t=-3.0, eps=eps)
+        spec = select_contour_massless(eps, k)
+        c = spec.abscissa if c is None else c
+        w = c + 1j * np.linspace(-spec.height, spec.height, 41)
+        grid = mb_massless_integrand(w, k)
+        for wi, gi in zip(w, grid):
+            ref = mb_massless_integrand(complex(wi), k)
+            assert abs(gi - ref) < 1e-13 * abs(ref), wi
+
+    def test_grid_finite_far_up_the_line(self):
+        k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
+        f = mb_massless_integrand(-0.85 + 1j * np.array([-400.0, 300.0]), k)
+        assert np.all(f == 0.0)
+
 
 class TestMasslessQuadrature:
     @pytest.mark.parametrize("s,t,eps", [(-1.0, -2.0, 0.3), (-1.0, -1.0, 0.3),
@@ -106,6 +124,47 @@ class TestMasslessQuadrature:
         k = Kinematics(s=-1.0, t=-1.0, eps=0.3)
         v = mb_massless_eval(k).value
         assert abs(v.imag) < 1e-10 * abs(v)
+
+    @pytest.mark.parametrize("s,t,eps", [(-1.0, -1.0, 0.3), (-3.0, -0.5, 0.2)])
+    def test_value_exactly_real(self, s, t, eps):
+        assert mb_massless_eval(Kinematics(s=s, t=t, eps=eps)).value.imag == 0.0
+
+    @pytest.mark.parametrize("nodes", [41, 42])
+    def test_half_line_sums_match_full_line(self, nodes):
+        # nodes - 1 even puts Im w = 0 on the coarse rule, odd leaves it off
+        k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
+        spec = ContourSpec(-0.85, 6.0, nodes)
+        full = mb_massless_integrand(spec.abscissa + 1j * spec.fine_heights(), k)
+        upper = mb_massless_integrand(spec.abscissa + 1j * spec.upper_heights(), k)
+        first = (nodes - 1) % 2
+        for half, whole in ((mb_engine._mirror_sum(upper.real), np.sum(full)),
+                            (mb_engine._mirror_sum(upper.real, first, 2), np.sum(full[::2])),
+                            (mb_engine._mirror_sum(np.abs(upper)), np.sum(np.abs(full)))):
+            assert abs(half - whole) < 1e-13 * abs(whole)
+
+    @pytest.mark.parametrize("nodes", [2001, 2002])
+    def test_half_line_eval_matches_full_line(self, nodes):
+        k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
+        spec = ContourSpec(-0.85, 8.0, nodes)
+        full = mb_massless_integrand(spec.abscissa + 1j * spec.fine_heights(), k)
+        weight = spec.step / (2.0 * math.pi)
+        fine, coarse = weight * np.sum(full), 2.0 * weight * np.sum(full[::2])
+        v = mb_massless_eval(k, spec)
+        assert abs(v.value - fine) < 1e-14 * abs(fine)
+        assert abs(v.diagnostics["node_doubling_delta"] - abs(fine - coarse)) < 1e-14 * abs(fine)
+
+    def test_two_log_gammas_per_half_line_node(self, monkeypatch):
+        points = []
+
+        def counting(z):
+            points.append(z.size)
+            return sf.ln_gamma_grid(z)
+
+        monkeypatch.setattr(mb_engine, "ln_gamma_grid", counting)
+        k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
+        spec = select_contour_massless(k.eps, k)
+        mb_massless_eval(k, spec)
+        assert sum(points) == 2 * spec.nodes
 
     def test_abscissa_shift_invariance(self):
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
@@ -189,6 +248,33 @@ class TestOneMassQuadrature:
         direct_coarse *= 4.0 * h * h / (4.0 * math.pi ** 2)
         assert abs(coarse - direct_coarse) < 1e-13 * abs(direct_coarse)
 
+    def test_reflection_grids_match_three_factor_products(self):
+        k = Kinematics(s=-3.0, t=-2.0, eps=0.3, msq=-0.5)
+        ca, cb = select_contour_onemass(k.eps, k)
+        y = np.linspace(-cb.height, cb.height, 41)
+        beta = cb.abscissa + 1j * y
+        sigma = ca.abscissa + cb.abscissa + 2j * y
+        _, b, c = mb_engine._onemass_grids(k, ca.abscissa + 1j * y, beta, sigma)
+        e, lg = k.eps, sf.ln_gamma
+        for bi, ci, be, si in zip(b, c, beta, sigma):
+            ref_b = np.exp(lg(-be) + lg(1.0 + be) + lg(e - 1.0 - be) + be * math.log(-k.s))
+            ref_c = np.exp(lg(2.0 - e + si) + lg(e - 1.0 - si) + lg(1.0 + si)
+                           - si * math.log(-k.t))
+            assert abs(bi - ref_b) < 1e-13 * abs(ref_b), be
+            assert abs(ci - ref_c) < 1e-13 * abs(ref_c), si
+
+    @pytest.mark.parametrize("s,t,m2,eps", [(-1.0, -2.0, -0.5, 0.3), (-1.0, -100.0, -0.01, 0.95)])
+    def test_tail_read_off_the_grids(self, s, t, m2, eps):
+        # |f| at the top corner and the top centre of both edges
+        k = Kinematics(s=s, t=t, eps=eps, msq=m2)
+        ca, cb = select_contour_onemass(eps, k)
+        top_a, top_b = ca.abscissa + 1j * ca.height, cb.abscissa + 1j * cb.height
+        ref = (abs(mb_onemass_integrand(top_a, top_b, k))
+               + abs(mb_onemass_integrand(top_a, cb.abscissa, k))
+               + abs(mb_onemass_integrand(ca.abscissa, top_b, k))) / (4.0 * math.pi ** 2)
+        tail = mb_onemass_eval(k, ca, cb).diagnostics["tail_estimate"]
+        assert abs(tail - ref) < 1e-12 * ref
+
     def test_contours_share_one_step(self):
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3, msq=-0.5)
         with pytest.raises(InfeasibleContour):
@@ -252,11 +338,3 @@ class TestResidueOneMass:
             assert abs(total - closed) < 1e-10 * abs(closed)
             assert abs(br.pieces["spurious_sum"]) < 1e-11 * abs(total)
         assert residue_onemass(k).delta_pole_coefficient == 0j
-
-    def test_reduced_function_vs_double_series(self):
-        # scaled-down invariants keep the raw double series convergent
-        from mbbox.oracles import f2_double_series
-        s, t, m2, e = -0.2, -0.3, -1.0, 0.3
-        lhs = sf.appell_f2_reduced(1.0, 1.0, 2.0 - e, t / m2, s / m2)
-        rhs = f2_double_series(2.0 - e, 1.0, 1.0, 2.0 - e, 2.0 - e, t / m2, s / m2)
-        assert abs(lhs - rhs) < 1e-12 * abs(rhs)

@@ -1,15 +1,15 @@
 import math
 
+import mpmath
 import pytest
 
 from helpers import mp_box
 from mbbox import specfun as sf
 from mbbox.closed_form import Kinematics, massless_box, onemass_box
-from mbbox.errors import DomainError, NonConvergence
+from mbbox.errors import DomainError
 from mbbox.oracles import (
     beta_oracle,
     euler_f21_oracle,
-    f2_double_series,
     feynman_1d_massless,
     feynman_1d_onemass,
 )
@@ -111,6 +111,19 @@ class TestEulerOracle:
             euler_f21_oracle(0.3, 1.0)
 
 
+class TestDoubleSeries:
+    def test_reduction_identity(self):
+        # F2(a; 1, 1; a, a; x, y) = 2F1(1, 1; a; z) / ((1-x)(1-y)) with
+        # z = xy/((1-x)(1-y)); after Pfaff, 2F1(1, 1; 2-e; z) is the Euler
+        # integral at eps' = 1-e and w = z/(z-1)
+        e, x, y = 0.3, 0.2, 0.3
+        lhs = complex(mpmath.appellf2(2.0 - e, 1, 1, 2.0 - e, 2.0 - e, x, y))
+        z = x * y / ((1.0 - x) * (1.0 - y))
+        f = (1.0 - e) / (1.0 - z) * euler_f21_oracle(1.0 - e, z / (z - 1.0))
+        rhs = f / ((1.0 - x) * (1.0 - y))
+        assert abs(lhs - rhs) < 1e-10 * abs(lhs)
+
+
 class TestBetaOracle:
     def test_known_values(self):
         assert abs(beta_oracle(0.5) - math.pi) < 1e-10
@@ -120,29 +133,3 @@ class TestBetaOracle:
         for e in (0.3, 0.45, 0.8):
             ref = sf.gamma(e).real ** 2 / sf.gamma(2.0 * e).real
             assert abs(beta_oracle(e) - ref) < 1e-10 * ref
-
-
-class TestDoubleSeries:
-    def test_at_origin(self):
-        assert f2_double_series(1.7, 1.0, 1.0, 1.7, 1.7, 0.0, 0.0) == 1.0
-
-    def test_single_series_collapse(self):
-        lhs = f2_double_series(2.0, 1.0, 1.0, 1.5, 1.5, 0.4, 0.0)
-        rhs = sf.f21_general_series(2.0, 1.0, 1.5, 0.4)
-        assert abs(lhs - rhs) < 1e-12 * abs(rhs)
-
-    def test_reduction_identity(self):
-        e = 0.3
-        lhs = f2_double_series(2.0 - e, 1.0, 1.0, 2.0 - e, 2.0 - e, 0.2, 0.3)
-        rhs = sf.appell_f2_reduced(1.0, 1.0, 2.0 - e, 0.2, 0.3)
-        assert abs(lhs - rhs) < 1e-12 * abs(rhs)
-
-    def test_convergence_domain_enforced(self):
-        with pytest.raises(NonConvergence):
-            f2_double_series(1.7, 1.0, 1.0, 1.7, 1.7, 0.6, 0.5)
-
-    def test_skewed_rows(self):
-        # the row peak moves to larger inner index as the outer index grows
-        lhs = f2_double_series(1.55, 1.0, 1.0, 1.55, 1.55, 0.3, 0.4)
-        rhs = sf.appell_f2_reduced(1.0, 1.0, 1.55, 0.3, 0.4)
-        assert abs(lhs - rhs) < 1e-12 * abs(rhs)

@@ -212,19 +212,34 @@ class TestContinuationSplit:
 
 
 class TestAppellReduction:
-    def test_x_zero_collapse(self):
-        bp, y = 1.3, 0.4
-        val = sf.appell_f2_reduced(1.0, bp, 1.7, 0.0, y)
-        assert abs(val - (1.0 - y) ** (-bp)) < 1e-13
-
-    def test_symmetry(self):
-        a = sf.appell_f2_reduced(0.8, 1.1, 1.9, 0.25, 0.25)
-        b = sf.appell_f2_reduced(1.1, 0.8, 1.9, 0.25, 0.25)
-        assert abs(a - b) < 1e-13 * abs(a)
-
     def test_double_series_oracle(self):
-        from mbbox.oracles import f2_double_series
-        e = 0.3
-        lhs = sf.appell_f2_reduced(1.0, 1.0, 2.0 - e, 0.2, 0.3)
-        rhs = f2_double_series(2.0 - e, 1.0, 1.0, 2.0 - e, 2.0 - e, 0.2, 0.3)
+        # F2(2-e; 1, 1; 2-e, 2-e; x, y) collapses to f21_11 at xy/((1-x)(1-y))
+        e, x, y = 0.3, 0.2, 0.3
+        z = x * y / ((1.0 - x) * (1.0 - y))
+        lhs = sf.f21_11(z, e) / ((1.0 - x) * (1.0 - y))
+        rhs = complex(mpmath.appellf2(2.0 - e, 1, 1, 2.0 - e, 2.0 - e, x, y))
         assert abs(lhs - rhs) < 1e-12 * abs(rhs)
+
+
+class TestF21OneOneAgainstMpmath:
+    """f21_11 against mpmath's hyp2f1(1, 1; 2-eps; z).
+
+    The first arguments are z = xy / ((1-x)(1-y)), where the Appell F2
+    reduction with beta = beta' = 1 evaluated it; the others lie on the
+    negative axis and on the cut z > 1, where the principal value is the
+    real part of either boundary value."""
+
+    @pytest.mark.parametrize("eps, x, y", [(0.3, 0.2, 0.3), (0.45, 0.3, 0.4),
+                                           (0.25, -0.3, 0.4), (0.3, 0.3, 0.2)])
+    def test_reduction_arguments(self, eps, x, y):
+        z = x * y / ((1.0 - x) * (1.0 - y))
+        ref = complex(mpmath.hyp2f1(1, 1, 2 - mpmath.mpf(eps), z))
+        assert abs(sf.f21_11(z, eps) - ref) < 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("eps, z", [(0.3, -0.5), (0.45, -3.0), (0.2, -40.0),
+                                        (0.3, 1.001), (0.3, 1.4), (0.6, 2.5), (0.15, 9.0)])
+    def test_off_the_unit_interval(self, eps, z):
+        ref = complex(mpmath.hyp2f1(1, 1, 2 - mpmath.mpf(eps), z)).real
+        val = sf.f21_11(z, eps, PV)
+        assert val.imag == 0.0
+        assert abs(val.real - ref) < 1e-13 * abs(ref)
