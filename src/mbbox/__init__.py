@@ -6,7 +6,7 @@ contour quadrature of their Mellin-Barnes representations plus residue
 resummation (:mod:`mbbox.mb_engine`), and direct Feynman-parameter
 quadrature (:mod:`mbbox.oracles`), all restricted to the Euclidean region.
 :mod:`mbbox.series` supplies the truncated Laurent algebra used for the
-regulator expansions, and :mod:`mbbox.cli` wires everything into a
+eps expansions, and :mod:`mbbox.cli` wires everything into a
 command-line tool with machine-readable reports.
 """
 
@@ -33,7 +33,6 @@ from .errors import (
 )
 from .mb_engine import (
     ContourSpec,
-    EvalBreakdown,
     mb_massless_eval,
     mb_massless_integrand,
     mb_onemass_eval,
@@ -49,7 +48,6 @@ from .oracles import (
     feynman_1d_onemass,
 )
 from .series import (
-    Regulator,
     RegulatorSeries,
     gamma_series,
     power_series,

@@ -19,6 +19,7 @@ defaults).  Explicit flags win over the environment.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -179,26 +180,35 @@ _ROUTES = {
 }
 
 
+def _numerical(what: str, compute, numbers):
+    """compute(), where a float overflow or a zero divisor (s t can
+    underflow) and a non-finite number in numbers(result) are numerical
+    failures: NonConvergence."""
+    try:
+        with np.errstate(all="ignore"):
+            result = compute()
+    except MbboxError:
+        raise
+    except ArithmeticError as exc:
+        raise NonConvergence(f"{what} failed: {type(exc).__name__}: {exc}") from exc
+    if not all(cmath.isfinite(x) for x in numbers(result)):
+        raise NonConvergence(f"{what} gave a non-finite value")
+    return result
+
+
 def _evaluate(cfg: RunConfig) -> dict:
     k = cfg.kinematics()
     route = _ROUTES.get((cfg.integral, cfg.method))
     if route is None:
         raise DegenerateKinematics(f"unknown method {cfg.method}")
-    record: dict = {
+    result = _numerical(f"method {cfg.method}", lambda: route(cfg, k), lambda r: (r.value,))
+    return {
         "integral": cfg.integral,
         "kinematics": {"s": k.s, "t": k.t, "msq": k.msq, "eps": k.eps},
         "method": cfg.method,
+        "value": _c(result.value),
+        "diagnostics": _jsonable(result.diagnostics),
     }
-    result = route(cfg, k)
-    if isinstance(result, mb_engine.EvalBreakdown):
-        record["breakdown"] = _jsonable(
-            {**result.pieces, "delta_pole_coefficient": result.delta_pole_coefficient})
-        record["value"] = _c(result.pieces["total"])
-        record["diagnostics"] = {}
-    else:
-        record["value"] = _c(result.value)
-        record["diagnostics"] = _jsonable(result.diagnostics)
-    return record
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +314,13 @@ def verify_massless(tol_residue: float = 1e-10, tol_oracle: float = 1e-8,
         k = Kinematics(s=s, t=t, eps=e)
         tag = f"s={s} t={t} e={e}"
         closed = massless_box(k).value
-        br = mb_engine.residue_massless(k)
+        res = mb_engine.residue_massless(k)
         _check(checks, f"residue vs closed {tag}",
-               abs(br.pieces["total"] - closed) / abs(closed), tol_residue)
+               abs(res.value - closed) / abs(closed), tol_residue)
         _check(checks, f"spurious cancellation {tag}",
-               abs(br.pieces["spurious_sum"]) / abs(closed), tol_spurious)
+               abs(res.diagnostics["spurious_sum"]) / abs(closed), tol_spurious)
         _check(checks, f"regulator pole cancellation {tag}",
-               abs(br.delta_pole_coefficient) / abs(closed), tol_pole)
+               abs(res.diagnostics["delta_pole_coefficient"]) / abs(closed), tol_pole)
         feyn = oracles.feynman_1d_massless(k).value
         _check(checks, f"feynman vs closed {tag}",
                abs(feyn - closed) / abs(closed), tol_oracle)
@@ -334,11 +344,11 @@ def verify_onemass(tol_residue: float = 1e-10, tol_spurious: float = 1e-11,
         k = Kinematics(s=s, t=t, eps=e, msq=m2)
         tag = f"s={s} t={t} m2={m2} e={e}"
         closed = onemass_box(k).value
-        br = mb_engine.residue_onemass(k)
+        res = mb_engine.residue_onemass(k)
         _check(checks, f"residue vs closed {tag}",
-               abs(br.pieces["total"] - closed) / abs(closed), tol_residue)
+               abs(res.value - closed) / abs(closed), tol_residue)
         _check(checks, f"spurious cancellation {tag}",
-               abs(br.pieces["spurious_sum"]) / abs(closed), tol_spurious)
+               abs(res.diagnostics["spurious_sum"]) / abs(closed), tol_spurious)
         mbv = mb_engine.mb_onemass_eval(k)
         _check(checks, f"double-contour vs closed {tag}",
                abs(mbv.value - closed) / abs(closed), tol_mb)
@@ -373,8 +383,8 @@ def cmd_expand(cfg: RunConfig, order: int = 0) -> Report:
     if order > 0 or order < -2:
         raise DegenerateKinematics("expansion order limited to -2 .. 0")
     k = cfg.kinematics()
-    series = massless_box_laurent(k) if cfg.integral == "massless" \
-        else onemass_box_laurent(k)
+    laurent = massless_box_laurent if cfg.integral == "massless" else onemass_box_laurent
+    series = _numerical("expansion", lambda: laurent(k), lambda r: r.coeffs)
     record = {
         "integral": cfg.integral,
         "kinematics": {"s": k.s, "t": k.t, "msq": k.msq, "eps": k.eps},
@@ -429,7 +439,7 @@ def _sweep_point(index: int, inputs: dict, methods: list) -> dict:
         for method in methods:
             rec = _evaluate(RunConfig(method=method, **inputs))
             values[method] = rec["value"]
-            diagnostics[method] = rec.get("diagnostics", {})
+            diagnostics[method] = rec["diagnostics"]
     except DegenerateKinematics as exc:
         return {**base, "status": "skipped-degenerate", "reason": str(exc)}
     except MbboxError as exc:

@@ -6,28 +6,31 @@ Two independent routes live here:
   variable for the massless box, an iterated pair for the one-mass box),
   by one trapezoid rule on vertical lines chosen to separate the left and
   right pole families;
-* reconstruction from the resummed residue families, with the auxiliary
-  regulator that splits the massless double poles handled as a truncated
-  Laurent series (never as a floating number), and the spurious
-  continuation leftovers tracked explicitly so their cancellation can be
-  verified.
+* reconstruction from the resummed residue families.  An auxiliary
+  regulator delta splits the massless double poles; the delta^-1 and
+  delta^0 coefficients of the split families are read off Gamma and psi
+  (never a floating delta), and the spurious continuation leftovers are
+  tracked explicitly so their cancellation can be verified.
+
+Every route returns a :class:`~mbbox.closed_form.BoxValue`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .closed_form import BoxValue, Kinematics
 from .errors import InfeasibleContour, NotConverged, PoleError
-from .series import Regulator, gamma_series, power_series
 from .specfun import (
     PV,
     CutPrescription,
+    cut_log,
     cut_power,
+    digamma,
     f21_1e,
     f21_11,
     f21_11_split,
@@ -39,7 +42,6 @@ from .specfun import (
 
 __all__ = [
     "ContourSpec",
-    "EvalBreakdown",
     "select_contour_massless",
     "select_contour_onemass",
     "mb_massless_integrand",
@@ -49,9 +51,6 @@ __all__ = [
     "residue_massless",
     "residue_onemass",
 ]
-
-DELTA = Regulator.DELTA
-
 
 # Most coarse nodes one contour may carry, checked before any node array is
 # built: eps -> 0 raises NotConverged instead of allocating millions of nodes.
@@ -108,21 +107,6 @@ class ContourSpec:
         j = nodes - 1 (mod 2)."""
         self._check_cap()
         return self.step * np.arange(self.nodes)
-
-
-@dataclass(frozen=True)
-class EvalBreakdown:
-    """Residue-route value split into its named pieces.
-
-    ``pieces`` carries the resummed contributions plus ``spurious_sum`` and
-    ``total``; ``spurious_terms`` lists the individual continuation
-    leftovers that are summed into ``spurious_sum``; the auxiliary-regulator
-    pole coefficient must cancel between the pieces that carry it.
-    """
-
-    pieces: dict
-    delta_pole_coefficient: complex
-    spurious_terms: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +401,28 @@ def _gamma_product(*terms) -> complex:
     return acc
 
 
-def residue_massless(k: Kinematics, cut: CutPrescription = PV) -> EvalBreakdown:
+def _pole_coefficients(sign: float, args: tuple, log_x: complex) -> tuple[complex, complex]:
+    """delta^-1 and delta^0 coefficients of (sign/delta) prod Gamma(a + sigma delta) x^delta.
+
+    ``args`` are the (a, sigma) pairs.  With P = prod Gamma(a) the two
+    coefficients are sign P and sign P (sum sigma psi(a) + log x).
+    """
+    p = sign * _gamma_product(*((1.0, a) for a, _ in args))
+    return p, p * (sum(sigma * digamma(a) for a, sigma in args) + log_x)
+
+
+def residue_massless(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     """Massless box reconstructed from the left-closure pole families.
 
     The simple-pole family resums into F(1, 1; 2-eps; -s/t); its
     continuation splits into half of the exact result plus an algebraic
-    leftover.  The double poles are split by the auxiliary regulator into
-    two simple families whose resummed values are assembled as truncated
-    Laurent series; their pole parts must cancel, and the finite leftovers
-    must cancel against the continuation leftover.
+    leftover.  The double poles are split by the auxiliary regulator delta
+    into two simple families, each a product (1/delta) prod Gamma(a + sigma
+    delta) x^delta; Gamma(-+delta) Gamma(1+-delta) = -+(1/delta)(1 + O(delta^2))
+    leaves the pole sign.  Only the delta^-1 and delta^0 coefficients are
+    needed, and they are read off Gamma and psi.  The pole coefficients must
+    cancel between the families, and the finite leftovers must cancel
+    against the continuation leftover.
     """
     k.require_massless()
     e = k.eps
@@ -443,47 +440,34 @@ def residue_massless(k: Kinematics, cut: CutPrescription = PV) -> EvalBreakdown:
     kernel = (-s) ** e / st * (1.0 + s / t) ** (-e)
     g2e = _gamma_product((2.0, e), (-1.0, 2.0 * e))
 
-    # shifted simple poles: the whole finite part is a continuation artifact
-    s_a = (gamma_series(0.0, 2, DELTA).scaled_arg(-1)      # Gamma(-d)
-           * gamma_series(1.0, 2, DELTA)                   # Gamma(1+d)
-           * gamma_series(e, 2, DELTA)                     # Gamma(e+d)
-           * gamma_series(1.0 - e, 2, DELTA).scaled_arg(-1)  # Gamma(1-e-d)
-           * power_series(s / t, 2, DELTA))                # (s/t)^d
-    i2a_series = s_a * (g2e / math.exp(ln_gamma(e).real) * kernel)
+    # shifted simple poles, -(1/d) Gamma(e+d) Gamma(1-e-d) (s/t)^d: the whole
+    # finite part is a continuation artifact
+    pref_a = g2e / math.exp(ln_gamma(e).real) * kernel
+    pole_a, fin_a = _pole_coefficients(-1.0, ((e, 1.0), (1.0 - e, -1.0)), math.log(s / t))
+    i2a = fin_a * pref_a
 
-    # unshifted simple poles: exact half plus the pole/log leftover
-    exact_coef = -(gamma_series(1.0, 2, DELTA)                    # Gamma(1+d)
-                   * gamma_series(e, 2, DELTA).scaled_arg(-1)     # Gamma(e-d)
-                   ) * (_gamma_product((1.0, e), (1.0, -e), (-1.0, 2.0 * e)) / st)
-    f_exact = f21_1e(1.0 + s / t, e, cut) * (-s) ** e
-    spur_coef = (gamma_series(0.0, 2, DELTA)                      # Gamma(d)
-                 * gamma_series(1.0, 2, DELTA).scaled_arg(-1)     # Gamma(1-d)
-                 * power_series(-s / t, 2, DELTA, cut))           # (-s/t)^d
-    s_spur_b = spur_coef * (g2e * math.exp(ln_gamma(1.0 - e).real) * kernel)
-    i2b_series = exact_coef * f_exact + s_spur_b
+    # unshifted simple poles: the exact half, -Gamma(1+d) Gamma(e-d) at d = 0,
+    # plus the pole/log leftover (1/d) (-s/t)^d
+    exact = -_gamma_product((2.0, e), (1.0, -e), (-1.0, 2.0 * e)) / st \
+        * f21_1e(1.0 + s / t, e, cut) * (-s) ** e
+    pref_b = g2e * math.exp(ln_gamma(1.0 - e).real) * kernel
+    pole_b, fin_b = _pole_coefficients(1.0, (), cut_log(-s / t, cut))
+    spur_2b = fin_b * pref_b
+    i2b = exact + spur_2b
 
-    i2a = i2a_series.coeff(0)
-    i2b = i2b_series.coeff(0)
-    spur_2a = i2a
-    spur_2b = s_spur_b.coeff(0)
-    delta_pole = i2a_series.coeff(-1) + i2b_series.coeff(-1)
-    spurious_sum = spur_1 + spur_2a + spur_2b
-    total = i1 + i2a + i2b
-    return EvalBreakdown(
-        pieces={
-            "I1": i1,
-            "I2a": i2a,
-            "I2b": i2b,
-            "spurious_sum": spurious_sum,
-            "total": total,
-        },
-        delta_pole_coefficient=delta_pole,
-        spurious_terms={
+    spurious_sum = spur_1 + i2a + spur_2b
+    return BoxValue(i1 + i2a + i2b, "residue", {
+        "I1": i1,
+        "I2a": i2a,
+        "I2b": i2b,
+        "spurious_sum": spurious_sum,
+        "spurious_terms": {
             "I1_algebraic": spur_1,
-            "I2a_finite": spur_2a,
+            "I2a_finite": i2a,
             "I2b_pole_log": spur_2b,
         },
-    )
+        "delta_pole_coefficient": pole_a * pref_a + pole_b * pref_b,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +486,7 @@ def _power_pair(z: float, a: float, b: float, cut: CutPrescription) -> complex:
     return zp * wp
 
 
-def residue_onemass(k: Kinematics, cut: CutPrescription = PV) -> EvalBreakdown:
+def residue_onemass(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     """One-mass box reconstructed from the two-variable pole families.
 
     The three right-closure families resum into single-variable
@@ -514,7 +498,6 @@ def residue_onemass(k: Kinematics, cut: CutPrescription = PV) -> EvalBreakdown:
     e = k.eps
     s, t, m2 = k.s, k.t, k.msq
     st = s * t
-    q = s + t - m2
 
     # first family: the beta-contour integral resummed; its two closure
     # sub-families are evaluated separately, the algebraic parts cancel
@@ -541,19 +524,14 @@ def residue_onemass(k: Kinematics, cut: CutPrescription = PV) -> EvalBreakdown:
     spur_2b = coef_2b * _gamma_product((1.0, 2.0 - e), (1.0, e)) \
         * _power_pair(z2b, e - 1.0, -e, cut)
 
-    spurious_sum = spur_2a + spur_2b
-    total = im1 + im2a + im2b
-    return EvalBreakdown(
-        pieces={
-            "Im1": im1,
-            "Im2a": im2a,
-            "Im2b": im2b,
-            "spurious_sum": spurious_sum,
-            "total": total,
-        },
-        delta_pole_coefficient=0j,
-        spurious_terms={
+    return BoxValue(im1 + im2a + im2b, "residue", {
+        "Im1": im1,
+        "Im2a": im2a,
+        "Im2b": im2b,
+        "spurious_sum": spur_2a + spur_2b,
+        "spurious_terms": {
             "Im2a_algebraic": spur_2a,
             "Im2b_algebraic": spur_2b,
         },
-    )
+        "delta_pole_coefficient": 0j,
+    })

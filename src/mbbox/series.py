@@ -1,4 +1,4 @@
-"""Truncated Laurent-series algebra in one formal regulator.
+"""Truncated Laurent-series algebra in the dimensional regulator.
 
 A :class:`RegulatorSeries` stores coefficients for a contiguous window of
 powers ``min_power .. min_power + len(coeffs) - 1``.  Powers below the
@@ -7,46 +7,36 @@ series is marked ``exact`` (a genuine Laurent polynomial).  Arithmetic
 tracks the largest power that is still fully determined, so products of
 truncated series never claim more accuracy than they have.
 
-Two regulators appear in the box-integral pipelines: the dimensional
-regulator (label ``EPSILON``, default window ``-2 .. +2``) and the
-auxiliary pole-splitting regulator (label ``DELTA``, default window
-``-1 .. +1``).
+The closed forms build their Laurent expansions in eps from it
+(:func:`mbbox.closed_form.massless_box_laurent` and its one-mass twin).
+The residue routes need no series: they read the coefficients of their
+auxiliary regulator off Gamma and psi.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import DivisionByZeroSeries, DomainError
 from .specfun import (
-    PV,
-    CutPrescription,
-    cut_log,
     digamma,
     ln_gamma,
     polygamma,
 )
 
 __all__ = [
-    "Regulator",
     "RegulatorSeries",
-    "DEFAULT_WINDOW",
+    "DEFAULT_TOP",
     "gamma_series",
     "power_series",
 ]
 
 
-class Regulator(Enum):
-    EPSILON = "eps"
-    DELTA = "delta"
-
-
-DEFAULT_WINDOW = {
-    Regulator.EPSILON: (-2, 2),
-    Regulator.DELTA: (-1, 1),
-}
+# Highest power that a quotient or exp of exact series is carried to: the
+# boxes are expanded through eps^0 after a shift by eps^-2.
+DEFAULT_TOP = 2
 
 
 def _trim(min_power: int, coeffs: tuple, exact: bool):
@@ -68,7 +58,6 @@ class RegulatorSeries:
 
     min_power: int
     coeffs: tuple
-    label: Regulator = Regulator.EPSILON
     exact: bool = False
 
     def __post_init__(self):
@@ -81,16 +70,16 @@ class RegulatorSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, value, label=Regulator.EPSILON) -> "RegulatorSeries":
-        return cls(0, (complex(value),), label, exact=True)
+    def constant(cls, value) -> "RegulatorSeries":
+        return cls(0, (complex(value),), exact=True)
 
     @classmethod
-    def variable(cls, label=Regulator.EPSILON) -> "RegulatorSeries":
-        return cls(1, (1.0 + 0j,), label, exact=True)
+    def variable(cls) -> "RegulatorSeries":
+        return cls(1, (1.0 + 0j,), exact=True)
 
     @classmethod
-    def zero(cls, label=Regulator.EPSILON) -> "RegulatorSeries":
-        return cls(0, (0j,), label, exact=True)
+    def zero(cls) -> "RegulatorSeries":
+        return cls(0, (0j,), exact=True)
 
     # -- inspection --------------------------------------------------------
 
@@ -115,16 +104,11 @@ class RegulatorSeries:
 
     # -- helpers -----------------------------------------------------------
 
-    def _check_label(self, other: "RegulatorSeries"):
-        if self.label is not other.label:
-            raise DomainError(f"mixed regulators {self.label} and {other.label}")
-
     def _coerce(self, other):
         if isinstance(other, RegulatorSeries):
-            self._check_label(other)
             return other
         if isinstance(other, (int, float, complex)):
-            return RegulatorSeries.constant(other, self.label)
+            return RegulatorSeries.constant(other)
         return NotImplemented
 
     def _get(self, power: int) -> complex:
@@ -135,14 +119,14 @@ class RegulatorSeries:
     def truncated(self, max_power: int) -> "RegulatorSeries":
         """Drop knowledge above ``max_power`` (marks the result inexact)."""
         if max_power < self.min_power:
-            return RegulatorSeries(max_power, (0j,), self.label, exact=False)
+            return RegulatorSeries(max_power, (0j,), exact=False)
         top = min(max_power, self.max_power) if not self.exact else max_power
         cs = tuple(self._get(p) for p in range(self.min_power, top + 1))
-        return RegulatorSeries(self.min_power, cs, self.label, exact=False)
+        return RegulatorSeries(self.min_power, cs, exact=False)
 
     def shifted(self, k: int) -> "RegulatorSeries":
         """Multiply by the regulator to the power ``k``."""
-        return RegulatorSeries(self.min_power + k, self.coeffs, self.label, self.exact)
+        return RegulatorSeries(self.min_power + k, self.coeffs, self.exact)
 
     def scaled_arg(self, q) -> "RegulatorSeries":
         """Substitute ``xi -> q*xi`` (q nonzero)."""
@@ -150,13 +134,12 @@ class RegulatorSeries:
             raise DomainError("argument scale must be nonzero")
         q = complex(q)
         cs = tuple(c * q ** (self.min_power + i) for i, c in enumerate(self.coeffs))
-        return RegulatorSeries(self.min_power, cs, self.label, self.exact)
+        return RegulatorSeries(self.min_power, cs, self.exact)
 
     # -- ring operations ---------------------------------------------------
 
     def __neg__(self):
-        return RegulatorSeries(self.min_power, tuple(-c for c in self.coeffs),
-                               self.label, self.exact)
+        return RegulatorSeries(self.min_power, tuple(-c for c in self.coeffs), self.exact)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -174,7 +157,7 @@ class RegulatorSeries:
         if top < m:
             top = m
         cs = tuple(self._get(p) + other._get(p) for p in range(m, top + 1))
-        return RegulatorSeries(m, cs, self.label, self.exact and other.exact)
+        return RegulatorSeries(m, cs, self.exact and other.exact)
 
     __radd__ = __add__
 
@@ -193,7 +176,7 @@ class RegulatorSeries:
             return NotImplemented
         # only an exact zero annihilates: 0 + O(xi^k) keeps its truncation
         if (self.exact and self.is_zero) or (other.exact and other.is_zero):
-            return RegulatorSeries.zero(self.label)
+            return RegulatorSeries.zero()
         m = self.min_power + other.min_power
         if self.exact and other.exact:
             top = self.max_power + other.max_power
@@ -212,7 +195,7 @@ class RegulatorSeries:
                 if other.min_power <= j <= other.max_power:
                     acc += self._get(i) * other._get(j)
             cs.append(acc)
-        return RegulatorSeries(m, tuple(cs), self.label, self.exact and other.exact)
+        return RegulatorSeries(m, tuple(cs), self.exact and other.exact)
 
     __rmul__ = __mul__
 
@@ -226,8 +209,7 @@ class RegulatorSeries:
         lead = other.coeffs[0]
         mq = self.min_power - mb
         if self.exact and other.exact:
-            lo, hi = DEFAULT_WINDOW[self.label]
-            top = max(hi, mq)
+            top = max(DEFAULT_TOP, mq)
         else:
             tops = []
             if not self.exact:
@@ -243,11 +225,10 @@ class RegulatorSeries:
             for j in range(k):
                 acc -= q[j] * other._get(mb + k - j)
             q.append(acc / lead)
-        return RegulatorSeries(mq, tuple(q), self.label,
-                               exact=False)
+        return RegulatorSeries(mq, tuple(q), exact=False)
 
     def __rtruediv__(self, other):
-        return RegulatorSeries.constant(other, self.label) / self
+        return RegulatorSeries.constant(other) / self
 
     # -- transcendental maps -----------------------------------------------
 
@@ -256,8 +237,7 @@ class RegulatorSeries:
         if self.min_power < 0 and any(c != 0 for c in self.coeffs[:max(0, -self.min_power)]):
             raise DomainError("exp of a series with a pole part")
         if self.exact:
-            lo, hi = DEFAULT_WINDOW[self.label]
-            top = max(hi, 1)
+            top = DEFAULT_TOP
         else:
             top = self.max_power
         c0 = self._get(0)
@@ -281,54 +261,35 @@ class RegulatorSeries:
             if all(c == 0 for c in term):
                 break
         scale = cmath.exp(c0)
-        return RegulatorSeries(0, tuple(scale * c for c in out), self.label, exact=False)
+        return RegulatorSeries(0, tuple(scale * c for c in out), exact=False)
 
 
 # ---------------------------------------------------------------------------
 # series-valued special functions
 # ---------------------------------------------------------------------------
 
-def gamma_series(a: float, order: int, label: Regulator = Regulator.EPSILON) -> RegulatorSeries:
-    """Expansion of Gamma(a + xi) through xi**order.
+def gamma_series(a: float, order: int) -> RegulatorSeries:
+    """Taylor expansion of Gamma(a + xi) through xi**order, away from the poles.
 
-    At a non-positive integer ``a`` the result is the Laurent series with
-    its simple pole (min_power -1); elsewhere it is the exponential of the
-    Taylor series of ln Gamma, whose coefficients are digamma and polygamma.
+    It is the exponential of the Taylor series of ln Gamma, whose
+    coefficients are digamma and polygamma.
     """
-    if order < 0:
-        raise DomainError("order must be >= 0")
-    if a <= 0 and float(a).is_integer():
-        n = int(-a)
-        # Gamma(a + xi) = Gamma(1 + xi) / prod_{j=a}^{0} (xi + j)
-        den = RegulatorSeries.constant(1.0, label)
-        xi = RegulatorSeries.variable(label)
-        for j in range(-n, 1):
-            den = den * (xi + j)
-        num = gamma_series(1.0, order + 1, label)
-        return num / den
-    if order > 4:
-        raise DomainError("gamma_series supports order <= 4")
+    if not 0 <= order <= 4:
+        raise DomainError("gamma_series supports orders 0 .. 4")
     lg = [complex(ln_gamma(a)), digamma(a)]
     fact = 1.0
     for k in range(2, order + 1):
         fact *= k
         lg.append(complex(polygamma(k - 1, a)) / fact)
-    return RegulatorSeries(0, tuple(lg[: order + 1]), label, exact=False).exp()
+    return RegulatorSeries(0, tuple(lg[: order + 1]), exact=False).exp()
 
 
-def power_series(base, order: int, label: Regulator = Regulator.EPSILON,
-                 cut: CutPrescription = PV) -> RegulatorSeries:
-    """Expansion of base**xi = exp(xi log base) through xi**order.
-
-    A negative real base is resolved by the cut prescription.
-    """
-    base = complex(base)
-    if base == 0:
-        raise DomainError("zero base has no regulator-power expansion")
-    lb = cut_log(base, cut)
-    cs = [1.0 + 0j]
-    term = 1.0 + 0j
+def power_series(base: float, order: int) -> RegulatorSeries:
+    """Expansion of base**xi = exp(xi log base) through xi**order, base > 0."""
+    if not base > 0.0:
+        raise DomainError(f"power_series needs a positive base, got {base}")
+    lb = math.log(base)
+    cs = [1.0]
     for k in range(1, order + 1):
-        term = term * lb / k
-        cs.append(term)
-    return RegulatorSeries(0, tuple(cs), label, exact=False)
+        cs.append(cs[-1] * lb / k)
+    return RegulatorSeries(0, tuple(cs), exact=False)

@@ -53,7 +53,7 @@ def test_criterion_1_four_way_massless_agreement():
     for (s, t, e) in MASSLESS_GRID:
         k = Kinematics(s=s, t=t, eps=e)
         closed = massless_box(k).value
-        res = residue_massless(k).pieces["total"]
+        res = residue_massless(k).value
         fey = feynman_1d_massless(k).value
         mbv = mb_massless_eval(k).value
         worst["residue"] = max(worst["residue"], abs(res - closed) / abs(closed))
@@ -73,8 +73,8 @@ def test_criterion_1_four_way_massless_agreement():
 def test_criterion_2_spurious_cancellation_massless():
     worst = 0.0
     for (s, t, e) in MASSLESS_GRID:
-        br = residue_massless(Kinematics(s=s, t=t, eps=e))
-        worst = max(worst, abs(br.pieces["spurious_sum"]) / abs(br.pieces["total"]))
+        res = residue_massless(Kinematics(s=s, t=t, eps=e))
+        worst = max(worst, abs(res.diagnostics["spurious_sum"]) / abs(res.value))
     _report("criterion 2 (spurious sum)", worst, 1e-11)
     assert worst <= 1e-11
 
@@ -82,9 +82,9 @@ def test_criterion_2_spurious_cancellation_massless():
 def test_criterion_3_regulator_pole_cancellation():
     worst = 0.0
     for (s, t, e) in MASSLESS_GRID:
-        br = residue_massless(Kinematics(s=s, t=t, eps=e))
+        res = residue_massless(Kinematics(s=s, t=t, eps=e))
         worst = max(worst,
-                    abs(br.delta_pole_coefficient) / abs(br.pieces["total"]))
+                    abs(res.diagnostics["delta_pole_coefficient"]) / abs(res.value))
     _report("criterion 3 (pole coefficient)", worst, 1e-12)
     assert worst <= 1e-12
 
@@ -95,9 +95,9 @@ def test_criterion_4_onemass_agreement():
     for (s, t, m2, e) in ONEMASS_GRID:
         k = Kinematics(s=s, t=t, eps=e, msq=m2)
         closed = onemass_box(k).value
-        br = residue_onemass(k)
-        worst_res = max(worst_res, abs(br.pieces["total"] - closed) / abs(closed))
-        worst_spur = max(worst_spur, abs(br.pieces["spurious_sum"]) / abs(closed))
+        res = residue_onemass(k)
+        worst_res = max(worst_res, abs(res.value - closed) / abs(closed))
+        worst_spur = max(worst_spur, abs(res.diagnostics["spurious_sum"]) / abs(closed))
         mbv = mb_onemass_eval(k).value
         worst_mb = max(worst_mb, abs(mbv - closed) / abs(closed))
     elapsed = time.time() - t0

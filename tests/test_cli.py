@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from helpers import mp_box
+from mbbox import cli
 from mbbox.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NOT_CONVERGED,
@@ -19,7 +20,7 @@ from mbbox.cli import (
     cmd_expand,
     main,
 )
-from mbbox.closed_form import Kinematics
+from mbbox.closed_form import BoxValue, Kinematics
 from mbbox.mb_engine import select_contour_massless
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -29,10 +30,15 @@ def run_main(argv):
     return main(argv)
 
 
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A new interpreter that imports from src, run with ``args``."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+
+
 def run_fresh(code: str) -> list[str]:
     """Output lines of ``code`` run in a new interpreter that imports from src."""
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -60,7 +66,18 @@ class TestEval:
     def test_residue_breakdown_serialized(self):
         cfg = RunConfig("onemass", -1.0, -2.0, 0.3, msq=-0.5, method="residue")
         rec = cmd_eval(cfg).records[0]
-        assert {"Im1", "Im2a", "Im2b", "spurious_sum", "total"} <= set(rec["breakdown"])
+        assert {"Im1", "Im2a", "Im2b", "spurious_sum", "spurious_terms",
+                "delta_pole_coefficient"} <= set(rec["diagnostics"])
+        assert "breakdown" not in rec
+
+    @pytest.mark.parametrize("integral, method", sorted(cli._ROUTES))
+    def test_every_route_returns_box_value(self, integral, method):
+        msq = -0.5 if integral == "onemass" else None
+        cfg = RunConfig(integral, -1.0, -2.0, 0.3, msq=msq, method=method)
+        result = cli._ROUTES[(integral, method)](cfg, cfg.kinematics())
+        assert isinstance(result, BoxValue)
+        assert result.method == method
+        json.dumps(cli._jsonable(result.diagnostics), allow_nan=False)
 
     def test_euclidean_violation_exit_code(self, capsys):
         code = run_main(["eval", "--s", "1", "--t", "-2", "--eps", "0.3"])
@@ -149,6 +166,43 @@ class TestEval:
         assert "," not in out.replace(",\n", "\n")  # separators only at line ends
         value = json.loads(out)["records"][0]["value"]["re"]
         assert value == float(repr(value))
+
+
+class TestArithmeticFailure:
+    """At s = t = -1e-200, s t underflows to zero and Gamma-weighted powers
+    overflow: every route and the expansion exit 3 with one error line."""
+
+    POINT = ["--s=-1e-200", "--t=-1e-200", "--eps", "0.3"]
+    COMMANDS = [["eval", "--method", m] for m in cli._METHODS] + [["expand"]]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_in_process(self, command, capsys):
+        assert run_main([*command, *self.POINT, "--json"]) == EXIT_NOT_CONVERGED
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: NonConvergence: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_module_entry_point(self, command):
+        proc = run_python("-m", "mbbox.cli", *command, *self.POINT)
+        assert proc.returncode == EXIT_NOT_CONVERGED
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: NonConvergence: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_sweep_keeps_other_points(self, tmp_path):
+        grid = [{"s": -1e-200, "t": -1e-200, "eps": 0.3, "methods": list(cli._METHODS)},
+                {"s": -1.0, "t": -2.0, "eps": 0.3, "methods": ["closed", "residue"]}]
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps(grid))
+        out_file = tmp_path / "report.json"
+        assert run_main(["sweep", str(grid_file), "--out", str(out_file)]) \
+            == EXIT_NOT_CONVERGED
+        report = Report.from_json(out_file.read_text())
+        bad, good = report.records
+        assert bad["status"] == "failed" and bad["reason"].startswith("NonConvergence")
+        assert good["status"] == "ok" and good["pass"]
+        assert report.summary["errors"] == 1
 
 
 class TestExpand:

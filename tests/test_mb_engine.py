@@ -309,20 +309,33 @@ class TestResidueMassless:
     def test_total_and_cancellations(self, s, t, eps):
         k = Kinematics(s=s, t=t, eps=eps)
         for cut in (sf.PV, sf.ABOVE, sf.BELOW):
-            br = residue_massless(k, cut)
+            res = residue_massless(k, cut)
             closed = massless_box(k, cut).value
-            total = br.pieces["total"]
-            assert abs(total - closed) < 1e-10 * abs(closed)
-            assert abs(br.pieces["spurious_sum"]) < 1e-11 * abs(total)
-            assert abs(br.delta_pole_coefficient) < 1e-12 * abs(total)
+            assert res.method == "residue"
+            assert abs(res.value - closed) < 1e-10 * abs(closed)
+            assert abs(res.diagnostics["spurious_sum"]) < 1e-11 * abs(res.value)
+            assert abs(res.diagnostics["delta_pole_coefficient"]) < 1e-12 * abs(res.value)
 
     def test_breakdown_is_consistent(self):
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
-        br = residue_massless(k)
-        pieces_sum = br.pieces["I1"] + br.pieces["I2a"] + br.pieces["I2b"]
-        assert abs(pieces_sum - br.pieces["total"]) < 1e-14 * abs(pieces_sum)
-        spur = sum(br.spurious_terms.values())
-        assert abs(spur - br.pieces["spurious_sum"]) < 1e-14
+        res = residue_massless(k)
+        d = res.diagnostics
+        pieces_sum = d["I1"] + d["I2a"] + d["I2b"]
+        assert abs(pieces_sum - res.value) < 1e-14 * abs(pieces_sum)
+        spur = sum(d["spurious_terms"].values())
+        assert abs(spur - d["spurious_sum"]) < 1e-14
+
+    @pytest.mark.parametrize("ratio", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("eps", [0.02, 0.5, 0.99])
+    def test_wide_ratio_and_eps(self, ratio, eps):
+        # beyond the verify grid (eps <= 0.45, |s/t| <= 6): against mpmath,
+        # and the one-sided cuts against the closed form
+        k = Kinematics(s=-ratio, t=-1.0, eps=eps)
+        ref = mp_box(k.s, k.t, eps)
+        assert abs(residue_massless(k).value - ref) <= 1e-10 * abs(ref)
+        for cut in (sf.ABOVE, sf.BELOW):
+            closed = massless_box(k, cut).value
+            assert abs(residue_massless(k, cut).value - closed) <= 1e-10 * abs(closed)
 
 
 class TestResidueOneMass:
@@ -332,9 +345,9 @@ class TestResidueOneMass:
     def test_total_and_cancellations(self, s, t, m2, eps):
         k = Kinematics(s=s, t=t, eps=eps, msq=m2)
         for cut in (sf.PV, sf.ABOVE, sf.BELOW):
-            br = residue_onemass(k, cut)
+            res = residue_onemass(k, cut)
             closed = onemass_box(k, cut).value
-            total = br.pieces["total"]
-            assert abs(total - closed) < 1e-10 * abs(closed)
-            assert abs(br.pieces["spurious_sum"]) < 1e-11 * abs(total)
-        assert residue_onemass(k).delta_pole_coefficient == 0j
+            assert res.method == "residue"
+            assert abs(res.value - closed) < 1e-10 * abs(closed)
+            assert abs(res.diagnostics["spurious_sum"]) < 1e-11 * abs(res.value)
+        assert residue_onemass(k).diagnostics["delta_pole_coefficient"] == 0j
