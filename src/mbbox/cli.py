@@ -68,6 +68,8 @@ EXIT_NOT_CONVERGED = 3
 
 _CUTS = {"pv": PV, "above": ABOVE, "below": BELOW}
 _METHODS = ("closed", "closed_alt", "mb", "residue", "feynman")
+# the methods that read a cut prescription; mb and feynman give the PV value only
+_CUT_METHODS = ("closed", "closed_alt", "residue")
 _INTEGRALS = ("massless", "onemass")
 _NUMBER_OPTIONS = ("--s", "--t", "--msq", "--eps", "--height")
 
@@ -136,6 +138,13 @@ def _jsonable(obj):
     return obj
 
 
+def _tolerance(value, name: str):
+    """``value`` if it is None or a finite number >= 0; ``name`` is the option."""
+    if value is not None and not 0.0 <= value < math.inf:
+        raise DegenerateKinematics(f"{name}={value!r} is not a finite number >= 0")
+    return value
+
+
 def _env_default(name, cast, fallback):
     raw = os.environ.get(name)
     if raw is None:
@@ -201,6 +210,10 @@ def _evaluate(cfg: RunConfig) -> dict:
     route = _ROUTES.get((cfg.integral, cfg.method))
     if route is None:
         raise DegenerateKinematics(f"unknown method {cfg.method}")
+    if cfg.cut is not PV and cfg.method not in _CUT_METHODS:
+        raise DegenerateKinematics(f"--cut {cfg.cut.value} is not read by method {cfg.method}, "
+                                   "which gives the principal value only; use "
+                                   f"{', '.join(_CUT_METHODS)}")
     result = _numerical(f"method {cfg.method}", lambda: route(cfg, k), lambda r: (r.value,))
     return {
         "integral": cfg.integral,
@@ -579,7 +592,7 @@ def _emit(report: Report, args) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(_join_numbers(sys.argv[1:] if argv is None else argv))
     try:
-        env_tol = _env_default("MBBOX_TOL", float, None)
+        env_tol = _tolerance(_env_default("MBBOX_TOL", float, None), "MBBOX_TOL")
         env_nodes = _env_default("MBBOX_QUAD_NODES", int, None)
         env_height = _env_default("MBBOX_QUAD_HEIGHT", float, None)
         if args.command == "eval":
@@ -606,12 +619,12 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{row['power']:+d} {row['re']!r} {row['im']!r}")
             return EXIT_OK
         if args.command == "verify":
-            tol = next(v for v in (args.tol, env_tol, 1e-11) if v is not None)
+            tol = next(v for v in (_tolerance(args.tol, "--tol"), env_tol, 1e-11) if v is not None)
             report = cmd_verify(args.suite, tol)
             _emit(report, args)
             return EXIT_OK if report.summary["failures"] == 0 else EXIT_VERIFY_FAILED
         if args.command == "sweep":
-            tol = next(v for v in (args.tol, env_tol, 1e-8) if v is not None)
+            tol = next(v for v in (_tolerance(args.tol, "--tol"), env_tol, 1e-8) if v is not None)
             report = cmd_sweep(args.grid_file, args.out, tol)
             if not args.out:
                 _emit(report, args)

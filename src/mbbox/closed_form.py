@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DegenerateKinematics, EuclideanRegionViolation
-from .series import RegulatorSeries, gamma_series, power_series
+from .series import RegulatorSeries, gamma_series
 from .specfun import (
     PV,
     CutPrescription,
@@ -93,13 +93,17 @@ class BoxValue:
 # ---------------------------------------------------------------------------
 
 def _channels(k: Kinematics) -> tuple:
-    """(sign, -invariant, 2F1 argument) of each channel, with q = s + t - msq;
-    the massless box is the one-mass box without its subtracted msq channel."""
+    """(sign, -invariant, 2F1 argument z, 1 - z) of each channel, with
+    q = s + t - msq and 1 - z formed from the invariants; the massless box
+    is the one-mass box at msq = 0 without its subtracted msq channel."""
     s, t = k.s, k.t
-    q = s + t - (k.msq or 0.0)
+    m = k.msq or 0.0
+    q = s + t - m
+    s_channel = (1.0, -s, q / t, (m - s) / t)
+    t_channel = (1.0, -t, q / s, (m - t) / s)
     if k.msq is None:
-        return ((1.0, -s, q / t), (1.0, -t, q / s))
-    return ((1.0, -s, q / t), (-1.0, -k.msq, k.msq * q / (s * t)), (1.0, -t, q / s))
+        return (s_channel, t_channel)
+    return (s_channel, (-1.0, -m, m * q / (s * t), (s - m) * (t - m) / (s * t)), t_channel)
 
 
 def _gammas(e: float) -> tuple:
@@ -111,7 +115,7 @@ def _gammas(e: float) -> tuple:
 def _closed(k: Kinematics, cut: CutPrescription) -> complex:
     e = k.eps
     g2, g1me = _gammas(e)
-    total = sum(sign * neg ** e * f21_1e(z, e, cut) for sign, neg, z in _channels(k))
+    total = sum(sign * neg ** e * f21_1e(z, e, cut) for sign, neg, z, _ in _channels(k))
     return g2 * g1me / e / (k.s * k.t) * total
 
 
@@ -120,7 +124,7 @@ def _closed_alt(k: Kinematics, cut: CutPrescription) -> complex:
     e = k.eps
     g2, g1me = _gammas(e)
     head = tail = 0.0
-    for sign, neg, z in _channels(k):
+    for sign, neg, z, _ in _channels(k):
         power = sign * neg ** e / (k.s * k.t)
         head += power
         tail += power * z * f21_2e(z, e, cut)
@@ -130,19 +134,18 @@ def _closed_alt(k: Kinematics, cut: CutPrescription) -> complex:
 
 
 def _laurent(k: Kinematics) -> RegulatorSeries:
-    s, t = k.s, k.t
-    m2 = k.msq or 0.0
-    u = (m2 - t) / s
-    v = (m2 - s) / t
-    # at msq = 0, uv = 1 and this is -log(s/t)^2/2 - pi^2/2
-    combo = (li2(u, PV) + li2(v, PV) - li2(u * v, PV)).real - math.pi ** 2 / 6.0
-    powers = power_series(-s, 2) + power_series(-t, 2)
-    if k.msq is not None:
-        powers = powers - power_series(-m2, 2)
+    # the channel sum of sign [(-x)^e + e^2 (Li2(1 - z) - pi^2/6)] through e^2,
+    # each coefficient summed exactly (math.fsum); at msq = 0 the finite part
+    # Li2(-s/t) + Li2(-t/s) - pi^2/3 is -log(s/t)^2/2 - pi^2/2
+    rows = []
+    for sign, neg, _, w in _channels(k):
+        log = math.log(neg)
+        rows.append((sign, sign * log,
+                     sign * (0.5 * log * log + li2(w).real - math.pi ** 2 / 6.0)))
+    channels = RegulatorSeries(0, tuple(math.fsum(column) for column in zip(*rows)))
     g = gamma_series(1.0, 2)  # times Gamma(1-e) Gamma(1+e)^2 / Gamma(1+2e)
-    series = g.scaled_arg(-1) * g * g / g.scaled_arg(2) \
-        * (powers + RegulatorSeries(2, (complex(combo),)))
-    return (series * (2.0 / (s * t))).shifted(-2).truncated(0)
+    series = g.scaled_arg(-1) * g * g / g.scaled_arg(2) * channels
+    return (series * (2.0 / (k.s * k.t))).shifted(-2).truncated(0)
 
 
 # ---------------------------------------------------------------------------

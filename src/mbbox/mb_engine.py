@@ -29,7 +29,6 @@ from .specfun import (
     PV,
     CutPrescription,
     cut_log,
-    cut_power,
     digamma,
     f21_1e,
     f21_11,
@@ -37,7 +36,7 @@ from .specfun import (
     gamma,
     ln_gamma,
     ln_gamma_grid,
-    _flip,
+    _f21_11_tail,
 )
 
 __all__ = [
@@ -474,18 +473,6 @@ def residue_massless(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
 # residue resummation, one-mass
 # ---------------------------------------------------------------------------
 
-def _power_pair(z: float, a: float, b: float, cut: CutPrescription) -> complex:
-    """z**a * (1-z)**b with the coherent two-sided branch convention.
-
-    The side of (1-z) is the mirror of the side of z, matching the
-    continuation formulas used by the hypergeometric evaluators.
-    """
-    zp = cut_power(z, a, cut) if z < 0.0 else complex(z) ** a
-    w = 1.0 - z
-    wp = cut_power(w, b, _flip(cut)) if w < 0.0 else complex(w) ** b
-    return zp * wp
-
-
 def residue_onemass(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     """One-mass box reconstructed from the two-variable pole families.
 
@@ -500,12 +487,15 @@ def residue_onemass(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     st = s * t
 
     # first family: the beta-contour integral resummed; its two closure
-    # sub-families are evaluated separately, the algebraic parts cancel
+    # sub-families are evaluated separately, the algebraic parts cancel.
+    # The second is Gamma(e) Gamma(1-e) / Gamma(2-e) times the connection
+    # tail, whose own Gamma(2-e) the ratio divides out
     x1 = s / (m2 - t)
     pref_1 = (-t) ** e / (t * (m2 - t)) * _gamma_product((1.0, e), (1.0, 1.0 - e),
                                                         (-1.0, 2.0 * e))
     tilde_a = -math.exp(ln_gamma(e).real) / (1.0 - e) * f21_11(x1, e, cut)
-    tilde_b = _gamma_product((2.0, e), (1.0, 1.0 - e)) * _power_pair(x1, e - 1.0, -e, cut)
+    tilde_b = _f21_11_tail(e, x1, cut) * _gamma_product((1.0, e), (1.0, 1.0 - e),
+                                                          (-1.0, 2.0 - e))
     im1 = pref_1 * (tilde_a + tilde_b)
 
     # second family: reduced two-variable function, then continued
@@ -513,16 +503,14 @@ def residue_onemass(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     coef_2a = -(-m2) ** e / ((m2 - t) * (m2 - s)) \
         * _gamma_product((1.0, e), (1.0, 1.0 - e), (1.0, e - 1.0), (-1.0, 2.0 * e))
     im2a = coef_2a * f21_11(z2a, e, cut)
-    spur_2a = coef_2a * _gamma_product((1.0, 2.0 - e), (1.0, e)) \
-        * _power_pair(z2a, e - 1.0, -e, cut)
+    spur_2a = coef_2a * _f21_11_tail(e, z2a, cut)
 
     # third family
     z2b = t / (m2 - s)
     coef_2b = -(-s) ** e / (s * (m2 - s)) \
         * _gamma_product((2.0, e), (1.0, 1.0 - e), (-1.0, 2.0 * e)) / (1.0 - e)
     im2b = coef_2b * f21_11(z2b, e, cut)
-    spur_2b = coef_2b * _gamma_product((1.0, 2.0 - e), (1.0, e)) \
-        * _power_pair(z2b, e - 1.0, -e, cut)
+    spur_2b = coef_2b * _f21_11_tail(e, z2b, cut)
 
     return BoxValue(im1 + im2a + im2b, "residue", {
         "Im1": im1,

@@ -9,7 +9,9 @@ Branch conventions, fixed globally:
 
 * principal logarithm; powers and logs are cut along the negative real
   axis, with ``(-x)**p = |x|**p * exp(+i*pi*p)`` for ``x > 0`` (the value
-  continued from above the cut);
+  continued from above the cut).  :func:`cut_power` and :func:`cut_log`
+  are the only code that picks a side of that cut; the continuation
+  formulas call them with the side of each argument;
 * the dilogarithm and the hypergeometric evaluators are cut along
   ``[1, inf)`` on the real axis; a :class:`CutPrescription` selects the
   boundary value there, defaulting to the principal value (the average of
@@ -72,6 +74,14 @@ def _require_finite(value, what="value"):
     if not (math.isfinite(v.real) and math.isfinite(v.imag)):
         raise OverflowError(f"non-finite {what}: {v!r}")
     return v
+
+
+def _argument(z, what: str) -> complex:
+    """complex(z), refused at once when it is NaN, which no series can sum."""
+    z = complex(z)
+    if cmath.isnan(z):
+        raise NonConvergence(f"{what}={z!r} is not a number")
+    return z
 
 
 def _is_nonpositive_integer(z: complex) -> bool:
@@ -322,7 +332,7 @@ def li2(z, cut: CutPrescription = PV) -> complex:
     The ``cut`` prescription only matters for real z > 1; everywhere else
     the principal branch is returned.
     """
-    z = complex(z)
+    z = _argument(z, "li2 argument z")
     if z.imag == 0.0 and z.real > 1.0:
         x = z.real
         # Li2(x +- i0) = pi^2/3 - ln(x)^2/2 - Li2(1/x) +- i pi ln(x)
@@ -346,7 +356,7 @@ def li2(z, cut: CutPrescription = PV) -> complex:
 
 def f21_general_series(a: float, b: float, c: float, z) -> complex:
     """Plain Gauss series for 2F1(a, b; c; z), |z| < 1 required."""
-    z = complex(z)
+    z = _argument(z, "f21_general_series argument z")
     if _is_nonpositive_integer(complex(c)):
         raise PoleError(f"lower parameter c={c} is a non-positive integer")
     if abs(z) >= 1.0:
@@ -362,15 +372,6 @@ def f21_general_series(a: float, b: float, c: float, z) -> complex:
             return _require_finite(total, "2F1 series")
         prev_inc = inc
     raise NonConvergence(f"2F1 series hit the {SERIES_MAX_TERMS}-term cap at |z|={abs(z):.6f}")
-
-
-def _resolve_side(z: complex, cut: CutPrescription) -> CutPrescription:
-    # off the real axis the side is dictated by the sign of Im z
-    if z.imag > 0.0:
-        return ABOVE
-    if z.imag < 0.0:
-        return BELOW
-    return cut
 
 
 def _f21_1b_direct(b: float, z: complex) -> complex:
@@ -394,11 +395,7 @@ def _f21_1b_logcase(b: float, z: complex, cut: CutPrescription) -> complex:
     w = 1.0 - z
     if w == 0:
         raise PoleError("F(1,b;1+b;z) diverges at z=1")
-    if z.imag == 0.0 and z.real > 1.0:
-        # 1-z is a negative real: the function's cut
-        lw = cut_log(w.real, _flip(cut))
-    else:
-        lw = cmath.log(w)
+    lw = cut_log(w, _flip(cut))
     # sum the psi part and the plain binomial part separately
     psi_n1 = -EULER_GAMMA           # psi(1)
     psi_bn = digamma(b).real        # psi(b)
@@ -422,7 +419,7 @@ def _f21_1b_logcase(b: float, z: complex, cut: CutPrescription) -> complex:
 
 
 def _flip(cut: CutPrescription) -> CutPrescription:
-    # the map z -> 1-z (and z -> -z) reverses the approach side
+    # the maps z -> 1-z, z -> -z and z -> 1/z reverse the approach side
     if cut is ABOVE:
         return BELOW
     if cut is BELOW:
@@ -431,10 +428,10 @@ def _flip(cut: CutPrescription) -> CutPrescription:
 
 
 def _f21_1b(b: float, z: complex, cut: CutPrescription) -> complex:
-    """F(1, b; 1+b; z) anywhere in the cut plane."""
+    """F(1, b; 1+b; z) at every real z != 1, and at complex z outside the lens
+    0.7 < |z| < 1.4, |1 - z| > 0.7, Re z >= 1/2 (see :func:`f21_1e`)."""
     if z == 0:
         return 1.0 + 0.0j
-    cut = _resolve_side(z, cut)
     az = abs(z)
     if az <= 0.7:
         return _f21_1b_direct(b, z)
@@ -443,41 +440,36 @@ def _f21_1b(b: float, z: complex, cut: CutPrescription) -> complex:
     if az >= 1.4:
         # inversion: F = b/(b-1) (-z)^{-1} F(1,1-b;2-b;1/z) + G(1+b)G(1-b) (-z)^{-b}
         head = b / (b - 1.0) * _f21_1b(1.0 - b, 1.0 / z, _flip(cut)) / (-z)
-        coef = gamma(1.0 + b) * gamma(1.0 - b)
-        if z.imag == 0.0 and z.real > 0.0:
-            tail = coef * cut_power(-z.real, -b, _flip(cut))
-        else:
-            tail = coef * (-z) ** (-b)
-        return head + tail
-    # annulus fallback, Pfaff: F(1,b;1+b;z) = (1-z)^{-b} F(b,b;1+b;z/(z-1))
+        return head + gamma(1.0 + b) * gamma(1.0 - b) * cut_power(-z, -b, _flip(cut))
+    # annulus fallback, Pfaff: F(1,b;1+b;z) = (1-z)^{-b} F(b,b;1+b;z/(z-1)),
+    # whose series converges for Re z < 1/2 only
     w = z / (z - 1.0)
     return (1.0 - z) ** (-b) * f21_general_series(b, b, 1.0 + b, w)
 
 
-def _f21_one_one(c: float, z: complex, cut: CutPrescription) -> complex:
-    """F(1, 1; c; z) anywhere in the cut plane (c not a non-positive integer)."""
-    if _is_nonpositive_integer(complex(c)):
-        raise PoleError(f"lower parameter c={c} is a non-positive integer")
-    if z == 0:
-        return 1.0 + 0.0j
-    cut = _resolve_side(z, cut)
-    e = 2.0 - c  # the family is used with c = 2 - e
+def _f21_11_tail(e: float, z: complex, cut: CutPrescription) -> complex:
+    """Algebraic tail Gamma(2-e) Gamma(e) z^(e-1) (1-z)^(-e) of the connection
+    of F(1, 1; 2-e; z) through 1 - z; ``cut`` is the side of z."""
+    return gamma(2.0 - e) * gamma(e) * cut_power(1.0 - z, -e, _flip(cut)) \
+        * cut_power(z, e - 1.0, cut)
+
+
+def _f21_11_connection(e: float, z: complex, cut: CutPrescription) -> tuple[complex, complex]:
+    """(head, tail) with F(1, 1; 2-e; z) = head + tail: the head carries
+    F(1, e; 1+e; 1 - 1/z), whose argument keeps the side of z, and the tail
+    is :func:`_f21_11_tail`."""
+    head = -((1.0 - e) / e) * _f21_1b(e, 1.0 - 1.0 / z, cut) / z
+    return head, _f21_11_tail(e, z, cut)
+
+
+def _f21_one_one(e: float, z: complex, cut: CutPrescription) -> complex:
+    """F(1, 1; 2-e; z), 0 < e < 1, wherever :func:`_f21_1b` takes 1 - 1/z."""
     if abs(z) <= 0.7:
-        return f21_general_series(1.0, 1.0, c, z)
-    if e == 0.0:
-        return -cmath.log(1.0 - z) / z
+        return f21_general_series(1.0, 1.0, 2.0 - e, z)
     if z.imag == 0.0 and z.real < 0.0:
         # Pfaff keeps everything real: argument in (0, 1)
-        w = z / (z - 1.0)
-        return _f21_1b(1.0 - e, w, PV) / (1.0 - z)
-    # connection through 1-z; z -> 1 - 1/z preserves the approach side,
-    # and the only cut-carrying factor is (1-z)^{-e}
-    head = -((1.0 - e) / e) * _f21_1b(e, 1.0 - 1.0 / z, cut) / z
-    coef = gamma(c) * gamma(e)
-    if z.imag == 0.0 and z.real > 1.0:
-        tail = coef * cut_power(1.0 - z.real, -e, _flip(cut)) * z.real ** (e - 1.0)
-    else:
-        tail = coef * (1.0 - z) ** (-e) * z ** (e - 1.0)
+        return _f21_1b(1.0 - e, z / (z - 1.0), PV) / (1.0 - z)
+    head, tail = _f21_11_connection(e, z, cut)
     return head + tail
 
 
@@ -487,49 +479,44 @@ def _check_eps(eps: float):
 
 
 def f21_1e(z, eps: float, cut: CutPrescription = PV) -> complex:
-    """2F1(1, eps; eps+1; z) with the cut on [1, inf) resolved by ``cut``."""
+    """2F1(1, eps; eps+1; z) with the cut on [1, inf) resolved by ``cut``.
+
+    Defined at every real z except the pole z = 1.  Complex z converges
+    outside the lens 0.7 < |z| < 1.4, |1 - z| > 0.7, Re z >= 1/2: there the
+    annulus series raises :class:`NonConvergence`, after its whole term cap
+    when Re z is at or just below 1/2.  The same holds for :func:`f21_2e`,
+    and for :func:`f21_11` at |z| > 0.7 with the lens taken at 1 - 1/z.
+    The box routes pass real z only.
+    """
     _check_eps(eps)
-    return _require_finite(_f21_1b(eps, complex(z), cut), "f21_1e")
+    return _require_finite(_f21_1b(eps, _argument(z, "f21_1e argument z"), cut), "f21_1e")
 
 
 def f21_2e(z, eps: float, cut: CutPrescription = PV) -> complex:
     """2F1(1, 1+eps; 2+eps; z) with the cut on [1, inf) resolved by ``cut``."""
     _check_eps(eps)
-    return _require_finite(_f21_1b(1.0 + eps, complex(z), cut), "f21_2e")
+    return _require_finite(_f21_1b(1.0 + eps, _argument(z, "f21_2e argument z"), cut), "f21_2e")
 
 
 def f21_11(z, eps: float, cut: CutPrescription = PV) -> complex:
     """2F1(1, 1; 2-eps; z) with the cut on [1, inf) resolved by ``cut``."""
     _check_eps(eps)
-    return _require_finite(_f21_one_one(2.0 - eps, complex(z), cut), "f21_11")
+    return _require_finite(_f21_one_one(eps, _argument(z, "f21_11 argument z"), cut), "f21_11")
 
 
 def f21_11_split(t_over_s, eps: float, cut: CutPrescription = PV) -> tuple[complex, complex]:
     """Two-piece continuation of 2F1(1, 1; 2-eps; -s/t), given t/s.
 
-    Returns ``(hypergeometric_piece, algebraic_piece)`` whose sum equals
-    ``f21_11(-1/t_over_s, eps)`` for every prescription.  The first piece
-    carries 2F1(1, eps; eps+1; 1 + t/s); the second is the algebraic
-    leftover of the continuation.  For Euclidean ratios (t/s > 0) both
-    pieces are individually complex away from the principal-value mode.
+    Returns ``(hypergeometric_piece, algebraic_piece)``, the connection
+    through 1 - z at z = -s/t, whose sum equals ``f21_11(-1/t_over_s, eps)``
+    for every prescription.  The first piece carries 2F1(1, eps; eps+1;
+    1 + t/s); the second is the algebraic leftover of the continuation.
+    For Euclidean ratios (t/s > 0) both pieces are individually complex
+    away from the principal-value mode.
     """
     _check_eps(eps)
-    r = complex(t_over_s)
+    r = _argument(t_over_s, "f21_11_split argument t_over_s")
     if r == 0:
         raise DomainError("t/s must be nonzero")
-    z = -1.0 / r  # argument of the resummed left-closure function
-    cut = _resolve_side(z, cut)
-    # z -> 1 - 1/z = 1 + t/s preserves the approach side
-    head = ((1.0 - eps) / eps) * r * _f21_1b(eps, 1.0 + r, cut)
-    coef = gamma(2.0 - eps) * gamma(eps)
-    one_minus_z = 1.0 - z
-    if z.imag == 0.0 and z.real < 0.0:
-        zpow = cut_power(z.real, eps - 1.0, cut)
-    else:
-        zpow = z ** (eps - 1.0)
-    if one_minus_z.imag == 0.0 and one_minus_z.real > 0.0:
-        wpow = one_minus_z.real ** (-eps)
-    else:
-        wpow = one_minus_z ** (-eps)
-    tail = coef * wpow * zpow
+    head, tail = _f21_11_connection(eps, -1.0 / r, cut)
     return _require_finite(head, "continuation head"), _require_finite(tail, "continuation tail")

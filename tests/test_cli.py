@@ -79,6 +79,25 @@ class TestEval:
         assert result.method == method
         json.dumps(cli._jsonable(result.diagnostics), allow_nan=False)
 
+    @pytest.mark.parametrize("method", ["mb", "feynman"])
+    @pytest.mark.parametrize("cut", ["above", "below"])
+    def test_one_sided_cut_refused_where_unread(self, method, cut, capsys):
+        code = run_main(["eval", "--s", "-1", "--t", "-2", "--eps", "0.3",
+                         "--method", method, "--cut", cut])
+        assert code == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"--cut {cut} is not read by method {method}" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("integral, method", sorted(cli._ROUTES))
+    def test_principal_value_cut_works_everywhere(self, integral, method, capsys):
+        msq = ["--msq", "-0.5"] if integral == "onemass" else []
+        code = run_main(["eval", "--integral", integral, "--s", "-1", "--t", "-2", *msq,
+                         "--eps", "0.3", "--method", method, "--cut", "pv"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_euclidean_violation_exit_code(self, capsys):
         code = run_main(["eval", "--s", "1", "--t", "-2", "--eps", "0.3"])
         assert code == EXIT_INPUT_ERROR
@@ -205,6 +224,24 @@ class TestArithmeticFailure:
         assert report.summary["errors"] == 1
 
 
+class TestNaNArgument:
+    """At (s, t, msq) = (-1e200, -2e200, -5e199) s t overflows and the msq
+    channel's 2F1 argument is NaN: the analytic routes refuse it at once,
+    naming the argument, instead of running a series to its term cap."""
+
+    POINT = ["--integral", "onemass", "--s=-1e200", "--t=-2e200", "--msq=-5e199",
+             "--eps", "0.3"]
+
+    @pytest.mark.parametrize("method, argument", [("closed", "f21_1e argument z"),
+                                                  ("closed_alt", "f21_2e argument z"),
+                                                  ("residue", "f21_11 argument z")])
+    def test_exit_3_naming_the_argument(self, method, argument, capsys):
+        assert run_main(["eval", *self.POINT, "--method", method]) == EXIT_NOT_CONVERGED
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: NonConvergence: {argument}=(nan+0j) is not a number\n"
+
+
 class TestExpand:
     def test_massless_symmetric_point(self, capsys):
         code = run_main(["expand", "--s", "-1", "--t", "-1", "--eps", "0.3", "--json"])
@@ -268,6 +305,13 @@ class TestVerify:
         assert json.loads(capsys.readouterr().out)["summary"]["failures"] > 0
         monkeypatch.setenv("MBBOX_TOL", "0")
         assert run_main(["verify", "--suite", "identities"]) == EXIT_VERIFY_FAILED
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_tol_rejected(self, tol, capsys):
+        assert run_main(["verify", "--suite", "identities", "--tol", tol]) == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"--tol={float(tol)!r} is not a finite number >= 0" in err
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -359,6 +403,22 @@ class TestSweep:
         out_file = tmp_path / "report.json"
         run_main(["sweep", str(grid_file), "--out", str(out_file), "--tol", "0"])
         assert Report.from_json(out_file.read_text()).summary["tol"] == 0.0
+
+    @pytest.mark.parametrize("args, env, name", [(["--tol", "nan"], None, "--tol=nan"),
+                                                 ([], "inf", "MBBOX_TOL=inf")],
+                             ids=["flag", "environment"])
+    def test_bad_tol_rejected(self, args, env, name, tmp_path, monkeypatch, capsys):
+        if env is not None:
+            monkeypatch.setenv("MBBOX_TOL", env)
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps([{"s": -1.0, "t": -2.0, "eps": 0.3}]))
+        out_file = tmp_path / "report.json"
+        code = run_main(["sweep", str(grid_file), "--out", str(out_file), *args])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert f"{name} is not a finite number >= 0" in err
+        assert "Traceback" not in err
+        assert not out_file.exists()
 
     def test_empty_grid(self, tmp_path, capsys):
         grid_file = tmp_path / "grid.json"

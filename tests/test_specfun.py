@@ -243,3 +243,61 @@ class TestF21OneOneAgainstMpmath:
         val = sf.f21_11(z, eps, PV)
         assert val.imag == 0.0
         assert abs(val.real - ref) < 1e-13 * abs(ref)
+
+
+# (evaluator, its parameters (a, b, c) as functions of eps)
+FAMILIES = [(sf.f21_1e, lambda e: (1, e, 1 + e)),
+            (sf.f21_2e, lambda e: (1, 1 + e, 2 + e)),
+            (sf.f21_11, lambda e: (1, 1, 2 - e))]
+
+
+class TestOneSidedAgainstMpmath:
+    """Every continuation branch, one-sided, against mpmath's hyp2f1 just off
+    the real axis at 40 digits: on the cut (the log-case series, the
+    inversion and, for f21_11, the connection through 1 - z), on the
+    negative axis (the annulus Pfaff series and the inversion) and off it."""
+
+    ON_AXIS = (1.05, 1.3, 1.6, 2.5, 9.0, -0.8, -5.0)
+    OFF_AXIS = (1.3 + 0.2j, 2.5 - 0.7j, -3.0 + 0.1j)
+
+    @staticmethod
+    def _ref(params, e, z):
+        with mpmath.workdps(40):
+            a, b, c = params(mpmath.mpf(e))
+            return complex(mpmath.hyp2f1(a, b, c, mpmath.mpc(z)))
+
+    @pytest.mark.parametrize("eps", [0.2, 0.45, 0.8])
+    @pytest.mark.parametrize("f, params", FAMILIES, ids=["f21_1e", "f21_2e", "f21_11"])
+    def test_boundary_values(self, f, params, eps):
+        for z in self.ON_AXIS:
+            for cut, side in ((ABOVE, 1e-35j), (BELOW, -1e-35j)):
+                ref = self._ref(params, eps, z + side)
+                val = f(z, eps, cut)
+                assert abs(val - ref) <= 1e-13 * abs(ref), (z, cut)
+
+    @pytest.mark.parametrize("eps", [0.2, 0.45, 0.8])
+    @pytest.mark.parametrize("f, params", FAMILIES, ids=["f21_1e", "f21_2e", "f21_11"])
+    def test_off_axis(self, f, params, eps):
+        for z in self.OFF_AXIS:
+            ref = self._ref(params, eps, z)
+            val = f(z, eps)
+            assert abs(val - ref) <= 1e-13 * abs(ref), z
+
+
+class TestNaNArgument:
+    """A NaN argument is refused at once, naming it, before any series runs."""
+
+    CALLS = {
+        "f21_1e argument z": lambda x: sf.f21_1e(x, 0.3),
+        "f21_2e argument z": lambda x: sf.f21_2e(x, 0.3),
+        "f21_11 argument z": lambda x: sf.f21_11(x, 0.3),
+        "f21_11_split argument t_over_s": lambda x: sf.f21_11_split(x, 0.3),
+        "f21_general_series argument z": lambda x: sf.f21_general_series(1.0, 0.3, 1.3, x),
+        "li2 argument z": sf.li2,
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_raises_naming_the_argument(self, name):
+        with pytest.raises(NonConvergence) as info:
+            self.CALLS[name](float("nan"))
+        assert str(info.value) == f"{name}=(nan+0j) is not a number"
