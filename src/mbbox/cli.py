@@ -101,14 +101,17 @@ def _check_integral(integral, msq, where: str) -> None:
 
 @dataclass
 class Report:
-    """Machine-readable result container with a lossless JSON form."""
+    """Machine-readable result container with a lossless JSON form.
+
+    ``to_json`` writes compact JSON, which the ``json`` module encodes in C;
+    ``from_json`` reads any JSON layout, indented or not."""
 
     records: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps({"records": self.records, "summary": self.summary},
-                          indent=2, allow_nan=False)
+                          allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "Report":

@@ -182,7 +182,7 @@ class TestEval:
     def test_no_locale_formatting(self, capsys):
         run_main(["eval", "--s", "-1", "--t", "-2", "--eps", "0.3", "--json"])
         out = capsys.readouterr().out
-        assert "," not in out.replace(",\n", "\n")  # separators only at line ends
+        assert "," not in out.replace(", ", " ")  # commas only as JSON separators
         value = json.loads(out)["records"][0]["value"]["re"]
         assert value == float(repr(value))
 
@@ -484,7 +484,7 @@ class TestSweep:
 
 
 class TestColdStart:
-    """scipy is imported by the first quadrature, not by the package."""
+    """No route and no verify suite imports scipy."""
 
     SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
 
@@ -496,14 +496,19 @@ class TestColdStart:
                      f"'--method', {method!r}]) == 0\n")
         assert run_fresh(code + self.SCIPY)[-1] == "[]"
 
-    def test_feynman_loads_scipy_and_integrates(self):
+    def test_feynman_integrates_without_scipy(self):
         value, loaded = run_fresh(
             "import sys\nimport mbbox.cli\n"
             "assert mbbox.cli.main(['eval', '--s=-1', '--t=-2', '--eps', '0.3', "
             "'--method', 'feynman']) == 0\n" + self.SCIPY)
         re_part, im_part = map(float, value.split())
         assert abs(re_part - 24.077761462512452) <= 1e-15 * re_part and im_part == 0.0
-        assert "'scipy.integrate'" in loaded
+        assert loaded == "[]"
+
+    def test_verify_identities_loads_no_scipy(self):
+        code = ("import sys\nimport mbbox.cli\n"
+                "assert mbbox.cli.main(['verify', '--suite', 'identities']) == 0\n")
+        assert run_fresh(code + self.SCIPY)[-1] == "[]"
 
 
 class TestReportRoundTrip:

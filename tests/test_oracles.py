@@ -1,18 +1,61 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from helpers import mp_box
 from mbbox import specfun as sf
 from mbbox.closed_form import Kinematics, massless_box, onemass_box
-from mbbox.errors import DomainError
+from mbbox.errors import DomainError, NotConverged
 from mbbox.oracles import (
     beta_oracle,
     euler_f21_oracle,
     feynman_1d_massless,
     feynman_1d_onemass,
+    quad,
 )
+
+
+class TestQuad:
+    def test_endpoint_singularities(self):
+        # x**-0.5 (1-x)**0.5 over [0, 1] is B(1/2, 3/2) = pi/2
+        value, abserr, _ = quad(lambda x: x ** -0.5 * (1.0 - x) ** 0.5, 0.0, 1.0, "beta")
+        assert abs(value - math.pi / 2.0) <= abserr < 1e-13
+
+    def test_truncation_counted_in_estimate(self):
+        # x**-0.7 over [0, 1] loses about 2e-11 below the first node
+        value, abserr, _ = quad(lambda x: x ** -0.7, 0.0, 1.0, "power")
+        assert 1e-12 < abs(value - 1.0 / 0.3) <= abserr
+
+    def test_rows_are_summed(self):
+        value, _, _ = quad(lambda x: x * x, (0.0, 1.0), (1.0, 3.0), "rows")
+        assert abs(value - (1.0 / 3.0 + 26.0 / 3.0)) < 1e-14
+
+    def test_interior_jump_not_converged(self):
+        with pytest.raises(NotConverged, match="jump"):
+            quad(lambda x: np.where(x < 0.3, 0.0, 1.0), 0.0, 1.0, "jump")
+
+
+# (s, t, msq, eps) at the edges of the domain: small eps, where the integrand
+# in v keeps a layer of width about eps next to the upper end, and overall
+# scales far from 1
+DOMAIN_EDGES = [(-1.0, -2.0, msq, eps) for eps in (1e-3, 1e-4, 1e-6)
+                for msq in (None, -1e-9, -0.5)] + [
+    (-1e150, -2e150, None, 0.3),
+    (-1e-150, -2e-150, None, 0.3),
+    (-1e100, -2e100, -0.5e100, 0.3),
+]
+
+
+@pytest.mark.parametrize("s, t, msq, eps", DOMAIN_EDGES)
+def test_domain_edges_against_mpmath(s, t, msq, eps):
+    k = Kinematics(s=s, t=t, eps=eps, msq=msq)
+    v = feynman_1d_massless(k) if msq is None else feynman_1d_onemass(k)
+    ref = mp_box(s, t, eps, msq)
+    err = abs(v.value - ref)
+    assert err <= 1e-13 * abs(ref)
+    assert v.diagnostics["abserr"] >= err
 
 
 class TestFeynmanMassless:
