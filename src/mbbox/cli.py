@@ -8,7 +8,7 @@ Commands
 ``sweep``   evaluate a JSON grid of points and write a report
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 numerical non-convergence.  Reports are JSON on stdout (or ``--out``),
+3 numerical failure.  Reports are JSON on stdout (or ``--out``),
 with full-precision repr floats and no locale formatting.
 
 Environment overrides: ``MBBOX_TOL`` (verification tolerance),
@@ -159,22 +159,21 @@ def _env_default(name, cast, fallback):
 
 
 def _contours(cfg: RunConfig, k: Kinematics) -> tuple:
-    """The route's default contours with the configured height and node count.
-
-    A height given without a node count keeps the default step.
+    """The route's contours when a node count or a height is configured,
+    else none, so that the route selects its own.  Only the configured
+    field changes: a height given without a node count keeps the step.
     """
+    if cfg.quad_nodes is None and cfg.quad_height is None:
+        return ()
     if cfg.integral == "massless":
-        specs = (mb_engine.select_contour_massless(k.eps, k),)
+        specs = (mb_engine.select_contour_massless(k),)
     else:
-        specs = mb_engine.select_contour_onemass(k.eps, k)
-    out = []
-    for spec in specs:
-        height = spec.height if cfg.quad_height is None else cfg.quad_height
-        if cfg.quad_nodes is None:
-            out.append(mb_engine.ContourSpec.from_step(spec.abscissa, height, spec.step))
-        else:
-            out.append(mb_engine.ContourSpec(spec.abscissa, height, cfg.quad_nodes))
-    return tuple(out)
+        specs = mb_engine.select_contour_onemass(k)
+    if cfg.quad_nodes is None:
+        return tuple(mb_engine.ContourSpec.from_step(c.abscissa, cfg.quad_height, c.step)
+                     for c in specs)
+    return tuple(mb_engine.ContourSpec(c.abscissa, c.height if cfg.quad_height is None
+                                       else cfg.quad_height, cfg.quad_nodes) for c in specs)
 
 
 # (integral, method) -> route; the lambdas look the functions up at call time
@@ -345,7 +344,7 @@ def verify_massless(tol_residue: float = 1e-10, tol_oracle: float = 1e-8,
                abs(mbv.value - closed) / abs(closed), tol_oracle)
         _check(checks, f"mb error within estimate {tag}",
                abs(mbv.value - closed), mbv.diagnostics["error_estimate"])
-        spec = mb_engine.select_contour_massless(e, k)
+        spec = mb_engine.select_contour_massless(k)
         shifted = mb_engine.ContourSpec(-1.0 + 0.75 * e, spec.height, spec.nodes)
         drift = abs(mb_engine.mb_massless_eval(k, shifted).value - mbv.value)
         _check(checks, f"abscissa-shift drift {tag}", drift / abs(closed), 1e-10)
@@ -480,9 +479,10 @@ def cmd_sweep(grid_file: str, out_file: str | None, tol: float = 1e-8) -> Report
             grid = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DegenerateKinematics(f"cannot read grid file: {exc}")
-    points = grid["points"] if isinstance(grid, dict) else grid
+    points = grid.get("points") if isinstance(grid, dict) else grid
     if not isinstance(points, list):
-        raise DegenerateKinematics("grid must be a list of points")
+        raise DegenerateKinematics("grid must be a list of points or an object "
+                                   "whose 'points' key holds one")
     checked = [_grid_inputs(i, p) for i, p in enumerate(points)]
     inputs = [c[0] for c in checked]
     methods = [c[1] for c in checked]
@@ -635,15 +635,12 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_NOT_CONVERGED
             return EXIT_OK if report.summary["failures"] == 0 else EXIT_VERIFY_FAILED
         raise DegenerateKinematics(f"unknown command {args.command}")
-    except (DegenerateKinematics, InfeasibleContour) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except NonConvergence as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
     except MbboxError as exc:
+        # bad input is named by these two classes; every other failure is numerical
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        if isinstance(exc, (DegenerateKinematics, InfeasibleContour)):
+            return EXIT_INPUT_ERROR
+        return EXIT_NOT_CONVERGED
 
 
 if __name__ == "__main__":

@@ -130,7 +130,7 @@ def _fine_step(d: float, decay: float, spread: float) -> float:
     return 2.0 * math.pi * d / (decay + d * spread)
 
 
-def select_contour_massless(eps: float, k: Kinematics | None = None) -> ContourSpec:
+def select_contour_massless(k: Kinematics) -> ContourSpec:
     """Vertical line splitting the pole families of the massless integrand.
 
     The abscissa sits midway between the innermost left pole (-1) and the
@@ -139,39 +139,26 @@ def select_contour_massless(eps: float, k: Kinematics | None = None) -> ContourS
     keep converging on the same nodes.  The integrand decays like
     exp(-3 pi |Im w|), so the tail beyond height 6 is below 1e-24.
     """
-    if not (0.0 < eps < 1.0):
-        raise InfeasibleContour(f"eps={eps} outside (0, 1)")
-    c = -1.0 + eps / 2.0
-    spread = abs(math.log(k.s / k.t)) if k is not None else 0.0
-    return ContourSpec.from_step(c, 6.0, _fine_step(eps / 6.0, 60.0, spread))
+    eps = k.eps
+    spread = abs(math.log(k.s / k.t))
+    return ContourSpec.from_step(-1.0 + eps / 2.0, 6.0, _fine_step(eps / 6.0, 60.0, spread))
 
 
-def select_contour_onemass(eps: float, k: Kinematics | None = None
-                           ) -> tuple[ContourSpec, ContourSpec]:
+def select_contour_onemass(k: Kinematics) -> tuple[ContourSpec, ContourSpec]:
     """Feasible pair of vertical lines for the iterated two-variable representation.
 
-    All seven gamma-factor arguments must keep a positive real part on the
-    contours: with b0 = -1 + eps/2 the inner abscissa is the midpoint of
-    the interval allowed for a0, clipped below zero.  Both lines share one
-    step, set by the smallest of those arguments, the distance to the
-    nearest pole.
+    The seven gamma-factor arguments keep a positive real part on the
+    contours: with b0 = -1 + eps/2 the inner abscissa a0 = (-1 - b0)/2,
+    about -eps/4, is the midpoint of the interval (-1 - b0, 0) allowed for
+    it.  Both lines share one step, set by the smallest of those
+    arguments, -a0 or 1 + a0 + b0, the distance to the nearest pole.
     """
-    if not (0.0 < eps < 1.0):
-        raise InfeasibleContour(f"eps={eps} outside (0, 1)")
+    eps = k.eps
     b0 = -1.0 + eps / 2.0
-    lo = max(eps - 2.0, -1.0) - b0
-    hi = min(eps - 1.0 - b0, 0.0)
-    if not lo < hi:
-        raise InfeasibleContour(f"empty abscissa interval for eps={eps}")
-    a0 = 0.5 * (lo + hi)
-    args = (-a0, -b0, 2.0 - eps + a0 + b0, eps - 1.0 - a0 - b0,
-            1.0 + b0, eps - 1.0 - b0, 1.0 + a0 + b0)
-    if min(args) <= 0.0:
-        raise InfeasibleContour(f"gamma argument non-positive on contour: {args}")
-    spread = 0.0
-    if k is not None:
-        spread = abs(math.log(k.s / k.t)) + abs(math.log(k.msq / k.t))
-    step = _fine_step(min(args), 40.0, spread)
+    a0 = 0.5 * (-1.0 - b0)
+    gap = min(-a0, 1.0 + a0 + b0)
+    spread = abs(math.log(k.s / k.t)) + abs(math.log(k.msq / k.t))
+    step = _fine_step(gap, 40.0, spread)
     return (ContourSpec.from_step(a0, 10.0, step), ContourSpec.from_step(b0, 10.0, step))
 
 
@@ -230,6 +217,33 @@ def _mirror_sum(x: np.ndarray, first: int = 0, stride: int = 1) -> float:
     return total - float(x[0]) if first == 0 else total
 
 
+def _contour_value(specs: tuple, fine: complex, coarse: complex, tail: float,
+                   rounding: float, rtol: float) -> BoxValue:
+    """The doubled rule's sum as an ``mb`` BoxValue with its diagnostics.
+
+    The error estimate adds the node-doubling delta, the truncation tail
+    and the rounding of the sum; a delta above ``rtol`` relative to the
+    value raises :class:`NotConverged`.  ``specs`` holds the one massless
+    line or the (inner, outer) one-mass pair, whose fields are reported as
+    numbers or as pairs.
+    """
+    delta = abs(fine - coarse)
+    if delta > rtol * max(abs(fine), 1e-300):
+        raise NotConverged(f"node-doubling delta {delta:.3e} above {rtol:.1e} * |value|")
+    lines = {name: tuple(getattr(c, name) for c in specs)
+             for name in ("nodes", "height", "abscissa")}
+    if len(specs) == 1:
+        lines = {name: pair[0] for name, pair in lines.items()}
+    return BoxValue(complex(fine), "mb", {
+        **lines,
+        "step": specs[0].step,
+        "tail_estimate": tail,
+        "node_doubling_delta": delta,
+        "rounding_estimate": rounding,
+        "error_estimate": delta + tail + rounding,
+    })
+
+
 def mb_massless_eval(k: Kinematics, spec: ContourSpec | None = None) -> BoxValue:
     """Massless box by the trapezoid rule along a truncated vertical line.
 
@@ -238,15 +252,14 @@ def mb_massless_eval(k: Kinematics, spec: ContourSpec | None = None) -> BoxValue
     twice their real part, and the value is real.  Each node takes two
     log-gammas and a reflection pair (see :func:`mb_massless_integrand`).
     The value is the doubled rule; the coarse rule is its even nodes.  The
-    error estimate adds the doubling delta, the truncation tail and the
-    rounding of the sum: the error of each node's six gamma factors times
-    h sum |f| / 2 pi.  The evaluation fails with :class:`NotConverged`
-    when the doubling delta exceeds ``MASSLESS_DELTA_RTOL`` relative to the
-    value.
+    rounding term is the error of each node's six gamma factors times
+    h sum |f| / 2 pi, and the delta is held to ``MASSLESS_DELTA_RTOL`` (see
+    :func:`_contour_value`).  Without ``spec`` the line is
+    :func:`select_contour_massless`'s.
     """
     k.require_massless()
     if spec is None:
-        spec = select_contour_massless(k.eps, k)
+        spec = select_contour_massless(k)
     if not abscissa_is_feasible(spec.abscissa, k.eps):
         raise InfeasibleContour(f"abscissa {spec.abscissa} infeasible for eps={k.eps}")
     f = mb_massless_integrand(spec.abscissa + 1j * spec.upper_heights(), k)
@@ -254,24 +267,10 @@ def mb_massless_eval(k: Kinematics, spec: ContourSpec | None = None) -> BoxValue
     weight = spec.step / (2.0 * math.pi)
     fine = weight * _mirror_sum(f.real)
     coarse = 2.0 * weight * _mirror_sum(f.real, (spec.nodes - 1) % 2, 2)
-    delta = abs(fine - coarse)
     # beyond both ends the integrand decays like exp(-3 pi |Im w|)
     tail = 2.0 * size[-1] / (2.0 * math.pi * 3.0 * math.pi)
     rounding = 6.0 * _LN_GAMMA_ERR * weight * _mirror_sum(size)
-    scale = max(abs(fine), 1e-300)
-    if delta > MASSLESS_DELTA_RTOL * scale:
-        raise NotConverged(f"node-doubling delta {delta:.3e} above "
-                           f"{MASSLESS_DELTA_RTOL:.1e} * |value|")
-    return BoxValue(complex(fine), "mb", {
-        "nodes": spec.nodes,
-        "height": spec.height,
-        "abscissa": spec.abscissa,
-        "step": spec.step,
-        "tail_estimate": tail,
-        "node_doubling_delta": delta,
-        "rounding_estimate": rounding,
-        "error_estimate": delta + tail + rounding,
-    })
+    return _contour_value((spec,), fine, coarse, tail, rounding, MASSLESS_DELTA_RTOL)
 
 
 def mb_onemass_integrand(alpha, beta, k: Kinematics):
@@ -351,36 +350,23 @@ def mb_onemass_eval(k: Kinematics, ca: ContourSpec | None = None,
                     cb: ContourSpec | None = None) -> BoxValue:
     """One-mass box by the trapezoid rule on both contours (inner alpha, outer beta).
 
-    The two lines must share one step.  The grids take four log-gammas and
-    two reflection pairs (see :func:`_onemass_grids`).  Diagnostics as
-    for :func:`mb_massless_eval`; the rounding term counts the seven gamma
-    factors of the scalar integrand per node and h^2 sum |f| / 4 pi^2, and
-    the delta is held to ``ONEMASS_DELTA_RTOL``.
+    The two lines are given together, and share one step, or not at all,
+    and then the pair is :func:`select_contour_onemass`'s.  The grids take
+    four log-gammas and two reflection pairs (see :func:`_onemass_grids`).
+    The rounding term counts the seven gamma factors of the scalar
+    integrand per node and h^2 sum |f| / 4 pi^2, and the delta is held to
+    ``ONEMASS_DELTA_RTOL`` (see :func:`_contour_value`).
     """
     k.require_onemass()
-    if ca is None or cb is None:
-        ca0, cb0 = select_contour_onemass(k.eps, k)
-        ca = ca or ca0
-        cb = cb or cb0
+    if (ca is None) != (cb is None):
+        raise InfeasibleContour("give both contours or neither")
+    if ca is None:
+        ca, cb = select_contour_onemass(k)
     if not math.isclose(ca.step, cb.step, rel_tol=1e-12):
         raise InfeasibleContour(f"contour steps differ: {ca.step} and {cb.step}")
     fine, coarse, (abs_sum, tail) = _mb_onemass_sums(k, ca, cb)
-    delta = abs(fine - coarse)
     rounding = 7.0 * _LN_GAMMA_ERR * abs_sum
-    scale = max(abs(fine), 1e-300)
-    if delta > ONEMASS_DELTA_RTOL * scale:
-        raise NotConverged(f"node-doubling delta {delta:.3e} above "
-                           f"{ONEMASS_DELTA_RTOL:.1e} * |value|")
-    return BoxValue(fine, "mb", {
-        "nodes": (ca.nodes, cb.nodes),
-        "height": (ca.height, cb.height),
-        "abscissa": (ca.abscissa, cb.abscissa),
-        "step": ca.step,
-        "tail_estimate": tail,
-        "node_doubling_delta": delta,
-        "rounding_estimate": rounding,
-        "error_estimate": delta + tail + rounding,
-    })
+    return _contour_value((ca, cb), fine, coarse, tail, rounding, ONEMASS_DELTA_RTOL)
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def quad(f, a, b, tag: str) -> tuple[float, float, dict]:
     bound on the integral beyond |t| = DE_T_MAX, plus the rounding of the
     sum, ``ROUNDING_ULPS`` ulps of each term.  An ``abserr`` above
     DE_FAIL_RTOL * max(1, |value|) raises ``NotConverged``; a non-finite
-    value is returned as it is.
+    value is returned as it is, at the first level that gives one.
     """
     lo = np.reshape(a, (-1, 1))
     span = np.reshape(b, (-1, 1)) - lo
@@ -94,6 +94,8 @@ def quad(f, a, b, tag: str) -> tuple[float, float, dict]:
             # level 0 holds the nodes at t = -DE_T_MAX and DE_T_MAX; the
             # integrand times dx/dt there bounds what lies beyond them
             tail = float(np.abs(fx[:, [0, -1]]) @ w[[0, -1]] @ abs_span)
+        if not math.isfinite(value):
+            break
     abserr = delta + tail + ROUNDING_ULPS * DBL_EPSILON * step * abs_total
     if abserr > DE_FAIL_RTOL * max(1.0, abs(value)):
         raise NotConverged(f"{tag}: error estimate {abserr:.2e} after {neval} nodes")
@@ -181,42 +183,38 @@ def feynman_1d_onemass(k: Kinematics) -> BoxValue:
     return _feynman(k.eps, -k.s, -k.t, -k.msq, "onemass")
 
 
-def _euler_segment(eps, w, lo, hi, tag):
-    # integral of z^(eps-1)/(1 - w z) over [lo, hi] with the z->u^(1/eps)
-    # map absorbing the z = 0 endpoint
-    inv_eps = 1.0 / eps
-    return quad(lambda u: inv_eps / (1.0 - w * u ** inv_eps), lo ** eps, hi ** eps, tag)
-
-
-def euler_f21_oracle(eps: float, w_arg: float, cut: CutPrescription = PV,
-                     excision: float = 1e-3) -> complex:
+def euler_f21_oracle(eps: float, w_arg: float, cut: CutPrescription = PV) -> complex:
     """Euler-integral reference for (1/eps) 2F1(1, eps; eps+1; w).
 
-    For w <= 1 this is a plain quadrature of z^(eps-1)/(1 - w z).  For
-    w > 1 the integrand has a pole at z = 1/w; the principal value is
-    defined by symmetric excision with one Richardson step in the excision
-    radius, and the one-sided prescriptions add the half-residue term
-    +- i pi w^(-eps).
+    The integral of z^(eps-1)/(1 - w z) over [0, 1], in u = z^eps, which
+    absorbs the z = 0 endpoint.  For w > 1 the integrand has a pole at
+    z0 = 1/w.  Its principal value subtracts the pole term
+    z0^(eps-1)/(1 - w z), whose principal value is z0^(eps-1) (-ln(w-1)/w);
+    the remainder is smooth through z0 and is integrated over [0, z0], in
+    u, and over [z0, 1], as the two rows of one quadrature.  The one-sided
+    prescriptions add the half-residue term +- i pi w^(-eps).
     """
     if not (0.0 < eps < 1.0):
         raise DomainError(f"eps={eps} outside (0, 1)")
     if w_arg == 1.0:
         raise DomainError("integrand pole sits at the endpoint z=1")
+    inv_eps = 1.0 / eps
     if w_arg < 1.0:
-        val, _, _ = _euler_segment(eps, w_arg, 0.0, 1.0, "euler")
+        val, _, _ = quad(lambda u: inv_eps / (1.0 - w_arg * u ** inv_eps), 0.0, 1.0, "euler")
         return complex(val)
 
     z0 = 1.0 / w_arg
+    q = 1.0 - eps
+    weight = np.array([[z0 * inv_eps], [z0 ** eps]])
 
-    def excised(r):
-        v1, _, _ = _euler_segment(eps, w_arg, 0.0, z0 - r, "euler below pole")
-        v2, _, _ = quad(lambda z: z ** (eps - 1.0) / (1.0 - w_arg * z),
-                        z0 + r, 1.0, "euler above pole")
-        return v1 + v2
+    def g(x):
+        # rows: u on [0, z0^eps], where z = u^(1/eps) <= z0, then z on [z0, 1];
+        # the remainder times dz/du or dz is weight * _quotient(min, max)
+        z = np.concatenate((x[:1] ** inv_eps, x[1:]))
+        return weight * _quotient(np.minimum(z, z0), np.maximum(z, z0), q)
 
-    # excised integral = PV - 2 g'(z0) r + O(r^3): eliminate the linear term
-    r = excision
-    pv = (10.0 * excised(r / 10.0) - excised(r)) / 9.0
+    val, _, _ = quad(g, (0.0, z0), (z0 ** eps, 1.0), "euler on the cut")
+    pv = val - z0 ** eps * math.log(w_arg - 1.0)
     if cut is ABOVE:
         return complex(pv, math.pi * w_arg ** (-eps))
     if cut is BELOW:

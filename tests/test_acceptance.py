@@ -181,7 +181,7 @@ def test_criterion_8_contour_robustness():
     worst_ratio = 0.0
     for (s, t, e) in MASSLESS_GRID:
         k = Kinematics(s=s, t=t, eps=e)
-        spec = select_contour_massless(e, k)
+        spec = select_contour_massless(k)
         base = mb_massless_eval(k, spec)
         shifted = ContourSpec(-1.0 + 0.7 * e, spec.height, spec.nodes)
         drift = abs(mb_massless_eval(k, shifted).value - base.value) \

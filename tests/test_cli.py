@@ -21,7 +21,7 @@ from mbbox.cli import (
     main,
 )
 from mbbox.closed_form import BoxValue, Kinematics
-from mbbox.mb_engine import select_contour_massless
+from mbbox.mb_engine import mb_massless_eval, mb_onemass_eval, select_contour_massless
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -222,6 +222,45 @@ class TestArithmeticFailure:
         assert bad["status"] == "failed" and bad["reason"].startswith("NonConvergence")
         assert good["status"] == "ok" and good["pass"]
         assert report.summary["errors"] == 1
+
+
+class TestComplementRoundsToOne:
+    """At (s, t) = (-1e300, -2) a 2F1 argument 1 + t/s rounds to 1, where
+    F(1, b; 1+b; z) diverges: a numerical failure, exit 3, though its class
+    is PoleError."""
+
+    POINT = ["--s=-1e300", "--t=-2", "--eps", "0.3"]
+
+    @pytest.mark.parametrize("method", ["closed", "closed_alt", "residue"])
+    def test_exit_3(self, method, capsys):
+        assert run_main(["eval", *self.POINT, "--method", method]) == EXIT_NOT_CONVERGED
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: PoleError: F(1,b;1+b;z) diverges at z=1\n"
+
+
+class TestDefaultContour:
+    """With no contour option, eval and sweep run the rule that
+    mb_massless_eval(k) and mb_onemass_eval(k) run: the same value, bit for bit."""
+
+    @pytest.mark.parametrize("k", [Kinematics(s=-1.0, t=-1.0, eps=0.13),
+                                   Kinematics(s=-1.0, t=-1.0, eps=0.4, msq=-0.5)])
+    def test_eval_and_sweep_match_route(self, k, tmp_path, capsys):
+        integral = "massless" if k.msq is None else "onemass"
+        route = mb_massless_eval if k.msq is None else mb_onemass_eval
+        ref = complex(route(k).value)
+        mass = [] if k.msq is None else [f"--msq={k.msq}"]
+        assert run_main(["eval", "--integral", integral, f"--s={k.s}", f"--t={k.t}",
+                         f"--eps={k.eps}", *mass, "--method", "mb", "--json"]) == EXIT_OK
+        value = json.loads(capsys.readouterr().out)["records"][0]["value"]
+        assert complex(value["re"], value["im"]) == ref
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps([{"integral": integral, "s": k.s, "t": k.t,
+                                          "msq": k.msq, "eps": k.eps, "methods": ["mb"]}]))
+        out_file = tmp_path / "report.json"
+        assert run_main(["sweep", str(grid_file), "--out", str(out_file)]) == EXIT_OK
+        value = Report.from_json(out_file.read_text()).records[0]["values"]["mb"]
+        assert complex(value["re"], value["im"]) == ref
 
 
 class TestNaNArgument:
@@ -433,6 +472,15 @@ class TestSweep:
         grid_file.write_text("{not json")
         assert run_main(["sweep", str(grid_file)]) == EXIT_INPUT_ERROR
 
+    def test_object_without_points(self, tmp_path, capsys):
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps({"foo": 1}))
+        assert run_main(["sweep", str(grid_file)]) == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: DegenerateKinematics: ") and "'points'" in err
+        assert err.count("\n") == 1
+
     def test_deterministic_ordering(self, tmp_path):
         pts = [{"integral": "massless", "s": -s, "t": -2.0, "eps": 0.3,
                 "methods": ["closed"]} for s in (1.0, 1.5, 2.0, 2.5, 3.0)]
@@ -543,7 +591,7 @@ class TestEnvironmentOverrides:
                          "--method", "mb", "--height", "3", "--json"])
         assert code == EXIT_OK
         diag = json.loads(capsys.readouterr().out)["records"][0]["diagnostics"]
-        default = select_contour_massless(0.3, Kinematics(s=-1.0, t=-2.0, eps=0.3))
+        default = select_contour_massless(Kinematics(s=-1.0, t=-2.0, eps=0.3))
         assert diag["height"] == 3.0
         assert default.step * 0.99 < diag["step"] <= default.step
 

@@ -23,10 +23,19 @@ from mbbox.mb_engine import (
 )
 
 
+def massless_point(eps):
+    # s = t: no kinematic phase spread
+    return Kinematics(s=-1.0, t=-1.0, eps=eps)
+
+
+def onemass_point(eps):
+    return Kinematics(s=-1.0, t=-2.0, eps=eps, msq=-0.5)
+
+
 class TestContourSelection:
     def test_massless_default_abscissa(self):
-        assert abs(select_contour_massless(0.4).abscissa + 0.8) < 1e-15
-        spec = select_contour_massless(0.99)
+        assert abs(select_contour_massless(massless_point(0.4)).abscissa + 0.8) < 1e-15
+        spec = select_contour_massless(massless_point(0.99))
         assert abs(spec.abscissa + 0.505) < 1e-15
         assert -1.0 < spec.abscissa < 0.99 - 1.0
 
@@ -36,27 +45,18 @@ class TestContourSelection:
             assert abscissa_is_feasible(-1.0 + e / 2.0, e)
         assert not abscissa_is_feasible(-1.0, 0.3)
 
-    def test_massless_rejects_bad_eps(self):
-        for e in (0.0, 1.0, 1.5, -0.2):
-            with pytest.raises(InfeasibleContour):
-                select_contour_massless(e)
-
     def test_onemass_example(self):
-        ca, cb = select_contour_onemass(0.4)
+        ca, cb = select_contour_onemass(onemass_point(0.4))
         assert abs(cb.abscissa + 0.8) < 1e-15
         assert abs(ca.abscissa + 0.1) < 1e-15
 
-    @pytest.mark.parametrize("eps", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("eps", [1e-6, 0.003, 0.2, 0.5, 0.8, 0.999999])
     def test_onemass_gamma_arguments_positive(self, eps):
-        ca, cb = select_contour_onemass(eps)
+        ca, cb = select_contour_onemass(onemass_point(eps))
         a0, b0 = ca.abscissa, cb.abscissa
         args = (-a0, -b0, 2.0 - eps + a0 + b0, eps - 1.0 - a0 - b0,
                 1.0 + b0, eps - 1.0 - b0, 1.0 + a0 + b0)
         assert min(args) > 0.0
-
-    def test_onemass_rejects_bad_eps(self):
-        with pytest.raises(InfeasibleContour):
-            select_contour_onemass(1.0)
 
     def test_contourspec_validation(self):
         with pytest.raises(InfeasibleContour):
@@ -82,7 +82,7 @@ class TestMasslessIntegrand:
 
     def test_decay_along_contour(self):
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
-        c = select_contour_massless(0.3).abscissa
+        c = select_contour_massless(k).abscissa
         ratio = abs(mb_massless_integrand(c + 30j, k)) / abs(mb_massless_integrand(c + 0j, k))
         assert ratio < 1e-12
 
@@ -96,7 +96,7 @@ class TestMasslessIntegrand:
     def test_grid_reflection_form_matches_scalar(self, eps, c):
         # two log-gammas and two cosecants against the six gamma factors
         k = Kinematics(s=-1.0, t=-3.0, eps=eps)
-        spec = select_contour_massless(eps, k)
+        spec = select_contour_massless(k)
         c = spec.abscissa if c is None else c
         w = c + 1j * np.linspace(-spec.height, spec.height, 41)
         grid = mb_massless_integrand(w, k)
@@ -162,13 +162,13 @@ class TestMasslessQuadrature:
 
         monkeypatch.setattr(mb_engine, "ln_gamma_grid", counting)
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
-        spec = select_contour_massless(k.eps, k)
+        spec = select_contour_massless(k)
         mb_massless_eval(k, spec)
         assert sum(points) == 2 * spec.nodes
 
     def test_abscissa_shift_invariance(self):
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
-        spec = select_contour_massless(0.3, k)
+        spec = select_contour_massless(k)
         base = mb_massless_eval(k, spec).value
         for c in (-0.95, -0.75):
             shifted = ContourSpec(c, spec.height, spec.nodes)
@@ -196,7 +196,7 @@ class TestMasslessQuadrature:
 
     def test_node_cap_checked_before_allocation(self):
         k = Kinematics(s=-1.0, t=-2.0, eps=1e-6)
-        spec = select_contour_massless(k.eps, k)
+        spec = select_contour_massless(k)
         assert spec.nodes > 1000 * MAX_NODES
         with pytest.raises(NotConverged):
             mb_massless_eval(k)
@@ -250,7 +250,7 @@ class TestOneMassQuadrature:
 
     def test_reflection_grids_match_three_factor_products(self):
         k = Kinematics(s=-3.0, t=-2.0, eps=0.3, msq=-0.5)
-        ca, cb = select_contour_onemass(k.eps, k)
+        ca, cb = select_contour_onemass(k)
         y = np.linspace(-cb.height, cb.height, 41)
         beta = cb.abscissa + 1j * y
         sigma = ca.abscissa + cb.abscissa + 2j * y
@@ -267,7 +267,7 @@ class TestOneMassQuadrature:
     def test_tail_read_off_the_grids(self, s, t, m2, eps):
         # |f| at the top corner and the top centre of both edges
         k = Kinematics(s=s, t=t, eps=eps, msq=m2)
-        ca, cb = select_contour_onemass(eps, k)
+        ca, cb = select_contour_onemass(k)
         top_a, top_b = ca.abscissa + 1j * ca.height, cb.abscissa + 1j * cb.height
         ref = (abs(mb_onemass_integrand(top_a, top_b, k))
                + abs(mb_onemass_integrand(top_a, cb.abscissa, k))
@@ -280,6 +280,13 @@ class TestOneMassQuadrature:
         with pytest.raises(InfeasibleContour):
             mb_onemass_eval(k, ContourSpec(-0.075, 10.0, 801), ContourSpec(-0.85, 10.0, 802))
 
+    def test_contours_given_together(self):
+        k = Kinematics(s=-1.0, t=-2.0, eps=0.3, msq=-0.5)
+        with pytest.raises(InfeasibleContour, match="both contours or neither"):
+            mb_onemass_eval(k, ContourSpec(-0.075, 10.0, 801))
+        with pytest.raises(InfeasibleContour, match="both contours or neither"):
+            mb_onemass_eval(k, cb=ContourSpec(-0.85, 10.0, 801))
+
     def test_integrand_conjugate_symmetry(self):
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3, msq=-0.5)
         a = mb_onemass_integrand(-0.075 + 0.9j, -0.85 - 0.4j, k)
@@ -288,7 +295,7 @@ class TestOneMassQuadrature:
 
     def test_abscissa_shift_invariance(self):
         k = Kinematics(s=-1.0, t=-2.0, eps=0.4, msq=-0.5)
-        ca, cb = select_contour_onemass(0.4)
+        ca, cb = select_contour_onemass(k)
         base = mb_onemass_eval(k, ca, cb).value
         ca2 = ContourSpec(ca.abscissa * 0.6, ca.height, ca.nodes)
         cb2 = ContourSpec(cb.abscissa + 0.08, cb.height, cb.nodes)

@@ -184,7 +184,7 @@ class TestHypergeometric:
         for cut in (PV, ABOVE, BELOW):
             lhs = sf.f21_1e(z, e, cut) / e
             rhs = euler_f21_oracle(e, z, cut)
-            assert abs(lhs - rhs) < 1e-8 * abs(lhs), cut
+            assert abs(lhs - rhs) < 1e-13 * abs(lhs), cut
 
     def test_eps_domain(self):
         with pytest.raises(DomainError):
