@@ -233,7 +233,7 @@ def _evaluate(cfg: RunConfig) -> dict:
 MASSLESS_GRID = tuple((s, t, e)
                       for s in (-0.5, -1.0, -3.0)
                       for t in (-0.5, -1.0, -3.0)
-                      for e in (0.2, 0.3, 0.45))
+                      for e in (0.02, 0.2, 0.3, 0.45, 0.7))
 
 ONEMASS_GRID = tuple((s, t, m2, e)
                      for s in (-0.5, -1.0, -2.0)
@@ -344,9 +344,10 @@ def verify_massless(tol_residue: float = 1e-10, tol_oracle: float = 1e-8,
                abs(mbv.value - closed) / abs(closed), tol_oracle)
         _check(checks, f"mb error within estimate {tag}",
                abs(mbv.value - closed), mbv.diagnostics["error_estimate"])
-        spec = mb_engine.select_contour_massless(k)
-        shifted = mb_engine.ContourSpec(-1.0 + 0.75 * e, spec.height, spec.nodes)
-        drift = abs(mb_engine.mb_massless_eval(k, shifted).value - mbv.value)
+        # below eps = 1/2 the default line has crossed the pole at eps - 1
+        # and adds its residue; this one has not
+        uncrossed = mb_engine.massless_line(k, -1.0 + 0.75 * e)
+        drift = abs(mb_engine.mb_massless_eval(k, uncrossed).value - mbv.value)
         _check(checks, f"abscissa-shift drift {tag}", drift / abs(closed), 1e-10)
     return _suite_report("massless", checks)
 

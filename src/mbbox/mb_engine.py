@@ -5,7 +5,8 @@ Two independent routes live here:
 * direct numerical quadrature of the contour representations (one contour
   variable for the massless box, an iterated pair for the one-mass box),
   by one trapezoid rule on vertical lines chosen to separate the left and
-  right pole families;
+  right pole families, except that the massless line crosses the right
+  double pole at eps - 1 for eps < 1/2 and subtracts its residue;
 * reconstruction from the resummed residue families.  An auxiliary
   regulator delta splits the massless double poles; the delta^-1 and
   delta^0 coefficients of the split families are read off Gamma and psi
@@ -26,6 +27,7 @@ import numpy as np
 from .closed_form import BoxValue, Kinematics
 from .errors import InfeasibleContour, NotConverged, PoleError
 from .specfun import (
+    EULER_GAMMA,
     PV,
     CutPrescription,
     cut_log,
@@ -41,6 +43,7 @@ from .specfun import (
 
 __all__ = [
     "ContourSpec",
+    "massless_line",
     "select_contour_massless",
     "select_contour_onemass",
     "mb_massless_integrand",
@@ -113,10 +116,12 @@ class ContourSpec:
 # ---------------------------------------------------------------------------
 
 def abscissa_is_feasible(c: float, eps: float) -> bool:
-    """True when the line at c separates the massless integrand's left
-    poles (-1, -2, ... and eps - 2, ...) from its right ones (0, 1, ...
-    and eps - 1, eps, ...)."""
-    return -1.0 < c < eps - 1.0
+    """True when the line at c lies between the massless integrand's left
+    poles (-1, -2, ... and eps - 2, ...) and its right poles at 0, 1, ...,
+    and off the double pole at eps - 1.  A line right of eps - 1 has
+    crossed that pole, and its residue is subtracted from the line
+    integral (see :func:`mb_massless_eval`)."""
+    return -1.0 < c < 0.0 and c != eps - 1.0
 
 
 def _fine_step(d: float, decay: float, spread: float) -> float:
@@ -130,18 +135,31 @@ def _fine_step(d: float, decay: float, spread: float) -> float:
     return 2.0 * math.pi * d / (decay + d * spread)
 
 
-def select_contour_massless(k: Kinematics) -> ContourSpec:
-    """Vertical line splitting the pole families of the massless integrand.
+def massless_line(k: Kinematics, abscissa: float) -> ContourSpec:
+    """The massless integrand's line at ``abscissa``, with the step of its band.
 
-    The abscissa sits midway between the innermost left pole (-1) and the
-    innermost right pole (eps - 1).  The step is set for a pole at eps/6,
-    a third of this line's distance, so that lines shifted toward a pole
-    keep converging on the same nodes.  The integrand decays like
+    The double pole at eps - 1 splits the lines between the poles at -1
+    and 0 into two bands, (-1, eps - 1) and (eps - 1, 0).  A band's step is
+    set for a pole at a third of the distance from its midline to its
+    edges, eps/6 or (1 - eps)/6, so that lines shifted toward a pole keep
+    converging on the same nodes.  The integrand decays like
     exp(-3 pi |Im w|), so the tail beyond height 6 is below 1e-24.
     """
     eps = k.eps
+    pole = (1.0 - eps) / 6.0 if abscissa > eps - 1.0 else eps / 6.0
     spread = abs(math.log(k.s / k.t))
-    return ContourSpec.from_step(-1.0 + eps / 2.0, 6.0, _fine_step(eps / 6.0, 60.0, spread))
+    return ContourSpec.from_step(abscissa, 6.0, _fine_step(pole, 60.0, spread))
+
+
+def select_contour_massless(k: Kinematics) -> ContourSpec:
+    """The massless line at the midline of the wider band (see :func:`massless_line`).
+
+    For eps < 1/2 that is (eps - 1)/2, midway between the crossed double
+    pole at eps - 1 and the pole at 0, so the pole gap no longer shrinks
+    with eps; otherwise -1 + eps/2, midway between -1 and eps - 1.
+    """
+    eps = k.eps
+    return massless_line(k, (eps - 1.0) / 2.0 if eps < 0.5 else -1.0 + eps / 2.0)
 
 
 def select_contour_onemass(k: Kinematics) -> tuple[ContourSpec, ContourSpec]:
@@ -191,7 +209,9 @@ def mb_massless_integrand(w, k: Kinematics):
     the six gamma factors literally and are checked against the pole
     families.  Grids are assumed to sit on a feasible contour and pair
     Gamma(1+w) Gamma(-w) and Gamma(2-eps+w) Gamma(eps-1-w) by reflection,
-    each as pi / sin(pi z) at its argument of real part in (0, eps).
+    each as pi / sin(pi z) at z = 1 + w and z = eps - 1 - w.  The other
+    Gamma(eps-1-w) is Gamma(eps-w) / (eps-1-w), whose argument keeps a
+    positive real part on either side of the pole at w = eps - 1.
     """
     k.require_massless()
     e = k.eps
@@ -199,8 +219,8 @@ def mb_massless_integrand(w, k: Kinematics):
     lg2e = ln_gamma(2.0 * e).real
     if isinstance(w, np.ndarray):
         a, b = w + 1.0, e - 1.0 - w
-        return np.exp(w * ln_mt - (2.0 - e + w) * ln_ms
-                      + ln_gamma_grid(a) + ln_gamma_grid(b) - lg2e) * _pi_csc(a) * _pi_csc(b)
+        return np.exp(w * ln_mt - (2.0 - e + w) * ln_ms + ln_gamma_grid(a)
+                      + ln_gamma_grid(b + 1.0) - lg2e) * _pi_csc(a) * _pi_csc(b) / b
     w = complex(w)
     for arg in (w + 1.0, 2.0 - e + w, -w, e - 1.0 - w):
         if arg.imag == 0.0 and arg.real <= 0.0 and arg.real == math.floor(arg.real):
@@ -244,6 +264,28 @@ def _contour_value(specs: tuple, fine: complex, coarse: complex, tail: float,
     })
 
 
+def _crossed_residue(k: Kinematics) -> tuple[float, float]:
+    """Residue of the massless integrand at its double pole w = eps - 1,
+    and the rounding of it.
+
+    With w = eps - 1 + d, Gamma(-d)^2 = 1/d^2 + 2 gamma_E/d + O(1), so the
+    residue is the rest of the integrand at the pole,
+    (-t)^(eps-1) (-s)^(-1) Gamma(eps)^2 Gamma(1-eps) / Gamma(2 eps), times
+    2 gamma_E plus its logarithmic derivative there: the bracket
+    2 psi(eps) - psi(1-eps) + gamma_E + ln(t/s).  The rounding counts the
+    four gamma factors on the residue and each bracket term on its own,
+    since the bracket can cancel (on a line crossed at eps > 1/2).
+    """
+    e = k.eps
+    ln_ms, ln_mt = math.log(-k.s), math.log(-k.t)
+    size = math.exp((e - 1.0) * ln_mt - ln_ms + 2.0 * ln_gamma(e).real
+                    + ln_gamma(1.0 - e).real - ln_gamma(2.0 * e).real)
+    terms = (2.0 * digamma(e).real, -digamma(1.0 - e).real, EULER_GAMMA, ln_mt - ln_ms)
+    bracket = math.fsum(terms)
+    rounding = _LN_GAMMA_ERR * size * (4.0 * abs(bracket) + sum(map(abs, terms)))
+    return size * bracket, rounding
+
+
 def mb_massless_eval(k: Kinematics, spec: ContourSpec | None = None) -> BoxValue:
     """Massless box by the trapezoid rule along a truncated vertical line.
 
@@ -251,25 +293,33 @@ def mb_massless_eval(k: Kinematics, spec: ContourSpec | None = None) -> BoxValue
     the nodes with Im w >= 0: the node at Im w = 0 once, the others as
     twice their real part, and the value is real.  Each node takes two
     log-gammas and a reflection pair (see :func:`mb_massless_integrand`).
-    The value is the doubled rule; the coarse rule is its even nodes.  The
-    rounding term is the error of each node's six gamma factors times
-    h sum |f| / 2 pi, and the delta is held to ``MASSLESS_DELTA_RTOL`` (see
-    :func:`_contour_value`).  Without ``spec`` the line is
-    :func:`select_contour_massless`'s.
+    A line right of the double pole at eps - 1 has crossed it, and the
+    value is the line integral minus the pole's residue (see
+    :func:`_crossed_residue`); the box is symmetric in s and t, and on such
+    a line the integrand is taken with |t| <= |s|, which keeps the residue
+    from swamping the box.  The value is the doubled rule; the coarse rule
+    is its even nodes.  The rounding term is the error of each node's six
+    gamma factors times h sum |f| / 2 pi, plus the residue's, and the delta
+    is held to ``MASSLESS_DELTA_RTOL`` (see :func:`_contour_value`).
+    Without ``spec`` the line is :func:`select_contour_massless`'s.
     """
     k.require_massless()
     if spec is None:
         spec = select_contour_massless(k)
     if not abscissa_is_feasible(spec.abscissa, k.eps):
         raise InfeasibleContour(f"abscissa {spec.abscissa} infeasible for eps={k.eps}")
+    crossed = spec.abscissa > k.eps - 1.0
+    if crossed and abs(k.t) > abs(k.s):
+        k = Kinematics(s=k.t, t=k.s, eps=k.eps)
     f = mb_massless_integrand(spec.abscissa + 1j * spec.upper_heights(), k)
     size = np.abs(f)
     weight = spec.step / (2.0 * math.pi)
-    fine = weight * _mirror_sum(f.real)
-    coarse = 2.0 * weight * _mirror_sum(f.real, (spec.nodes - 1) % 2, 2)
+    residue, residue_rounding = _crossed_residue(k) if crossed else (0.0, 0.0)
+    fine = weight * _mirror_sum(f.real) - residue
+    coarse = 2.0 * weight * _mirror_sum(f.real, (spec.nodes - 1) % 2, 2) - residue
     # beyond both ends the integrand decays like exp(-3 pi |Im w|)
     tail = 2.0 * size[-1] / (2.0 * math.pi * 3.0 * math.pi)
-    rounding = 6.0 * _LN_GAMMA_ERR * weight * _mirror_sum(size)
+    rounding = 6.0 * _LN_GAMMA_ERR * weight * _mirror_sum(size) + residue_rounding
     return _contour_value((spec,), fine, coarse, tail, rounding, MASSLESS_DELTA_RTOL)
 
 
@@ -313,9 +363,9 @@ def _onemass_grids(k: Kinematics, alpha: np.ndarray, beta: np.ndarray,
 
 
 def _mb_onemass_sums(k: Kinematics, ca: ContourSpec, cb: ContourSpec
-                     ) -> tuple[complex, complex, tuple[float, float]]:
-    """Doubled and coarse trapezoid sums of the double contour, then the
-    doubled sum of |f| and the tail estimate.
+                     ) -> tuple[float, float, tuple[float, float]]:
+    """Real parts of the doubled and coarse trapezoid sums of the double
+    contour, then the doubled sum of |f| and the tail estimate.
 
     Three gamma factors depend on alpha + beta only, so on grids with one
     step h the double sum is sum_i B_i sum_j A_j C_{i+j}, with A in alpha
@@ -335,8 +385,9 @@ def _mb_onemass_sums(k: Kinematics, ca: ContourSpec, cb: ContourSpec
     corr, corr_abs = _correlate(np.stack([a, np.abs(a)]), np.stack([c, np.abs(c)]))
     scale = math.exp((e - 2.0) * math.log(-k.t) - ln_gamma(2.0 * e).real) / (4.0 * math.pi ** 2)
     weight = h * h * scale
-    fine = weight * complex(b @ corr)
-    coarse = 4.0 * weight * complex(b[::2] @ _correlate(a[::2], c[::2]))
+    # the box is real in the Euclidean region: the imaginary parts are rounding
+    fine = weight * float((b @ corr).real)
+    coarse = 4.0 * weight * float((b[::2] @ _correlate(a[::2], c[::2])).real)
     abs_sum = weight * float(np.abs(b) @ corr_abs.real)
     # alpha and beta at the top of their lines or at Im 0
     ia, ib = len(ya) - 1, len(yb) - 1

@@ -39,24 +39,36 @@ def extract_laurent_by_sampling(fn, eps0=0.02, levels=6):
 
 
 def mp_box(s, t, eps, msq=None, dps=30):
-    """Box value from the closed form in mpmath (hyp2f1 and gamma), at ``dps`` digits.
+    """Box value from the closed form in mpmath (hyp2f1 and gamma), at
+    ``dps`` digits and rounded to a float (see :func:`_mp_box`)."""
+    with mp.workdps(dps):
+        return float(_mp_box(s, t, eps, msq))
+
+
+def mp_error(value, s, t, eps, msq=None, dps=30):
+    """|value - box| as a float, with the difference taken at ``dps`` digits,
+    so that it is not zero when ``value`` is the correctly rounded box."""
+    with mp.workdps(dps):
+        return float(abs(mp.mpf(value) - _mp_box(s, t, eps, msq)))
+
+
+def _mp_box(s, t, eps, msq):
+    """Box value from the closed form in mpmath (hyp2f1 and gamma), at the
+    working precision.
 
     Shares no code with the package.  On the Euclidean region the powers
     are real and the principal value of 2F1(1, e; 1+e; z) on its cut is the
     real part of either one-sided limit.
     """
-    with mp.workdps(dps):
-        s, t, e = mp.mpf(s), mp.mpf(t), mp.mpf(eps)
+    s, t, e = mp.mpf(s), mp.mpf(t), mp.mpf(eps)
 
-        def f21(z):
-            return mp.re(mp.hyp2f1(1, e, 1 + e, z))
+    def f21(z):
+        return mp.re(mp.hyp2f1(1, e, 1 + e, z))
 
-        pref = mp.gamma(e) ** 2 * mp.gamma(1 - e) / (mp.gamma(2 * e) * e) / (s * t)
-        if msq is None:
-            value = pref * ((-s) ** e * f21(1 + s / t) + (-t) ** e * f21(1 + t / s))
-        else:
-            m = mp.mpf(msq)
-            q = s + t - m
-            value = pref * ((-s) ** e * f21(q / t) + (-t) ** e * f21(q / s)
-                            - (-m) ** e * f21(m * q / (s * t)))
-        return float(value)
+    pref = mp.gamma(e) ** 2 * mp.gamma(1 - e) / (mp.gamma(2 * e) * e) / (s * t)
+    if msq is None:
+        return pref * ((-s) ** e * f21(1 + s / t) + (-t) ** e * f21(1 + t / s))
+    m = mp.mpf(msq)
+    q = s + t - m
+    return pref * ((-s) ** e * f21(q / t) + (-t) ** e * f21(q / s)
+                   - (-m) ** e * f21(m * q / (s * t)))

@@ -262,6 +262,18 @@ class TestDefaultContour:
         value = Report.from_json(out_file.read_text()).records[0]["values"]["mb"]
         assert complex(value["re"], value["im"]) == ref
 
+    def test_node_override_subtracts_the_crossed_residue(self, capsys):
+        # the default line at eps = 0.3 has crossed the pole at eps - 1, and
+        # so has the overriding one, which keeps the default abscissa
+        k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
+        ref = mb_massless_eval(k).value
+        assert run_main(["eval", "--s=-1", "--t=-2", "--eps=0.3", "--method", "mb",
+                         "--nodes", "4001", "--json"]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)["records"][0]
+        assert record["diagnostics"]["nodes"] == 4001
+        assert record["diagnostics"]["abscissa"] == select_contour_massless(k).abscissa
+        assert abs(record["value"]["re"] - ref.real) <= 1e-13 * abs(ref)
+
 
 class TestNaNArgument:
     """At (s, t, msq) = (-1e200, -2e200, -5e199) s t overflows and the msq
@@ -378,9 +390,10 @@ class TestSweep:
         assert statuses == ["ok", "skipped-degenerate"]
 
     def test_failing_point_is_recorded(self, tmp_path):
-        # eps = 1e-6 needs more contour nodes than the cap allows
+        # the one-mass rule at eps = 1e-6 needs more contour nodes than the
+        # cap allows
         grid = {"points": [
-            {"integral": "massless", "s": -1.0, "t": -2.0, "eps": 1e-6,
+            {"integral": "onemass", "s": -1.0, "t": -2.0, "msq": -0.5, "eps": 1e-6,
              "methods": ["mb"]},
             {"integral": "massless", "s": -1.0, "t": -2.0, "eps": 0.3,
              "methods": ["closed", "mb"]},

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import mp_box
+from helpers import mp_box, mp_error
 
 from mbbox import mb_engine, specfun as sf
 from mbbox.closed_form import Kinematics, massless_box, onemass_box
@@ -12,6 +12,7 @@ from mbbox.mb_engine import (
     MAX_NODES,
     ContourSpec,
     abscissa_is_feasible,
+    massless_line,
     mb_massless_eval,
     mb_massless_integrand,
     mb_onemass_eval,
@@ -34,16 +35,31 @@ def onemass_point(eps):
 
 class TestContourSelection:
     def test_massless_default_abscissa(self):
-        assert abs(select_contour_massless(massless_point(0.4)).abscissa + 0.8) < 1e-15
-        spec = select_contour_massless(massless_point(0.99))
-        assert abs(spec.abscissa + 0.505) < 1e-15
-        assert -1.0 < spec.abscissa < 0.99 - 1.0
+        # below eps = 1/2 midway between the crossed pole eps - 1 and 0,
+        # from 1/2 on midway between -1 and eps - 1
+        for eps, c in ((1e-6, -0.4999995), (0.4, -0.3), (0.499, -0.2505),
+                       (0.5, -0.75), (0.99, -0.505)):
+            spec = select_contour_massless(massless_point(eps))
+            assert abs(spec.abscissa - c) < 1e-15, eps
+            assert abscissa_is_feasible(spec.abscissa, eps)
+            assert (spec.abscissa > eps - 1.0) == (eps < 0.5)
+
+    def test_massless_line_takes_its_band_step(self):
+        k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
+        for inside in (-0.95, -0.8, -0.75):
+            assert massless_line(k, inside).step == massless_line(k, -0.85).step
+        for inside in (-0.65, -0.1):
+            assert massless_line(k, inside).step == select_contour_massless(k).step
+        assert massless_line(k, -0.85).step < select_contour_massless(k).step
 
     def test_feasibility_predicate(self):
-        for e in (0.2, 0.5, 0.99):
-            assert not abscissa_is_feasible(0.0, e)
+        for e in (1e-6, 0.2, 0.5, 0.99):
             assert abscissa_is_feasible(-1.0 + e / 2.0, e)
-        assert not abscissa_is_feasible(-1.0, 0.3)
+            assert abscissa_is_feasible((e - 1.0) / 2.0, e)
+            assert not abscissa_is_feasible(e - 1.0, e)
+            assert not abscissa_is_feasible(0.0, e)
+            assert not abscissa_is_feasible(-1.0, e)
+        assert not abscissa_is_feasible(0.2, 0.3)
 
     def test_onemass_example(self):
         ca, cb = select_contour_onemass(onemass_point(0.4))
@@ -167,13 +183,14 @@ class TestMasslessQuadrature:
         assert sum(points) == 2 * spec.nodes
 
     def test_abscissa_shift_invariance(self):
-        k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
-        spec = select_contour_massless(k)
-        base = mb_massless_eval(k, spec).value
-        for c in (-0.95, -0.75):
-            shifted = ContourSpec(c, spec.height, spec.nodes)
-            v = mb_massless_eval(k, shifted).value
-            assert abs(v - base) < 1e-10 * abs(base), c
+        # lines on both sides of the double pole at eps - 1 = -0.7: the
+        # crossed ones add its residue
+        for s, t in ((-1.0, -2.0), (-2.0, -1.0)):
+            k = Kinematics(s=s, t=t, eps=0.3)
+            base = mb_massless_eval(k).value
+            for c in (-0.95, -0.85, -0.75, -0.55, -0.15):
+                v = mb_massless_eval(k, massless_line(k, c)).value
+                assert abs(v - base) < 1e-10 * abs(base), (s, t, c)
 
     def test_infeasible_abscissa_rejected(self):
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
@@ -195,14 +212,32 @@ class TestMasslessQuadrature:
             mb_massless_eval(k, under_resolved)
 
     def test_node_cap_checked_before_allocation(self):
-        k = Kinematics(s=-1.0, t=-2.0, eps=1e-6)
-        spec = select_contour_massless(k)
-        assert spec.nodes > 1000 * MAX_NODES
-        with pytest.raises(NotConverged):
-            mb_massless_eval(k)
         with pytest.raises(NotConverged):
             mb_massless_eval(Kinematics(s=-1.0, t=-2.0, eps=0.3),
                              ContourSpec(-0.85, 6.0, 10 ** 12))
+        # the one-mass rule still sets its step by a pole gap of eps/4
+        k = onemass_point(1e-6)
+        assert select_contour_onemass(k)[0].nodes > 1000 * MAX_NODES
+        with pytest.raises(NotConverged):
+            mb_onemass_eval(k)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-4, 0.003, 0.3, 0.499])
+    def test_small_eps_against_mpmath(self, eps):
+        # the line stays (1 - eps)/2 from the crossed pole, so the node
+        # count stays bounded as eps -> 0
+        k = Kinematics(s=-1.0, t=-2.0, eps=eps)
+        v = mb_massless_eval(k)
+        assert v.diagnostics["nodes"] <= 1000
+        assert mp_error(v.value.real, k.s, k.t, eps) <= 1e-12 * abs(v.value)
+
+    @pytest.mark.parametrize("eps", [1e-6, 0.02, 0.3, 0.499])
+    @pytest.mark.parametrize("s,t", [(-1.0, -2.0), (-3.0, -1e-4), (-0.5, -0.5)])
+    def test_s_t_symmetric_bit_for_bit(self, s, t, eps):
+        # on the crossed line the box is taken with |t| <= |s| either way
+        a = mb_massless_eval(Kinematics(s=s, t=t, eps=eps))
+        b = mb_massless_eval(Kinematics(s=t, t=s, eps=eps))
+        assert a.value == b.value
+        assert a.diagnostics == b.diagnostics
 
     @pytest.mark.parametrize("s,t,eps", [(-1e-3, -2e5, 0.5), (-1.0, -2.0, 0.3),
                                          (-3.0, -0.5, 0.05), (-1.0, -1e-4, 0.9)])
@@ -211,6 +246,17 @@ class TestMasslessQuadrature:
         # off by 3e-10 at |s/t| = 2e8
         v = mb_massless_eval(Kinematics(s=s, t=t, eps=eps))
         assert abs(v.value - mp_box(s, t, eps)) <= v.diagnostics["error_estimate"]
+
+    @pytest.mark.parametrize("ratio", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("eps", [1e-6, 0.02, 0.49, 0.5, 0.9])
+    def test_error_estimate_is_tight(self, eps, ratio):
+        # crossed lines below eps = 1/2, where the residue's rounding is
+        # counted too, and uncrossed ones from 1/2 on: the estimate bounds
+        # the error and is at most 2e3 times it
+        v = mb_massless_eval(Kinematics(s=-1.0, t=-ratio, eps=eps))
+        error = mp_error(v.value.real, -1.0, -ratio, eps)
+        estimate = v.diagnostics["error_estimate"]
+        assert error <= estimate <= 2e3 * error
 
 
 class TestOneMassQuadrature:
@@ -223,6 +269,10 @@ class TestOneMassQuadrature:
         c = onemass_box(k).value
         assert abs(v.value - c) < 1e-11 * abs(c)
         assert abs(v.value - c) <= v.diagnostics["error_estimate"]
+
+    @pytest.mark.parametrize("s,t,m2,eps", [(-1.0, -1.0, -0.5, 0.4), (-1.0, -2.0, -0.5, 0.3)])
+    def test_value_exactly_real(self, s, t, m2, eps):
+        assert mb_onemass_eval(Kinematics(s=s, t=t, eps=eps, msq=m2)).value.imag == 0.0
 
     def test_small_eps_matches_closed_form(self):
         k = Kinematics(s=-1.0, t=-2.0, eps=0.05, msq=-0.5)
