@@ -191,10 +191,10 @@ _ROUTES = {
 }
 
 
-def _numerical(what: str, compute, numbers):
-    """compute(), where a float overflow or a zero divisor (s t can
-    underflow) and a non-finite number in numbers(result) are numerical
-    failures: NonConvergence."""
+def _numerical(what: str, k: Kinematics, compute, numbers):
+    """compute(), where a float overflow, a zero divisor, a first number of
+    numbers(result) (the value or the eps^-2 coefficient) outside the normal
+    double range, or another one that is not finite, is NonConvergence."""
     try:
         with np.errstate(all="ignore"):
             result = compute()
@@ -202,8 +202,10 @@ def _numerical(what: str, compute, numbers):
         raise
     except ArithmeticError as exc:
         raise NonConvergence(f"{what} failed: {type(exc).__name__}: {exc}") from exc
-    if not all(cmath.isfinite(x) for x in numbers(result)):
-        raise NonConvergence(f"{what} gave a non-finite value")
+    values = numbers(result)
+    if not (sys.float_info.min <= abs(values[0]) < math.inf and all(map(cmath.isfinite, values))):
+        raise NonConvergence(f"{what} at the scale -s={-k.s!r} gave "
+                             f"{' '.join(map(repr, values))}, out of the double range")
     return result
 
 
@@ -216,7 +218,7 @@ def _evaluate(cfg: RunConfig) -> dict:
         raise DegenerateKinematics(f"--cut {cfg.cut.value} is not read by method {cfg.method}, "
                                    "which gives the principal value only; use "
                                    f"{', '.join(_CUT_METHODS)}")
-    result = _numerical(f"method {cfg.method}", lambda: route(cfg, k), lambda r: (r.value,))
+    result = _numerical(f"method {cfg.method}", k, lambda: route(cfg, k), lambda r: (r.value,))
     return {
         "integral": cfg.integral,
         "kinematics": {"s": k.s, "t": k.t, "msq": k.msq, "eps": k.eps},
@@ -400,7 +402,7 @@ def cmd_expand(cfg: RunConfig, order: int = 0) -> Report:
         raise DegenerateKinematics("expansion order limited to -2 .. 0")
     k = cfg.kinematics()
     laurent = massless_box_laurent if cfg.integral == "massless" else onemass_box_laurent
-    series = _numerical("expansion", lambda: laurent(k), lambda r: r.coeffs)
+    series = _numerical("expansion", k, lambda: laurent(k), lambda r: [*map(r.coeff, (-2, -1, 0))])
     record = {
         "integral": cfg.integral,
         "kinematics": {"s": k.s, "t": k.t, "msq": k.msq, "eps": k.eps},

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 DEGENERACY_RTOL = 1e-12
+DBL_MIN = 2.0 ** -1022  # the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -42,9 +43,9 @@ class Kinematics:
     """A single evaluation point: invariants s, t, optional m^2, and eps.
 
     Every invariant must be finite, and the Euclidean region is enforced:
-    s < 0, t < 0, and msq < 0 when given.
-    Degenerate boundaries (s + t = m^2, s = m^2, t = m^2) are rejected
-    because the hypergeometric arguments blow up there.
+    s < 0, t < 0, and msq < 0 when given, with t/s and msq/s normal doubles
+    (see :meth:`unit`).  Degenerate boundaries (s + t = m^2, s = m^2,
+    t = m^2) are rejected because the hypergeometric arguments blow up there.
     """
 
     s: float
@@ -64,11 +65,24 @@ class Kinematics:
             raise EuclideanRegionViolation(f"need msq < 0, got msq={self.msq}")
         if not (0.0 < self.eps < 1.0):
             raise DegenerateKinematics(f"need 0 < eps < 1, got eps={self.eps}")
+        for name, x in (("t/s", self.t), ("msq/s", self.msq)):
+            if x is not None and not DBL_MIN <= x / self.s < math.inf:
+                raise DegenerateKinematics(f"{name}={x / self.s} is not a normal double")
         if self.msq is not None:
             scale = max(abs(self.s), abs(self.t), abs(self.msq))
             for name, x in (("s + t", self.s + self.t), ("s", self.s), ("t", self.t)):
                 if abs(x - self.msq) < DEGENERACY_RTOL * scale:
                     raise DegenerateKinematics(f"{name} - msq too close to zero")
+
+    def unit(self) -> tuple["Kinematics", float]:
+        """The point (-1, t/|s|, msq/|s|) and the factor (-s)^eps / s^2 that takes the
+        box there to the box here, as I(l s, l t, l msq) = l^(eps-2) I.  (-s)^(eps-2)
+        would cost ln(-s) ulps.  At s = -1 the factor is exactly 1; a subnormal one,
+        which has lost bits, is 0, so that the scaled value is out of range."""
+        scale = -self.s
+        factor = scale ** self.eps / self.s / self.s
+        return (Kinematics(-1.0, self.t / scale, self.eps, self.msq and self.msq / scale),
+                factor if factor >= DBL_MIN else 0.0)
 
     def require_massless(self):
         if self.msq is not None:
@@ -113,39 +127,43 @@ def _gammas(e: float) -> tuple:
 
 
 def _closed(k: Kinematics, cut: CutPrescription) -> complex:
+    u, factor = k.unit()
     e = k.eps
     g2, g1me = _gammas(e)
-    total = sum(sign * neg ** e * f21_1e(z, e, cut) for sign, neg, z, _ in _channels(k))
-    return g2 * g1me / e / (k.s * k.t) * total
+    total = sum(sign * neg ** e * f21_1e(z, e, cut) for sign, neg, z, _ in _channels(u))
+    return g2 * g1me / e * factor / (u.s * u.t) * total
 
 
 def _closed_alt(k: Kinematics, cut: CutPrescription) -> complex:
     # F(1,e;1+e;z)/e = 1/e + z/(1+e) F(1,1+e;2+e;z), channel by channel
+    u, factor = k.unit()
     e = k.eps
     g2, g1me = _gammas(e)
     head = tail = 0.0
-    for sign, neg, z, _ in _channels(k):
-        power = sign * neg ** e / (k.s * k.t)
+    for sign, neg, z, _ in _channels(u):
+        power = sign * neg ** e / (u.s * u.t)
         head += power
         tail += power * z * f21_2e(z, e, cut)
     # head and tail cancel to 1e-9 at (s, t, msq, e) = (-1, -1e-3, -1e3, 0.99),
     # so the order of these roundings sets the route's error there (6e-8)
-    return g2 * (g1me / e * head + g1me / (1.0 + e) * tail)
+    return g2 * factor * (g1me / e * head + g1me / (1.0 + e) * tail)
 
 
 def _laurent(k: Kinematics) -> RegulatorSeries:
     # the channel sum of sign [(-x)^e + e^2 (Li2(1 - z) - pi^2/6)] through e^2,
     # each coefficient summed exactly (math.fsum); at msq = 0 the finite part
-    # Li2(-s/t) + Li2(-t/s) - pi^2/3 is -log(s/t)^2/2 - pi^2/2
+    # Li2(-s/t) + Li2(-t/s) - pi^2/3 is -log(s/t)^2/2 - pi^2/2.  The channels
+    # are the unit point's; ln(-s) and 1/s^2 expand its factor (-s)^e / s^2
+    u, _ = k.unit()
     rows = []
-    for sign, neg, _, w in _channels(k):
-        log = math.log(neg)
+    for sign, neg, _, w in _channels(u):
+        log = math.log(neg) + math.log(-k.s)
         rows.append((sign, sign * log,
                      sign * (0.5 * log * log + li2(w).real - math.pi ** 2 / 6.0)))
     channels = RegulatorSeries(0, tuple(math.fsum(column) for column in zip(*rows)))
     g = gamma_series(1.0, 2)  # times Gamma(1-e) Gamma(1+e)^2 / Gamma(1+2e)
     series = g.scaled_arg(-1) * g * g / g.scaled_arg(2) * channels
-    return (series * (2.0 / (k.s * k.t))).shifted(-2).truncated(0)
+    return (series * (2.0 / (u.s * u.t) / k.s / k.s)).shifted(-2).truncated(0)
 
 
 # ---------------------------------------------------------------------------

@@ -241,15 +241,16 @@ def _contour_value(specs: tuple, fine: complex, coarse: complex, tail: float,
                    rounding: float, rtol: float) -> BoxValue:
     """The doubled rule's sum as an ``mb`` BoxValue with its diagnostics.
 
-    The error estimate adds the node-doubling delta, the truncation tail
-    and the rounding of the sum; a delta above ``rtol`` relative to the
-    value raises :class:`NotConverged`.  ``specs`` holds the one massless
-    line or the (inner, outer) one-mass pair, whose fields are reported as
-    numbers or as pairs.
+    A node-doubling delta above ``rtol`` relative to the value raises
+    :class:`NotConverged`.  Halving the step squares the rule's relative
+    error, so the error estimate adds delta^2 / |value|, the truncation tail
+    and the rounding of the sum.  ``specs`` holds the one massless line or
+    the (inner, outer) one-mass pair, reported as numbers or as pairs.
     """
     delta = abs(fine - coarse)
-    if delta > rtol * max(abs(fine), 1e-300):
+    if delta > rtol * abs(fine):
         raise NotConverged(f"node-doubling delta {delta:.3e} above {rtol:.1e} * |value|")
+    doubled = delta * (delta / abs(fine)) if delta else 0.0
     lines = {name: tuple(getattr(c, name) for c in specs)
              for name in ("nodes", "height", "abscissa")}
     if len(specs) == 1:
@@ -260,27 +261,27 @@ def _contour_value(specs: tuple, fine: complex, coarse: complex, tail: float,
         "tail_estimate": tail,
         "node_doubling_delta": delta,
         "rounding_estimate": rounding,
-        "error_estimate": delta + tail + rounding,
+        "error_estimate": doubled + tail + rounding,
     })
 
 
-def _crossed_residue(k: Kinematics) -> tuple[float, float]:
+def _crossed_residue(u: Kinematics, factor: float) -> tuple[float, float]:
     """Residue of the massless integrand at its double pole w = eps - 1,
-    and the rounding of it.
+    and the rounding of it, at the unit point ``u`` times ``factor``.
 
     With w = eps - 1 + d, Gamma(-d)^2 = 1/d^2 + 2 gamma_E/d + O(1), so the
     residue is the rest of the integrand at the pole,
-    (-t)^(eps-1) (-s)^(-1) Gamma(eps)^2 Gamma(1-eps) / Gamma(2 eps), times
+    (-t)^(eps-1) Gamma(eps)^2 Gamma(1-eps) / Gamma(2 eps) at s = -1, times
     2 gamma_E plus its logarithmic derivative there: the bracket
-    2 psi(eps) - psi(1-eps) + gamma_E + ln(t/s).  The rounding counts the
+    2 psi(eps) - psi(1-eps) + gamma_E + ln(-t).  The rounding counts the
     four gamma factors on the residue and each bracket term on its own,
     since the bracket can cancel (on a line crossed at eps > 1/2).
     """
-    e = k.eps
-    ln_ms, ln_mt = math.log(-k.s), math.log(-k.t)
-    size = math.exp((e - 1.0) * ln_mt - ln_ms + 2.0 * ln_gamma(e).real
-                    + ln_gamma(1.0 - e).real - ln_gamma(2.0 * e).real)
-    terms = (2.0 * digamma(e).real, -digamma(1.0 - e).real, EULER_GAMMA, ln_mt - ln_ms)
+    e = u.eps
+    ln_mt = math.log(-u.t)
+    size = factor * math.exp((e - 1.0) * ln_mt + 2.0 * ln_gamma(e).real
+                             + ln_gamma(1.0 - e).real - ln_gamma(2.0 * e).real)
+    terms = (2.0 * digamma(e).real, -digamma(1.0 - e).real, EULER_GAMMA, ln_mt)
     bracket = math.fsum(terms)
     rounding = _LN_GAMMA_ERR * size * (4.0 * abs(bracket) + sum(map(abs, terms)))
     return size * bracket, rounding
@@ -297,10 +298,11 @@ def mb_massless_eval(k: Kinematics, spec: ContourSpec | None = None) -> BoxValue
     value is the line integral minus the pole's residue (see
     :func:`_crossed_residue`); the box is symmetric in s and t, and on such
     a line the integrand is taken with |t| <= |s|, which keeps the residue
-    from swamping the box.  The value is the doubled rule; the coarse rule
-    is its even nodes.  The rounding term is the error of each node's six
-    gamma factors times h sum |f| / 2 pi, plus the residue's, and the delta
-    is held to ``MASSLESS_DELTA_RTOL`` (see :func:`_contour_value`).
+    from swamping the box; then it is scaled (see :meth:`Kinematics.unit`).
+    The value is the doubled rule; the coarse rule is its even nodes.  The
+    rounding term is the error of each node's six gamma factors times
+    h sum |f| / 2 pi, plus the residue's, and the delta is held to
+    ``MASSLESS_DELTA_RTOL`` (see :func:`_contour_value`).
     Without ``spec`` the line is :func:`select_contour_massless`'s.
     """
     k.require_massless()
@@ -311,10 +313,11 @@ def mb_massless_eval(k: Kinematics, spec: ContourSpec | None = None) -> BoxValue
     crossed = spec.abscissa > k.eps - 1.0
     if crossed and abs(k.t) > abs(k.s):
         k = Kinematics(s=k.t, t=k.s, eps=k.eps)
-    f = mb_massless_integrand(spec.abscissa + 1j * spec.upper_heights(), k)
+    u, factor = k.unit()
+    f = factor * mb_massless_integrand(spec.abscissa + 1j * spec.upper_heights(), u)
     size = np.abs(f)
     weight = spec.step / (2.0 * math.pi)
-    residue, residue_rounding = _crossed_residue(k) if crossed else (0.0, 0.0)
+    residue, residue_rounding = _crossed_residue(u, factor) if crossed else (0.0, 0.0)
     fine = weight * _mirror_sum(f.real) - residue
     coarse = 2.0 * weight * _mirror_sum(f.real, (spec.nodes - 1) % 2, 2) - residue
     # beyond both ends the integrand decays like exp(-3 pi |Im w|)
@@ -374,16 +377,18 @@ def _mb_onemass_sums(k: Kinematics, ca: ContourSpec, cb: ContourSpec
     tail estimate sums |f| at the top corner and at the top centre of both
     edges, all of them grid nodes.
     """
-    e = k.eps
+    u, factor = k.unit()
+    e = u.eps
     h = ca.step
     ya, yb = ca.fine_heights(), cb.fine_heights()
     alpha = ca.abscissa + 1j * ya
     beta = cb.abscissa + 1j * yb
     sigma = (ca.abscissa + cb.abscissa) + 1j * (
         h * np.arange(len(ya) + len(yb) - 1) - (ca.height + cb.height))
-    a, b, c = _onemass_grids(k, alpha, beta, sigma)
+    a, b, c = _onemass_grids(u, alpha, beta, sigma)
     corr, corr_abs = _correlate(np.stack([a, np.abs(a)]), np.stack([c, np.abs(c)]))
-    scale = math.exp((e - 2.0) * math.log(-k.t) - ln_gamma(2.0 * e).real) / (4.0 * math.pi ** 2)
+    scale = factor * math.exp((e - 2.0) * math.log(-u.t) - ln_gamma(2.0 * e).real) \
+        / (4.0 * math.pi ** 2)
     weight = h * h * scale
     # the box is real in the Euclidean region: the imaginary parts are rounding
     fine = weight * float((b @ corr).real)
@@ -461,19 +466,20 @@ def residue_massless(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     against the continuation leftover.
     """
     k.require_massless()
-    e = k.eps
-    s, t = k.s, k.t
+    u, factor = k.unit()
+    e = u.eps
+    s, t = u.s, u.t
     st = s * t
 
     # simple-pole family: C1 * F(1,1;2-e;-s/t), split by the continuation
     c1 = _gamma_product((2.0, e), (2.0, 1.0 - e), (-1.0, 2.0 * e), (-1.0, 2.0 - e)) \
-        * (-t) ** (e - 2.0)
+        * (-t) ** (e - 2.0) * factor
     hyp_piece, alg_piece = f21_11_split(t / s, e, cut)
     i1 = c1 * (hyp_piece + alg_piece)
     spur_1 = c1 * alg_piece
 
     # shared real factors of the double-pole sector
-    kernel = (-s) ** e / st * (1.0 + s / t) ** (-e)
+    kernel = factor / st * (1.0 + s / t) ** (-e)
     g2e = _gamma_product((2.0, e), (-1.0, 2.0 * e))
 
     # shifted simple poles, -(1/d) Gamma(e+d) Gamma(1-e-d) (s/t)^d: the whole
@@ -485,7 +491,7 @@ def residue_massless(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     # unshifted simple poles: the exact half, -Gamma(1+d) Gamma(e-d) at d = 0,
     # plus the pole/log leftover (1/d) (-s/t)^d
     exact = -_gamma_product((2.0, e), (1.0, -e), (-1.0, 2.0 * e)) / st \
-        * f21_1e(1.0 + s / t, e, cut) * (-s) ** e
+        * f21_1e(1.0 + s / t, e, cut) * factor
     pref_b = g2e * math.exp(ln_gamma(1.0 - e).real) * kernel
     pole_b, fin_b = _pole_coefficients(1.0, (), cut_log(-s / t, cut))
     spur_2b = fin_b * pref_b
@@ -519,8 +525,9 @@ def residue_onemass(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     needed: every pole family here is simple.
     """
     k.require_onemass()
-    e = k.eps
-    s, t, m2 = k.s, k.t, k.msq
+    u, factor = k.unit()
+    e = u.eps
+    s, t, m2 = u.s, u.t, u.msq
     st = s * t
 
     # first family: the beta-contour integral resummed; its two closure
@@ -528,8 +535,8 @@ def residue_onemass(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     # The second is Gamma(e) Gamma(1-e) / Gamma(2-e) times the connection
     # tail, whose own Gamma(2-e) the ratio divides out
     x1 = s / (m2 - t)
-    pref_1 = (-t) ** e / (t * (m2 - t)) * _gamma_product((1.0, e), (1.0, 1.0 - e),
-                                                        (-1.0, 2.0 * e))
+    pref_1 = factor * (-t) ** e / (t * (m2 - t)) \
+        * _gamma_product((1.0, e), (1.0, 1.0 - e), (-1.0, 2.0 * e))
     tilde_a = -math.exp(ln_gamma(e).real) / (1.0 - e) * f21_11(x1, e, cut)
     tilde_b = _f21_11_tail(e, x1, cut) * _gamma_product((1.0, e), (1.0, 1.0 - e),
                                                           (-1.0, 2.0 - e))
@@ -537,14 +544,14 @@ def residue_onemass(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
 
     # second family: reduced two-variable function, then continued
     z2a = st / ((m2 - s) * (m2 - t))
-    coef_2a = -(-m2) ** e / ((m2 - t) * (m2 - s)) \
+    coef_2a = -factor * (-m2) ** e / ((m2 - t) * (m2 - s)) \
         * _gamma_product((1.0, e), (1.0, 1.0 - e), (1.0, e - 1.0), (-1.0, 2.0 * e))
     im2a = coef_2a * f21_11(z2a, e, cut)
     spur_2a = coef_2a * _f21_11_tail(e, z2a, cut)
 
     # third family
     z2b = t / (m2 - s)
-    coef_2b = -(-s) ** e / (s * (m2 - s)) \
+    coef_2b = -factor / (s * (m2 - s)) \
         * _gamma_product((2.0, e), (1.0, 1.0 - e), (-1.0, 2.0 * e)) / (1.0 - e)
     im2b = coef_2b * f21_11(z2b, e, cut)
     spur_2b = coef_2b * _f21_11_tail(e, z2b, cut)

@@ -123,9 +123,9 @@ def _quotient(a: np.ndarray, b: np.ndarray, q: float) -> np.ndarray:
     return np.where(d == 0.0, q / b, out)
 
 
-def _feynman(eps, neg_s, neg_t, neg_m2, name):
+def _feynman(k: Kinematics, name: str) -> BoxValue:
     """Integral over z in [0, 1] of (a**p - b**p) / (b - a), p = eps - 1,
-    times the gamma prefactor.
+    times the gamma prefactor, at the unit point (see :meth:`Kinematics.unit`).
 
     The two halves of [0, 1] are the two rows of one quadrature.  The upper
     half is mirrored, z -> 1-z, so that its singular end also sits at z = 0;
@@ -136,20 +136,22 @@ def _feynman(eps, neg_s, neg_t, neg_m2, name):
     1 / (eps (near - near_m)).  The expm1/log1p forms keep a - near_m
     accurate when near_m is close to near.
     """
+    u, factor = k.unit()
+    eps, neg_t, neg_m2 = u.eps, -u.t, 0.0 if u.msq is None else -u.msq
     q = 1.0 - eps
     inv_eps = 1.0 / eps
     # rows: the lower half, then the mirrored upper half
-    near = np.array([[neg_s], [neg_t]])
+    near = np.array([[1.0], [neg_t]])
     near_m = np.array([[neg_m2], [0.0]])
-    far = np.array([[neg_t], [neg_s]])
+    far = np.array([[neg_t], [1.0]])
     span = near - near_m
     slope = (np.array([[0.0], [neg_m2]]) - far) / span
     c = inv_eps / span
     base = neg_m2 ** eps
     if neg_m2 == 0.0:
-        top = (0.5 * neg_s) ** eps
+        top = 0.5 ** eps
     else:
-        top = base * math.expm1(eps * math.log1p((neg_s - neg_m2) / (2.0 * neg_m2)))
+        top = base * math.expm1(eps * math.log1p((1.0 - neg_m2) / (2.0 * neg_m2)))
 
     def g(v):
         # v ** inv_eps underflows to 0 near v = 0 when eps is small
@@ -159,9 +161,9 @@ def _feynman(eps, neg_s, neg_t, neg_m2, name):
 
     value, abserr, info = quad(g, 0.0, (top, (0.5 * neg_t) ** eps), name)
     pref, pref_err = _gamma_prefactor(eps)
-    return BoxValue(complex(pref * value), "feynman", {
+    return BoxValue(complex(factor * pref * value), "feynman", {
         "neval": info["neval"],
-        "abserr": pref * (abserr + pref_err * abs(value)),
+        "abserr": factor * pref * (abserr + pref_err * abs(value)),
     })
 
 
@@ -173,14 +175,14 @@ def feynman_1d_massless(k: Kinematics) -> BoxValue:
     removable point.
     """
     k.require_massless()
-    return _feynman(k.eps, -k.s, -k.t, 0.0, "massless")
+    return _feynman(k, "massless")
 
 
 def feynman_1d_onemass(k: Kinematics) -> BoxValue:
     """One-mass box by direct quadrature of its one-dimensional z-integral:
     the massless integrand with a = z(-s) + (1-z)(-msq)."""
     k.require_onemass()
-    return _feynman(k.eps, -k.s, -k.t, -k.msq, "onemass")
+    return _feynman(k, "onemass")
 
 
 def euler_f21_oracle(eps: float, w_arg: float, cut: CutPrescription = PV) -> complex:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from helpers import mp_box
@@ -21,6 +22,7 @@ from mbbox.cli import (
     main,
 )
 from mbbox.closed_form import BoxValue, Kinematics
+from mbbox.errors import NonConvergence
 from mbbox.mb_engine import mb_massless_eval, mb_onemass_eval, select_contour_massless
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -188,8 +190,8 @@ class TestEval:
 
 
 class TestArithmeticFailure:
-    """At s = t = -1e-200, s t underflows to zero and Gamma-weighted powers
-    overflow: every route and the expansion exit 3 with one error line."""
+    """At s = t = -1e-200 the box is about 1e340, out of the double range:
+    every route and the expansion exit 3 with one error line."""
 
     POINT = ["--s=-1e-200", "--t=-1e-200", "--eps", "0.3"]
     COMMANDS = [["eval", "--method", m] for m in cli._METHODS] + [["expand"]]
@@ -227,16 +229,22 @@ class TestArithmeticFailure:
 class TestComplementRoundsToOne:
     """At (s, t) = (-1e300, -2) a 2F1 argument 1 + t/s rounds to 1, where
     F(1, b; 1+b; z) diverges: a numerical failure, exit 3, though its class
-    is PoleError."""
+    is PoleError.  The residue route fails before the pole: at the unit
+    point t/s = 2e-300, and (-t)^(eps-2) overflows."""
 
     POINT = ["--s=-1e300", "--t=-2", "--eps", "0.3"]
 
-    @pytest.mark.parametrize("method", ["closed", "closed_alt", "residue"])
+    POLE = "PoleError: F(1,b;1+b;z) diverges at z=1"
+    MESSAGES = {"closed": POLE, "closed_alt": POLE,
+                "residue": "NonConvergence: method residue failed: OverflowError: "
+                           "(34, 'Numerical result out of range')"}
+
+    @pytest.mark.parametrize("method", sorted(MESSAGES))
     def test_exit_3(self, method, capsys):
         assert run_main(["eval", *self.POINT, "--method", method]) == EXIT_NOT_CONVERGED
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: PoleError: F(1,b;1+b;z) diverges at z=1\n"
+        assert err == f"error: {self.MESSAGES[method]}\n"
 
 
 class TestDefaultContour:
@@ -275,22 +283,97 @@ class TestDefaultContour:
         assert abs(record["value"]["re"] - ref.real) <= 1e-13 * abs(ref)
 
 
-class TestNaNArgument:
-    """At (s, t, msq) = (-1e200, -2e200, -5e199) s t overflows and the msq
-    channel's 2F1 argument is NaN: the analytic routes refuse it at once,
-    naming the argument, instead of running a series to its term cap."""
+class TestOutOfRange:
+    """At (s, t, msq) = (-1e200, -2e200, -5e199) the box is about 1e-340,
+    below the double range: the routes, which once formed s t and met a NaN
+    2F1 argument there, evaluate the unit point and exit 3 naming the scale.
+    ``test_specfun.py::TestNaNArgument`` covers the NaN refusal itself."""
 
     POINT = ["--integral", "onemass", "--s=-1e200", "--t=-2e200", "--msq=-5e199",
              "--eps", "0.3"]
 
-    @pytest.mark.parametrize("method, argument", [("closed", "f21_1e argument z"),
-                                                  ("closed_alt", "f21_2e argument z"),
-                                                  ("residue", "f21_11 argument z")])
-    def test_exit_3_naming_the_argument(self, method, argument, capsys):
+    @pytest.mark.parametrize("method", ["closed", "closed_alt", "residue"])
+    def test_exit_3_naming_the_scale(self, method, capsys):
         assert run_main(["eval", *self.POINT, "--method", method]) == EXIT_NOT_CONVERGED
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: NonConvergence: {argument}=(nan+0j) is not a number\n"
+        assert err == (f"error: NonConvergence: method {method} at the scale -s=1e+200 "
+                       "gave 0j, out of the double range\n")
+
+
+class TestScale:
+    """The box is homogeneous, I(l s, l t, l msq) = l^(eps-2) I(s, t, msq).
+    Every route evaluates it at s = -1 and scales it once: at any scale a
+    route is right, or it exits 3 naming the scale."""
+
+    UNIT = {"massless": (-1.0, -2.0, None), "onemass": (-1.0, -2.0, -0.5)}
+    # the box at l (-1, -2) is about l^-1.7: in range up to 1e+-170, out at 1e+-300
+    IN_RANGE = (1e154, 1e160, 1e170, 1e-154, 1e-160, 1e-170)
+    OUT_OF_RANGE = (1e300, 1e-300)
+
+    def _cfg(self, integral, lam, method="closed"):
+        s, t, msq = self.UNIT[integral]
+        return RunConfig(integral, lam * s, lam * t, 0.3,
+                         msq=None if msq is None else lam * msq, method=method)
+
+    @pytest.mark.parametrize("lam", IN_RANGE + OUT_OF_RANGE)
+    @pytest.mark.parametrize("integral, method", sorted(cli._ROUTES))
+    def test_every_route_scales_or_exits_3(self, integral, method, lam):
+        unit = cmd_eval(self._cfg(integral, 1.0, method)).records[0]["value"]["re"]
+        if lam in self.OUT_OF_RANGE:
+            with pytest.raises(NonConvergence, match="at the scale -s="):
+                cmd_eval(self._cfg(integral, lam, method))
+            return
+        value = cmd_eval(self._cfg(integral, lam, method)).records[0]["value"]["re"]
+        want = mpmath.mpf(lam) ** (mpmath.mpf(0.3) - 2) * unit
+        assert abs(value - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("method", cli._METHODS)
+    def test_value_below_range_exits_3(self, method, capsys):
+        # about 1e-340; the routes once printed 0.0 0.0 with exit 0 here
+        assert run_main(["eval", "--s=-1e200", "--t=-3e200", "--eps", "0.3",
+                         "--method", method]) == EXIT_NOT_CONVERGED
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: NonConvergence: method {method} at the scale -s=1e+200 ")
+
+    @pytest.mark.parametrize("method", cli._METHODS)
+    def test_ratio_out_of_range_is_bad_input(self, method, capsys):
+        assert run_main(["eval", "--s=-1e-300", "--t=-1e300", "--eps", "0.3",
+                         "--method", method]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == \
+            "error: DegenerateKinematics: t/s=inf is not a normal double\n"
+
+    def test_sweep_skips_a_ratio_out_of_range(self, tmp_path):
+        grid = [{"s": -1e-300, "t": -1e300, "eps": 0.3, "methods": list(cli._METHODS)},
+                {"s": -1.0, "t": -2.0, "eps": 0.3, "methods": ["closed", "mb"]}]
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps(grid))
+        report = cli.cmd_sweep(str(grid_file), None)
+        bad, good = report.records
+        assert bad["status"] == "skipped-degenerate" and "t/s" in bad["reason"]
+        assert good["status"] == "ok" and good["pass"]
+        assert report.summary["warnings"] == 1 and report.summary["errors"] == 0
+
+    @pytest.mark.parametrize("lam", (1e150, 1e-150, 1e154, 1e-154, 1e300))
+    @pytest.mark.parametrize("integral", sorted(UNIT))
+    def test_expand_keeps_every_row_or_exits_3(self, integral, lam):
+        # (-s)^xi / s^2 = lam^-2 (1 + xi L + xi^2 L^2 / 2) with L = ln lam
+        # mixes the unit point's rows
+        unit = [complex(r["re"], r["im"])
+                for r in cmd_expand(self._cfg(integral, 1.0)).records[0]["laurent"]]
+        try:
+            rows = cmd_expand(self._cfg(integral, lam)).records[0]["laurent"]
+        except NonConvergence as exc:
+            assert lam not in (1e150, 1e-150)
+            assert "at the scale -s=" in str(exc)
+            return
+        assert [r["power"] for r in rows] == [-2, -1, 0]
+        log = mpmath.log(lam)
+        for j, row in enumerate(rows):
+            want = sum(unit[j - i] * log ** i / mpmath.factorial(i)
+                       for i in range(j + 1)) / mpmath.mpf(lam) ** 2
+            assert abs(row["re"] - want) <= 1e-13 * abs(want) and row["im"] == 0.0
 
 
 class TestExpand:

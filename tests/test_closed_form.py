@@ -103,12 +103,13 @@ class TestMasslessBox:
             assert abs(a - b) < 1e-11 * abs(a)
 
     def test_dimensional_scaling(self):
-        # scaling all invariants by lam multiplies the box by lam**(e-2)
-        for lam in (0.5, 3.0):
+        # scaling all invariants by lam multiplies the box by lam**(e-2),
+        # also where s t leaves the double range
+        for lam in (0.5, 3.0, 1e154, 1e160, 1e170, 1e-154, 1e-160, 1e-170):
             for (s, t, e) in ((-1.0, -2.0, 0.3), (-0.5, -3.0, 0.45)):
                 a = massless_box(Kinematics(s=lam * s, t=lam * t, eps=e)).value
                 b = massless_box(Kinematics(s=s, t=t, eps=e)).value * lam ** (e - 2.0)
-                assert abs(a - b) < 1e-11 * abs(a)
+                assert abs(a - b) < 1e-11 * abs(a), lam
 
     def test_imaginary_part_bound(self):
         for (s, t, e) in MASSLESS_GRID:
@@ -213,11 +214,11 @@ class TestOneMassBox:
         assert abs(slope - e) < 0.05
 
     def test_scaling(self):
-        lam = 2.5
         e = 0.25
-        a = onemass_box(Kinematics(s=-lam, t=-2 * lam, eps=e, msq=-0.5 * lam)).value
-        b = onemass_box(Kinematics(s=-1.0, t=-2.0, eps=e, msq=-0.5)).value * lam ** (e - 2.0)
-        assert abs(a - b) < 1e-11 * abs(a)
+        for lam in (2.5, 1e154, 1e160, 1e170, 1e-154, 1e-160, 1e-170):
+            a = onemass_box(Kinematics(s=-lam, t=-2 * lam, eps=e, msq=-0.5 * lam)).value
+            b = onemass_box(Kinematics(s=-1.0, t=-2.0, eps=e, msq=-0.5)).value * lam ** (e - 2.0)
+            assert abs(a - b) < 1e-11 * abs(a), lam
 
 
 class TestOneMassLaurent:

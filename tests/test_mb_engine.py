@@ -270,6 +270,19 @@ class TestOneMassQuadrature:
         assert abs(v.value - c) < 1e-11 * abs(c)
         assert abs(v.value - c) <= v.diagnostics["error_estimate"]
 
+    @pytest.mark.parametrize("s,t,m2,eps", [(-1.0, -2.0, -0.5, 0.02), (-1.0, -2.0, -0.5, 0.2),
+                                            (-1.0, -2.0, -0.5, 0.6), (-1.0, -10.0, -3.0, 0.7),
+                                            (-1.0, -100.0, -0.01, 0.95),
+                                            (-1.0, -0.01, -100.0, 0.95)])
+    def test_error_estimate_is_tight(self, s, t, m2, eps):
+        # the doubled rule is charged delta^2 / |value|, not the coarse
+        # rule's delta, which was 1e5 to 1e7 times the error: the estimate
+        # bounds the error and is at most 1e3 times it
+        v = mb_onemass_eval(Kinematics(s=s, t=t, eps=eps, msq=m2))
+        error = mp_error(v.value.real, s, t, eps, m2)
+        estimate = v.diagnostics["error_estimate"]
+        assert error <= estimate <= 1e3 * error
+
     @pytest.mark.parametrize("s,t,m2,eps", [(-1.0, -1.0, -0.5, 0.4), (-1.0, -2.0, -0.5, 0.3)])
     def test_value_exactly_real(self, s, t, m2, eps):
         assert mb_onemass_eval(Kinematics(s=s, t=t, eps=eps, msq=m2)).value.imag == 0.0

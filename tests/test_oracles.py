@@ -116,12 +116,13 @@ class TestFeynmanOneMass:
         assert abs(a - b) < 5e-3 * abs(b)
 
     def test_scaling(self):
-        lam, e = 1.7, 0.35
-        a = feynman_1d_onemass(
-            Kinematics(s=-lam, t=-2 * lam, eps=e, msq=-0.5 * lam)).value
-        b = feynman_1d_onemass(
-            Kinematics(s=-1.0, t=-2.0, eps=e, msq=-0.5)).value * lam ** (e - 2.0)
-        assert abs(a - b) < 1e-9 * abs(a)
+        e = 0.35
+        for lam in (1.7, 1e154, 1e160, 1e170, 1e-154, 1e-160, 1e-170):
+            a = feynman_1d_onemass(
+                Kinematics(s=-lam, t=-2 * lam, eps=e, msq=-0.5 * lam)).value
+            b = feynman_1d_onemass(
+                Kinematics(s=-1.0, t=-2.0, eps=e, msq=-0.5)).value * lam ** (e - 2.0)
+            assert abs(a - b) < 1e-9 * abs(a), lam
 
 
 class TestEulerOracle:
