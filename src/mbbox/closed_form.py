@@ -13,14 +13,15 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DegenerateKinematics, EuclideanRegionViolation
-from .series import RegulatorSeries, gamma_series
+from .series import RegulatorSeries
 from .specfun import (
+    EULER_GAMMA,
     PV,
     CutPrescription,
     f21_1e,
     f21_2e,
+    gamma,
     li2,
-    ln_gamma,
 )
 
 __all__ = [
@@ -36,6 +37,8 @@ __all__ = [
 
 DEGENERACY_RTOL = 1e-12
 DBL_MIN = 2.0 ** -1022  # the smallest normal double
+# Gamma(1-e) Gamma(1+e)^2 / Gamma(1+2e) = exp(gamma_E e - pi^2 e^2 / 12 + O(e^3)) through e^2
+_LAURENT_PREFACTOR = (1.0, EULER_GAMMA, EULER_GAMMA ** 2 / 2.0 - math.pi ** 2 / 12.0)
 
 
 @dataclass(frozen=True)
@@ -121,9 +124,9 @@ def _channels(k: Kinematics) -> tuple:
 
 
 def _gammas(e: float) -> tuple:
-    # Gamma(e)^2 / Gamma(2e) and Gamma(1-e), from log space
-    return (math.exp(2.0 * ln_gamma(e).real - ln_gamma(2.0 * e).real),
-            math.exp(ln_gamma(1.0 - e).real))
+    # Gamma(e)^2 / Gamma(2e) and Gamma(1-e); Gamma(e) ~ 1/e, so divide before squaring
+    g = gamma(e).real
+    return g / gamma(2.0 * e).real * g, gamma(1.0 - e).real
 
 
 def _closed(k: Kinematics, cut: CutPrescription) -> complex:
@@ -151,19 +154,20 @@ def _closed_alt(k: Kinematics, cut: CutPrescription) -> complex:
 
 def _laurent(k: Kinematics) -> RegulatorSeries:
     # the channel sum of sign [(-x)^e + e^2 (Li2(1 - z) - pi^2/6)] through e^2,
-    # each coefficient summed exactly (math.fsum); at msq = 0 the finite part
-    # Li2(-s/t) + Li2(-t/s) - pi^2/3 is -log(s/t)^2/2 - pi^2/2.  The channels
-    # are the unit point's; ln(-s) and 1/s^2 expand its factor (-s)^e / s^2
+    # each column summed exactly (math.fsum), times _LAURENT_PREFACTOR; at msq = 0
+    # the finite part Li2(-s/t) + Li2(-t/s) - pi^2/3 is -log(s/t)^2/2 - pi^2/2.  The
+    # channels are the unit point's; ln(-s) and 1/s^2 expand its factor (-s)^e / s^2
     u, _ = k.unit()
     rows = []
     for sign, neg, _, w in _channels(u):
         log = math.log(neg) + math.log(-k.s)
         rows.append((sign, sign * log,
                      sign * (0.5 * log * log + li2(w).real - math.pi ** 2 / 6.0)))
-    channels = RegulatorSeries(0, tuple(math.fsum(column) for column in zip(*rows)))
-    g = gamma_series(1.0, 2)  # times Gamma(1-e) Gamma(1+e)^2 / Gamma(1+2e)
-    series = g.scaled_arg(-1) * g * g / g.scaled_arg(2) * channels
-    return (series * (2.0 / (u.s * u.t) / k.s / k.s)).shifted(-2).truncated(0)
+    cols = [math.fsum(column) for column in zip(*rows)]
+    scale = 2.0 / (u.s * u.t) / k.s / k.s
+    return RegulatorSeries(-2, tuple(
+        scale * math.fsum(_LAURENT_PREFACTOR[n - j] * cols[j] for j in range(n + 1))
+        for n in range(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +194,9 @@ def massless_box_alt(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
 def massless_box_laurent(k: Kinematics) -> RegulatorSeries:
     """Laurent expansion of the massless box through the finite order.
 
-    Assembled analytically from the series module: the double pole carries
-    the two power factors, and the finite part collects the dilogarithm
-    combination, which reduces to -log(s/t)^2/2 - pi^2/2.
+    Exact channel sums times the gamma prefactor's constant coefficients:
+    the double pole carries the two power factors, and the finite part
+    collects the dilogarithm combination, -log(s/t)^2/2 - pi^2/2.
     """
     k.require_massless()
     return _laurent(k)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import BoxValue, Kinematics
+from .closed_form import BoxValue, Kinematics, _gammas
 from .errors import InfeasibleContour, NotConverged, PoleError
 from .specfun import (
     EULER_GAMMA,
@@ -480,11 +480,11 @@ def residue_massless(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
 
     # shared real factors of the double-pole sector
     kernel = factor / st * (1.0 + s / t) ** (-e)
-    g2e = _gamma_product((2.0, e), (-1.0, 2.0 * e))
+    g2e, g1me = _gammas(e)
 
     # shifted simple poles, -(1/d) Gamma(e+d) Gamma(1-e-d) (s/t)^d: the whole
     # finite part is a continuation artifact
-    pref_a = g2e / math.exp(ln_gamma(e).real) * kernel
+    pref_a = _gamma_product((1.0, e), (-1.0, 2.0 * e)).real * kernel
     pole_a, fin_a = _pole_coefficients(-1.0, ((e, 1.0), (1.0 - e, -1.0)), math.log(s / t))
     i2a = fin_a * pref_a
 
@@ -492,7 +492,7 @@ def residue_massless(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     # plus the pole/log leftover (1/d) (-s/t)^d
     exact = -_gamma_product((2.0, e), (1.0, -e), (-1.0, 2.0 * e)) / st \
         * f21_1e(1.0 + s / t, e, cut) * factor
-    pref_b = g2e * math.exp(ln_gamma(1.0 - e).real) * kernel
+    pref_b = g2e * g1me * kernel
     pole_b, fin_b = _pole_coefficients(1.0, (), cut_log(-s / t, cut))
     spur_2b = fin_b * pref_b
     i2b = exact + spur_2b
@@ -537,7 +537,7 @@ def residue_onemass(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     x1 = s / (m2 - t)
     pref_1 = factor * (-t) ** e / (t * (m2 - t)) \
         * _gamma_product((1.0, e), (1.0, 1.0 - e), (-1.0, 2.0 * e))
-    tilde_a = -math.exp(ln_gamma(e).real) / (1.0 - e) * f21_11(x1, e, cut)
+    tilde_a = -gamma(e).real / (1.0 - e) * f21_11(x1, e, cut)
     tilde_b = _f21_11_tail(e, x1, cut) * _gamma_product((1.0, e), (1.0, 1.0 - e),
                                                           (-1.0, 2.0 - e))
     im1 = pref_1 * (tilde_a + tilde_b)

@@ -3,8 +3,9 @@
 Everything here goes through direct quadrature: the one-dimensional
 Feynman-parameter integrals for both boxes, the Euler integral behind the
 2F1 family, and the Beta integral behind the gamma prefactor.  None of it
-calls the special functions of the evaluators under test: the gamma
-prefactor comes from ``math.lgamma``.
+calls :mod:`mbbox.specfun`, but the Feynman prefactor's ``math.lgamma`` and the
+evaluators' real ``math.gamma`` share CPython's Lanczos sum: only the mpmath
+tests of ``specfun.gamma`` check that prefactor independently of the evaluators.
 """
 
 from __future__ import annotations

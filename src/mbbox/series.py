@@ -7,10 +7,10 @@ series is marked ``exact`` (a genuine Laurent polynomial).  Arithmetic
 tracks the largest power that is still fully determined, so products of
 truncated series never claim more accuracy than they have.
 
-The closed forms build their Laurent expansions in eps from it
-(:func:`mbbox.closed_form.massless_box_laurent` and its one-mass twin).
-The residue routes need no series: they read the coefficients of their
-auxiliary regulator off Gamma and psi.
+The Laurent expansions in eps (:func:`mbbox.closed_form.massless_box_laurent`
+and its one-mass twin) return a :class:`RegulatorSeries` but use none of its
+algebra: they take the constant coefficients of their gamma prefactor.  The
+residue routes read the coefficients of their auxiliary regulator off Gamma and psi.
 """
 
 from __future__ import annotations

@@ -92,9 +92,9 @@ def _is_nonpositive_integer(z: complex) -> bool:
 # gamma family
 # ---------------------------------------------------------------------------
 
-# Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
-# Relative accuracy ~1e-14 on Re z >= 0.5; reflection extends it to the
-# rest of the plane.
+# Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set), for
+# log-gamma and complex gamma (real gamma is math.gamma).  Relative accuracy
+# ~1e-14 on Re z >= 0.5; reflection extends it to the rest of the plane.
 _LANCZOS_G = 607.0 / 128.0
 _LANCZOS_COEF = (
     0.99999999999999709182,
@@ -167,19 +167,12 @@ def ln_gamma_grid(z: np.ndarray) -> np.ndarray:
 
 
 def gamma(z) -> complex:
-    """Gamma function via exp(ln_gamma); exactly real on the real axis."""
+    """Gamma function: math.gamma, exactly real, on the real axis; else exp(ln_gamma)."""
     z = complex(z)
     if z.imag == 0.0:
         if _is_nonpositive_integer(z):
             raise PoleError(f"gamma pole at z={z.real}")
-        x = z.real
-        if x >= 0.5:
-            out = math.exp(_lanczos_ln_gamma(complex(x)).real)
-        else:
-            # value-space reflection keeps the sign exact
-            out = PI / (math.sin(PI * x)
-                        * math.exp(_lanczos_ln_gamma(complex(1.0 - x)).real))
-        return _require_finite(complex(out, 0.0), "gamma")
+        return _require_finite(math.gamma(z.real), "gamma")
     return _require_finite(cmath.exp(ln_gamma(z)), "gamma")
 
 

@@ -57,6 +57,14 @@ class TestEval:
         assert abs(rec["value"]["re"] - 24.077761462512434) < 1e-8
         assert rec["value"]["im"] == 0.0
 
+    @pytest.mark.parametrize("eps", ["0.3", "1.5"])
+    def test_python_m_mbbox_runs_main(self, eps, capsys):
+        argv = ["eval", "--s=-1", "--t=-2", "--eps", eps]
+        code = run_main(argv)
+        out = capsys.readouterr()
+        proc = run_python("-m", "mbbox", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.out, out.err)
+
     def test_mb_agrees_with_closed(self):
         cfg_c = RunConfig("massless", -1.0, -2.0, 0.3, method="closed")
         cfg_m = RunConfig("massless", -1.0, -2.0, 0.3, method="mb")

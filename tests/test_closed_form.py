@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -63,14 +64,31 @@ EXTREME_POINTS = [(-1.0, t, m2, e)
                   for e in (0.02, 0.5, 0.99)]
 
 
+CLOSED_ROUTES = {("closed", True): massless_box, ("closed_alt", True): massless_box_alt,
+                 ("closed", False): onemass_box, ("closed_alt", False): onemass_box_alt}
+
+
 @pytest.mark.parametrize("s, t, m2, e", EXTREME_POINTS)
 @pytest.mark.parametrize("form", ["closed", "closed_alt"])
 def test_closed_forms_against_mpmath(form, s, t, m2, e):
-    routes = {("closed", True): massless_box, ("closed_alt", True): massless_box_alt,
-              ("closed", False): onemass_box, ("closed_alt", False): onemass_box_alt}
-    value = routes[form, m2 is None](Kinematics(s=s, t=t, eps=e, msq=m2)).value
+    value = CLOSED_ROUTES[form, m2 is None](Kinematics(s=s, t=t, eps=e, msq=m2)).value
     ref = mp_box(s, t, e, m2)
     tol = 1e-6 if (form, s, t, m2, e) == ("closed_alt", -1.0, -1e-3, -1e3, 0.99) else 1e-11
+    assert abs(value - ref) <= tol * abs(ref)
+
+
+# the gamma factors near eps = 0 and 1: Gamma(-e), the Gamma(1 - b) of the 2F1
+# inversion, taken by a reflection that forms sin(pi x) next to x = -1 puts
+# closed_alt 2e-8 off at eps = 0.999; Gamma(e)^2 / Gamma(2e) taken as
+# exp(2 ln Gamma(e) - ln Gamma(2e)), with ln Gamma(e) ~ 9, puts both forms
+# 5e-15 off at eps = 1e-4
+@pytest.mark.parametrize("form, e, tol", [("closed_alt", 0.999, 1e-9),
+                                          ("closed", 1e-4, 1e-15),
+                                          ("closed_alt", 1e-4, 1e-15)])
+@pytest.mark.parametrize("m2", [None, -0.5])
+def test_closed_forms_at_edge_eps(form, e, tol, m2):
+    value = CLOSED_ROUTES[form, m2 is None](Kinematics(s=-1.0, t=-2.0, eps=e, msq=m2)).value
+    ref = mp_box(-1.0, -2.0, e, m2, dps=50)
     assert abs(value - ref) <= tol * abs(ref)
 
 
@@ -129,6 +147,20 @@ class TestMasslessLaurent:
             g.append(massless_box(Kinematics(s=-1.0, t=-2.0, eps=e)).value.real * e * e)
         extrap = 2.0 * g[1] - g[0]
         assert abs(extrap - lau.coeff(-2).real) < 2e-3 * abs(lau.coeff(-2))
+
+    def test_gamma_prefactor_coefficients(self):
+        # the constants of Gamma(1-e) Gamma(1+e)^2 / Gamma(1+2e) through e^2
+        with mpmath.workdps(30):
+            c = mpmath.taylor(lambda e: mpmath.gamma(1 - e) * mpmath.gamma(1 + e) ** 2
+                              / mpmath.gamma(1 + 2 * e), 0, 2)
+            assert abs(c[0] - 1) < 1e-25
+            assert abs(c[1] - mpmath.euler) < 1e-25
+            assert abs(c[2] - (mpmath.euler ** 2 / 2 - mpmath.pi ** 2 / 12)) < 1e-25
+            # at s = t = -1 the channels sum to 2 - (pi^2/2) e^2 and 2/(s t) = 2
+            expected = (4, 4 * c[1], 4 * c[2] - mpmath.pi ** 2)
+        lau = massless_box_laurent(Kinematics(s=-1.0, t=-1.0, eps=0.3))
+        for p, ref in zip((-2, -1, 0), expected):
+            assert abs(lau.coeff(p) - float(ref)) <= 1e-15 * abs(ref), p
 
     def test_symmetric_point_finite_part(self):
         # at s = t the squared-log sector vanishes

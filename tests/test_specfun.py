@@ -11,6 +11,15 @@ from mbbox.specfun import ABOVE, BELOW, PV
 
 EULER_GAMMA = 0.5772156649015328606
 
+# the real gamma arguments of the box routes, on an eps grid that reaches
+# 1e-6 and 1 - 1e-6 (ten points a decade)
+BOX_GAMMA_ARGUMENTS = {
+    "e": lambda e: e, "1-e": lambda e: 1.0 - e, "2e": lambda e: 2.0 * e,
+    "2-e": lambda e: 2.0 - e, "e-1": lambda e: e - 1.0, "-e": lambda e: -e,
+    "1+e": lambda e: 1.0 + e, "2+e": lambda e: 2.0 + e,
+}
+EDGE_EPS = [x for k in range(1, 61) for x in (10.0 ** (-k / 10), 1.0 - 10.0 ** (-k / 10))]
+
 
 class TestGammaFamily:
     def test_ln_gamma_known_values(self):
@@ -68,6 +77,19 @@ class TestGammaFamily:
     def test_overflow_is_an_error(self):
         with pytest.raises(OverflowError):
             sf.gamma(500.0)
+
+    @pytest.mark.parametrize("form", sorted(BOX_GAMMA_ARGUMENTS))
+    def test_real_gamma_within_8_ulps(self, form):
+        # a reflection that forms sin(pi x) next to a nonzero integer puts
+        # Gamma(e - 1) and Gamma(-e) 2e5 ulps off at e = 1e-6 and 1 - 1e-6
+        for e in EDGE_EPS:
+            x = BOX_GAMMA_ARGUMENTS[form](e)
+            value = sf.gamma(x)
+            assert value.imag == 0.0
+            with mpmath.workdps(30):
+                ref = mpmath.gamma(x)
+                ulps = float(abs(mpmath.mpf(value.real) - ref)) / math.ulp(float(ref))
+            assert ulps <= 8.0, (form, e, ulps)
 
     def test_grid_matches_scalar(self):
         import numpy as np
