@@ -5,9 +5,11 @@ through closed hypergeometric forms (:mod:`mbbox.closed_form`), numerical
 contour quadrature of their Mellin-Barnes representations plus residue
 resummation (:mod:`mbbox.mb_engine`), and direct Feynman-parameter
 quadrature (:mod:`mbbox.oracles`), all restricted to the Euclidean region.
-:mod:`mbbox.series` supplies the truncated Laurent algebra used for the
-eps expansions, and :mod:`mbbox.cli` wires everything into a
-command-line tool with machine-readable reports.
+The eps expansions return their three Laurent coefficients as plain
+numbers; :mod:`mbbox.series`, a truncated Laurent algebra that no route
+uses, stays importable until the benchmark's tracer stops naming it.
+:mod:`mbbox.cli` wires everything into a command-line tool with
+machine-readable reports.
 """
 
 from .closed_form import (

@@ -11,15 +11,18 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 numerical failure.  Reports are JSON on stdout (or ``--out``),
 with full-precision repr floats and no locale formatting.
 
-Environment overrides: ``MBBOX_TOL`` (verification tolerance),
-``MBBOX_QUAD_NODES`` and ``MBBOX_QUAD_HEIGHT`` (contour quadrature
-defaults).  Explicit flags win over the environment.
+Environment overrides: ``MBBOX_TOL`` (the tolerance of ``verify`` and
+``sweep``), ``MBBOX_QUAD_NODES`` and ``MBBOX_QUAD_HEIGHT`` (the contour of
+``eval --method mb``, the only reader of ``--nodes`` and ``--height``;
+``sweep`` always runs the default contours).  Explicit flags win over the
+environment, and a command does not parse a variable it does not read.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import itertools
 import json
 import math
 import os
@@ -45,7 +48,6 @@ from .errors import (
     MbboxError,
     NonConvergence,
 )
-from .series import RegulatorSeries
 from .specfun import (
     ABOVE,
     BELOW,
@@ -124,11 +126,6 @@ def _c(value: complex) -> dict:
     return {"re": value.real, "im": value.imag}
 
 
-def _laurent_json(series: RegulatorSeries) -> list:
-    return [{"power": p, **_c(series.coeff(p))}
-            for p in range(series.min_power, series.max_power + 1)]
-
-
 def _jsonable(obj):
     if isinstance(obj, complex):
         return _c(obj)
@@ -141,13 +138,6 @@ def _jsonable(obj):
     return obj
 
 
-def _tolerance(value, name: str):
-    """``value`` if it is None or a finite number >= 0; ``name`` is the option."""
-    if value is not None and not 0.0 <= value < math.inf:
-        raise DegenerateKinematics(f"{name}={value!r} is not a finite number >= 0")
-    return value
-
-
 def _env_default(name, cast, fallback):
     raw = os.environ.get(name)
     if raw is None:
@@ -156,6 +146,16 @@ def _env_default(name, cast, fallback):
         return cast(raw)
     except ValueError:
         raise DegenerateKinematics(f"bad {name}={raw!r}")
+
+
+def _tolerance(args, default: float) -> float:
+    """``--tol``, else ``MBBOX_TOL``, else ``default``: a finite number >= 0."""
+    name, value = "--tol", args.tol
+    if value is None:
+        name, value = "MBBOX_TOL", _env_default("MBBOX_TOL", float, default)
+    if not 0.0 <= value < math.inf:
+        raise DegenerateKinematics(f"{name}={value!r} is not a finite number >= 0")
+    return value
 
 
 def _contours(cfg: RunConfig, k: Kinematics) -> tuple:
@@ -209,8 +209,8 @@ def _numerical(what: str, k: Kinematics, compute, numbers):
     return result
 
 
-def _evaluate(cfg: RunConfig) -> dict:
-    k = cfg.kinematics()
+def _evaluate(cfg: RunConfig, k: Kinematics):
+    """The BoxValue of cfg's method at k."""
     route = _ROUTES.get((cfg.integral, cfg.method))
     if route is None:
         raise DegenerateKinematics(f"unknown method {cfg.method}")
@@ -218,14 +218,17 @@ def _evaluate(cfg: RunConfig) -> dict:
         raise DegenerateKinematics(f"--cut {cfg.cut.value} is not read by method {cfg.method}, "
                                    "which gives the principal value only; use "
                                    f"{', '.join(_CUT_METHODS)}")
-    result = _numerical(f"method {cfg.method}", k, lambda: route(cfg, k), lambda r: (r.value,))
-    return {
-        "integral": cfg.integral,
-        "kinematics": {"s": k.s, "t": k.t, "msq": k.msq, "eps": k.eps},
-        "method": cfg.method,
-        "value": _c(result.value),
-        "diagnostics": _jsonable(result.diagnostics),
-    }
+    for option, value in (("--nodes", cfg.quad_nodes), ("--height", cfg.quad_height)):
+        if value is not None and cfg.method != "mb":
+            raise DegenerateKinematics(f"{option} is not read by method {cfg.method}; "
+                                       "only mb has a contour")
+    return _numerical(f"method {cfg.method}", k, lambda: route(cfg, k), lambda r: (r.value,))
+
+
+def _record(cfg: RunConfig, k: Kinematics, method: str, **fields) -> dict:
+    return {"integral": cfg.integral,
+            "kinematics": {"s": k.s, "t": k.t, "msq": k.msq, "eps": k.eps},
+            "method": method, **fields}
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +396,10 @@ def verify_all(tol: float = 1e-11) -> Report:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(cfg: RunConfig) -> Report:
-    record = _evaluate(cfg)
+    k = cfg.kinematics()
+    result = _evaluate(cfg, k)
+    record = _record(cfg, k, cfg.method, value=_c(result.value),
+                     diagnostics=_jsonable(result.diagnostics))
     return Report(records=[record], summary={"points": 1, "failures": 0})
 
 
@@ -402,14 +408,9 @@ def cmd_expand(cfg: RunConfig, order: int = 0) -> Report:
         raise DegenerateKinematics("expansion order limited to -2 .. 0")
     k = cfg.kinematics()
     laurent = massless_box_laurent if cfg.integral == "massless" else onemass_box_laurent
-    series = _numerical("expansion", k, lambda: laurent(k), lambda r: [*map(r.coeff, (-2, -1, 0))])
-    record = {
-        "integral": cfg.integral,
-        "kinematics": {"s": k.s, "t": k.t, "msq": k.msq, "eps": k.eps},
-        "method": "laurent",
-        "laurent": [row for row in _laurent_json(series) if row["power"] <= order],
-        "provenance": "analytic-series",
-    }
+    coeffs = _numerical("expansion", k, lambda: laurent(k), lambda r: r)
+    rows = [{"power": p, **_c(c)} for p, c in zip((-2, -1, 0), coeffs) if p <= order]
+    record = _record(cfg, k, "laurent", laurent=rows, provenance="analytic-series")
     return Report(records=[record], summary={"points": 1, "failures": 0})
 
 
@@ -452,25 +453,19 @@ def _grid_inputs(index: int, point) -> tuple[dict, list]:
 def _sweep_point(index: int, inputs: dict, methods: list) -> dict:
     base = {"index": index, "inputs": inputs}
     try:
-        values = {}
-        diagnostics = {}
-        for method in methods:
-            rec = _evaluate(RunConfig(method=method, **inputs))
-            values[method] = rec["value"]
-            diagnostics[method] = rec["diagnostics"]
+        k = Kinematics(s=inputs["s"], t=inputs["t"], eps=inputs["eps"], msq=inputs["msq"])
+        results = {m: _evaluate(RunConfig(method=m, **inputs), k) for m in methods}
     except DegenerateKinematics as exc:
         return {**base, "status": "skipped-degenerate", "reason": str(exc)}
     except MbboxError as exc:
         return {**base, "status": "failed", "reason": f"{type(exc).__name__}: {exc}"}
     deviations = {}
-    names = sorted(values)
-    for i, m1 in enumerate(names):
-        for m2 in names[i + 1:]:
-            v1 = complex(values[m1]["re"], values[m1]["im"])
-            v2 = complex(values[m2]["re"], values[m2]["im"])
-            deviations[f"{m1}/{m2}"] = abs(v1 - v2) / max(abs(v1), 1e-300)
-    return {**base, "status": "ok", "values": values,
-            "deviations": deviations, "diagnostics": diagnostics}
+    for m1, m2 in itertools.combinations(sorted(results), 2):
+        v1, v2 = complex(results[m1].value), complex(results[m2].value)
+        deviations[f"{m1}/{m2}"] = abs(v1 - v2) / max(abs(v1), 1e-300)
+    return {**base, "status": "ok", "values": {m: _c(r.value) for m, r in results.items()},
+            "deviations": deviations,
+            "diagnostics": {m: _jsonable(r.diagnostics) for m, r in results.items()}}
 
 
 def cmd_sweep(grid_file: str, out_file: str | None, tol: float = 1e-8) -> Report:
@@ -598,15 +593,14 @@ def _emit(report: Report, args) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(_join_numbers(sys.argv[1:] if argv is None else argv))
     try:
-        env_tol = _tolerance(_env_default("MBBOX_TOL", float, None), "MBBOX_TOL")
-        env_nodes = _env_default("MBBOX_QUAD_NODES", int, None)
-        env_height = _env_default("MBBOX_QUAD_HEIGHT", float, None)
         if args.command == "eval":
+            nodes, height = args.nodes, args.height
+            if args.method == "mb":  # the one method with a contour reads the environment
+                nodes = _env_default("MBBOX_QUAD_NODES", int, None) if nodes is None else nodes
+                height = _env_default("MBBOX_QUAD_HEIGHT", float, None) if height is None else height
             cfg = RunConfig(integral=args.integral, s=args.s, t=args.t,
                             eps=args.eps, msq=args.msq, method=args.method,
-                            cut=_CUTS[args.cut],
-                            quad_nodes=env_nodes if args.nodes is None else args.nodes,
-                            quad_height=env_height if args.height is None else args.height)
+                            cut=_CUTS[args.cut], quad_nodes=nodes, quad_height=height)
             report = cmd_eval(cfg)
             if args.json or args.out:
                 _emit(report, args)
@@ -625,12 +619,12 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{row['power']:+d} {row['re']!r} {row['im']!r}")
             return EXIT_OK
         if args.command == "verify":
-            tol = next(v for v in (_tolerance(args.tol, "--tol"), env_tol, 1e-11) if v is not None)
+            tol = _tolerance(args, 1e-11)
             report = cmd_verify(args.suite, tol)
             _emit(report, args)
             return EXIT_OK if report.summary["failures"] == 0 else EXIT_VERIFY_FAILED
         if args.command == "sweep":
-            tol = next(v for v in (_tolerance(args.tol, "--tol"), env_tol, 1e-8) if v is not None)
+            tol = _tolerance(args, 1e-8)
             report = cmd_sweep(args.grid_file, args.out, tol)
             if not args.out:
                 _emit(report, args)

@@ -9,11 +9,11 @@ negative), where the principal-value prescription renders the results real.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 from .errors import DegenerateKinematics, EuclideanRegionViolation
-from .series import RegulatorSeries
 from .specfun import (
     EULER_GAMMA,
     PV,
@@ -47,7 +47,7 @@ class Kinematics:
 
     Every invariant must be finite, and the Euclidean region is enforced:
     s < 0, t < 0, and msq < 0 when given, with t/s and msq/s normal doubles
-    (see :meth:`unit`).  Degenerate boundaries (s + t = m^2, s = m^2,
+    (see :attr:`unit`).  Degenerate boundaries (s + t = m^2, s = m^2,
     t = m^2) are rejected because the hypergeometric arguments blow up there.
     """
 
@@ -77,11 +77,13 @@ class Kinematics:
                 if abs(x - self.msq) < DEGENERACY_RTOL * scale:
                     raise DegenerateKinematics(f"{name} - msq too close to zero")
 
+    @functools.cached_property
     def unit(self) -> tuple["Kinematics", float]:
         """The point (-1, t/|s|, msq/|s|) and the factor (-s)^eps / s^2 that takes the
         box there to the box here, as I(l s, l t, l msq) = l^(eps-2) I.  (-s)^(eps-2)
         would cost ln(-s) ulps.  At s = -1 the factor is exactly 1; a subnormal one,
-        which has lost bits, is 0, so that the scaled value is out of range."""
+        which has lost bits, is 0, so that the scaled value is out of range.  Formed
+        on first use and kept, so that every route of a point shares one."""
         scale = -self.s
         factor = scale ** self.eps / self.s / self.s
         return (Kinematics(-1.0, self.t / scale, self.eps, self.msq and self.msq / scale),
@@ -130,7 +132,7 @@ def _gammas(e: float) -> tuple:
 
 
 def _closed(k: Kinematics, cut: CutPrescription) -> complex:
-    u, factor = k.unit()
+    u, factor = k.unit
     e = k.eps
     g2, g1me = _gammas(e)
     total = sum(sign * neg ** e * f21_1e(z, e, cut) for sign, neg, z, _ in _channels(u))
@@ -139,7 +141,7 @@ def _closed(k: Kinematics, cut: CutPrescription) -> complex:
 
 def _closed_alt(k: Kinematics, cut: CutPrescription) -> complex:
     # F(1,e;1+e;z)/e = 1/e + z/(1+e) F(1,1+e;2+e;z), channel by channel
-    u, factor = k.unit()
+    u, factor = k.unit
     e = k.eps
     g2, g1me = _gammas(e)
     head = tail = 0.0
@@ -152,12 +154,12 @@ def _closed_alt(k: Kinematics, cut: CutPrescription) -> complex:
     return g2 * factor * (g1me / e * head + g1me / (1.0 + e) * tail)
 
 
-def _laurent(k: Kinematics) -> RegulatorSeries:
+def _laurent(k: Kinematics) -> tuple[float, float, float]:
     # the channel sum of sign [(-x)^e + e^2 (Li2(1 - z) - pi^2/6)] through e^2,
     # each column summed exactly (math.fsum), times _LAURENT_PREFACTOR; at msq = 0
     # the finite part Li2(-s/t) + Li2(-t/s) - pi^2/3 is -log(s/t)^2/2 - pi^2/2.  The
     # channels are the unit point's; ln(-s) and 1/s^2 expand its factor (-s)^e / s^2
-    u, _ = k.unit()
+    u, _ = k.unit
     rows = []
     for sign, neg, _, w in _channels(u):
         log = math.log(neg) + math.log(-k.s)
@@ -165,9 +167,8 @@ def _laurent(k: Kinematics) -> RegulatorSeries:
                      sign * (0.5 * log * log + li2(w).real - math.pi ** 2 / 6.0)))
     cols = [math.fsum(column) for column in zip(*rows)]
     scale = 2.0 / (u.s * u.t) / k.s / k.s
-    return RegulatorSeries(-2, tuple(
-        scale * math.fsum(_LAURENT_PREFACTOR[n - j] * cols[j] for j in range(n + 1))
-        for n in range(3)))
+    return tuple(scale * math.fsum(_LAURENT_PREFACTOR[n - j] * cols[j] for j in range(n + 1))
+                 for n in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +192,8 @@ def massless_box_alt(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     return BoxValue(_closed_alt(k, cut), "closed_alt")
 
 
-def massless_box_laurent(k: Kinematics) -> RegulatorSeries:
-    """Laurent expansion of the massless box through the finite order.
+def massless_box_laurent(k: Kinematics) -> tuple[float, float, float]:
+    """Laurent coefficients (c_-2, c_-1, c_0) of the massless box in eps.
 
     Exact channel sums times the gamma prefactor's constant coefficients:
     the double pole carries the two power factors, and the finite part
@@ -214,8 +215,8 @@ def onemass_box_alt(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     return BoxValue(_closed_alt(k, cut), "closed_alt")
 
 
-def onemass_box_laurent(k: Kinematics) -> RegulatorSeries:
-    """Laurent expansion of the one-mass box through the finite order.
+def onemass_box_laurent(k: Kinematics) -> tuple[float, float, float]:
+    """Laurent coefficients (c_-2, c_-1, c_0) of the one-mass box in eps.
 
     The pole part carries the three power factors; the finite part adds the
     dilogarithm combination

@@ -298,7 +298,7 @@ def mb_massless_eval(k: Kinematics, spec: ContourSpec | None = None) -> BoxValue
     value is the line integral minus the pole's residue (see
     :func:`_crossed_residue`); the box is symmetric in s and t, and on such
     a line the integrand is taken with |t| <= |s|, which keeps the residue
-    from swamping the box; then it is scaled (see :meth:`Kinematics.unit`).
+    from swamping the box; then it is scaled (see :attr:`Kinematics.unit`).
     The value is the doubled rule; the coarse rule is its even nodes.  The
     rounding term is the error of each node's six gamma factors times
     h sum |f| / 2 pi, plus the residue's, and the delta is held to
@@ -313,7 +313,7 @@ def mb_massless_eval(k: Kinematics, spec: ContourSpec | None = None) -> BoxValue
     crossed = spec.abscissa > k.eps - 1.0
     if crossed and abs(k.t) > abs(k.s):
         k = Kinematics(s=k.t, t=k.s, eps=k.eps)
-    u, factor = k.unit()
+    u, factor = k.unit
     f = factor * mb_massless_integrand(spec.abscissa + 1j * spec.upper_heights(), u)
     size = np.abs(f)
     weight = spec.step / (2.0 * math.pi)
@@ -377,7 +377,7 @@ def _mb_onemass_sums(k: Kinematics, ca: ContourSpec, cb: ContourSpec
     tail estimate sums |f| at the top corner and at the top centre of both
     edges, all of them grid nodes.
     """
-    u, factor = k.unit()
+    u, factor = k.unit
     e = u.eps
     h = ca.step
     ya, yb = ca.fine_heights(), cb.fine_heights()
@@ -466,7 +466,7 @@ def residue_massless(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     against the continuation leftover.
     """
     k.require_massless()
-    u, factor = k.unit()
+    u, factor = k.unit
     e = u.eps
     s, t = u.s, u.t
     st = s * t
@@ -525,7 +525,7 @@ def residue_onemass(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     needed: every pole family here is simple.
     """
     k.require_onemass()
-    u, factor = k.unit()
+    u, factor = k.unit
     e = u.eps
     s, t, m2 = u.s, u.t, u.msq
     st = s * t

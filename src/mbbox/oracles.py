@@ -126,7 +126,7 @@ def _quotient(a: np.ndarray, b: np.ndarray, q: float) -> np.ndarray:
 
 def _feynman(k: Kinematics, name: str) -> BoxValue:
     """Integral over z in [0, 1] of (a**p - b**p) / (b - a), p = eps - 1,
-    times the gamma prefactor, at the unit point (see :meth:`Kinematics.unit`).
+    times the gamma prefactor, at the unit point (see :attr:`Kinematics.unit`).
 
     The two halves of [0, 1] are the two rows of one quadrature.  The upper
     half is mirrored, z -> 1-z, so that its singular end also sits at z = 0;
@@ -137,7 +137,7 @@ def _feynman(k: Kinematics, name: str) -> BoxValue:
     1 / (eps (near - near_m)).  The expm1/log1p forms keep a - near_m
     accurate when near_m is close to near.
     """
-    u, factor = k.unit()
+    u, factor = k.unit
     eps, neg_t, neg_m2 = u.eps, -u.t, 0.0 if u.msq is None else -u.msq
     q = 1.0 - eps
     inv_eps = 1.0 / eps

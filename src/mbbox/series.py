@@ -7,10 +7,12 @@ series is marked ``exact`` (a genuine Laurent polynomial).  Arithmetic
 tracks the largest power that is still fully determined, so products of
 truncated series never claim more accuracy than they have.
 
-The Laurent expansions in eps (:func:`mbbox.closed_form.massless_box_laurent`
-and its one-mass twin) return a :class:`RegulatorSeries` but use none of its
-algebra: they take the constant coefficients of their gamma prefactor.  The
-residue routes read the coefficients of their auxiliary regulator off Gamma and psi.
+No route uses this module.  The Laurent expansions in eps
+(:func:`mbbox.closed_form.massless_box_laurent` and its one-mass twin)
+return their three coefficients as a tuple of floats, from the constant
+coefficients of their gamma prefactor, and the residue routes read the
+coefficients of their auxiliary regulator off Gamma and psi.  The module
+stays only because the benchmark's tracer binds its names.
 """
 
 from __future__ import annotations

@@ -21,9 +21,23 @@ from mbbox.cli import (
     cmd_expand,
     main,
 )
-from mbbox.closed_form import BoxValue, Kinematics
+from mbbox.closed_form import (
+    BoxValue,
+    Kinematics,
+    massless_box,
+    massless_box_alt,
+    onemass_box,
+    onemass_box_alt,
+)
 from mbbox.errors import NonConvergence
-from mbbox.mb_engine import mb_massless_eval, mb_onemass_eval, select_contour_massless
+from mbbox.mb_engine import (
+    mb_massless_eval,
+    mb_onemass_eval,
+    residue_massless,
+    residue_onemass,
+    select_contour_massless,
+)
+from mbbox.oracles import feynman_1d_massless, feynman_1d_onemass
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -98,6 +112,18 @@ class TestEval:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"--cut {cut} is not read by method {method}" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", ["closed", "closed_alt", "residue", "feynman"])
+    @pytest.mark.parametrize("option", [["--nodes", "5"], ["--height=-1"], ["--height", "3"]],
+                             ids=["nodes", "negative-height", "height"])
+    def test_contour_option_refused_where_unread(self, method, option, capsys):
+        code = run_main(["eval", "--s", "-1", "--t", "-2", "--eps", "0.3",
+                         "--method", method, *option])
+        assert code == EXIT_INPUT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{option[0].split('=')[0]} is not read by method {method}" in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("integral, method", sorted(cli._ROUTES))
@@ -255,28 +281,48 @@ class TestComplementRoundsToOne:
         assert err == f"error: {self.MESSAGES[method]}\n"
 
 
+# (integral, method) -> the public function that gives the route's value
+PUBLIC_ROUTES = {
+    ("massless", "closed"): massless_box, ("massless", "closed_alt"): massless_box_alt,
+    ("massless", "mb"): mb_massless_eval, ("massless", "residue"): residue_massless,
+    ("massless", "feynman"): feynman_1d_massless,
+    ("onemass", "closed"): onemass_box, ("onemass", "closed_alt"): onemass_box_alt,
+    ("onemass", "mb"): mb_onemass_eval, ("onemass", "residue"): residue_onemass,
+    ("onemass", "feynman"): feynman_1d_onemass,
+}
+
+
 class TestDefaultContour:
-    """With no contour option, eval and sweep run the rule that
-    mb_massless_eval(k) and mb_onemass_eval(k) run: the same value, bit for bit."""
+    """With no option, eval and sweep run the route that its public function
+    runs: the same value and diagnostics, bit for bit.  For mb that is the
+    rule mb_massless_eval(k) and mb_onemass_eval(k) select.  The sweep runs
+    every method of the point on one Kinematics, which they share."""
 
     @pytest.mark.parametrize("k", [Kinematics(s=-1.0, t=-1.0, eps=0.13),
-                                   Kinematics(s=-1.0, t=-1.0, eps=0.4, msq=-0.5)])
+                                   Kinematics(s=-1.0, t=-1.0, eps=0.4, msq=-0.5),
+                                   Kinematics(s=-1.0, t=-2.0, eps=0.3),
+                                   Kinematics(s=-2.0, t=-0.5, eps=0.25, msq=-1.0)])
     def test_eval_and_sweep_match_route(self, k, tmp_path, capsys):
         integral = "massless" if k.msq is None else "onemass"
-        route = mb_massless_eval if k.msq is None else mb_onemass_eval
-        ref = complex(route(k).value)
         mass = [] if k.msq is None else [f"--msq={k.msq}"]
-        assert run_main(["eval", "--integral", integral, f"--s={k.s}", f"--t={k.t}",
-                         f"--eps={k.eps}", *mass, "--method", "mb", "--json"]) == EXIT_OK
-        value = json.loads(capsys.readouterr().out)["records"][0]["value"]
-        assert complex(value["re"], value["im"]) == ref
         grid_file = tmp_path / "grid.json"
         grid_file.write_text(json.dumps([{"integral": integral, "s": k.s, "t": k.t,
-                                          "msq": k.msq, "eps": k.eps, "methods": ["mb"]}]))
+                                          "msq": k.msq, "eps": k.eps,
+                                          "methods": list(cli._METHODS)}]))
         out_file = tmp_path / "report.json"
         assert run_main(["sweep", str(grid_file), "--out", str(out_file)]) == EXIT_OK
-        value = Report.from_json(out_file.read_text()).records[0]["values"]["mb"]
-        assert complex(value["re"], value["im"]) == ref
+        swept = Report.from_json(out_file.read_text()).records[0]
+        for method in cli._METHODS:
+            fresh = Kinematics(s=k.s, t=k.t, eps=k.eps, msq=k.msq)
+            result = PUBLIC_ROUTES[(integral, method)](fresh)
+            ref = json.loads(json.dumps({"value": cli._c(result.value),
+                                         "diagnostics": cli._jsonable(result.diagnostics)}))
+            assert run_main(["eval", "--integral", integral, f"--s={k.s}", f"--t={k.t}",
+                             f"--eps={k.eps}", *mass, "--method", method, "--json"]) == EXIT_OK
+            record = json.loads(capsys.readouterr().out)["records"][0]
+            assert {key: record[key] for key in ref} == ref, method
+            assert {"value": swept["values"][method],
+                    "diagnostics": swept["diagnostics"][method]} == ref, method
 
     def test_node_override_subtracts_the_crossed_residue(self, capsys):
         # the default line at eps = 0.3 has crossed the pole at eps - 1, and
@@ -634,6 +680,26 @@ class TestSweep:
             == EXIT_OK
         assert seen == [workers]
 
+    def test_one_kinematics_and_one_unit_point_per_point(self, tmp_path, monkeypatch):
+        # the point and its unit point: every method of the point shares both
+        built = []
+        post_init = Kinematics.__post_init__
+
+        def counting(k):
+            built.append(k)
+            post_init(k)
+
+        monkeypatch.setattr(Kinematics, "__post_init__", counting)
+        methods = ["closed", "closed_alt", "residue", "feynman"]
+        pts = [{"s": s, "t": -2.0, "eps": 0.3, "methods": methods} for s in (-1.0, -3.0)]
+        pts += [{"integral": "onemass", "s": s, "t": -2.0, "msq": -0.5, "eps": 0.3,
+                 "methods": methods} for s in (-1.0, -3.0)]
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps(pts))
+        report = cli.cmd_sweep(str(grid_file), None)
+        assert [r["status"] for r in report.records] == ["ok"] * len(pts)
+        assert len(built) <= 2 * len(pts)
+
 
 class TestColdStart:
     """No route and no verify suite imports scipy."""
@@ -704,3 +770,38 @@ class TestEnvironmentOverrides:
         code = run_main(["eval", "--s", "-1", "--t", "-2", "--eps", "0.3",
                          "--method", "mb"])
         assert code == EXIT_INPUT_ERROR
+        assert "bad MBBOX_QUAD_NODES='frogs'" in capsys.readouterr().err
+
+    def test_bad_env_height(self, monkeypatch, capsys):
+        monkeypatch.setenv("MBBOX_QUAD_HEIGHT", "x")
+        code = run_main(["eval", "--s", "-1", "--t", "-2", "--eps", "0.3",
+                         "--method", "mb"])
+        assert code == EXIT_INPUT_ERROR
+        assert "bad MBBOX_QUAD_HEIGHT='x'" in capsys.readouterr().err
+
+    # MBBOX_TOL is read by verify and sweep, the contour variables by eval --method mb
+    UNREAD = {"verify": ["verify", "--suite", "identities"],
+              "expand": ["expand", "--s", "-1", "--t", "-2", "--eps", "0.3"],
+              "eval-closed": ["eval", "--s", "-1", "--t", "-2", "--eps", "0.3"]}
+
+    @pytest.mark.parametrize("command, name", [
+        (command, name) for command in UNREAD
+        for name in ("MBBOX_TOL", "MBBOX_QUAD_NODES", "MBBOX_QUAD_HEIGHT")
+        if (command, name) != ("verify", "MBBOX_TOL")])
+    def test_bad_value_ignored_where_unread(self, command, name, monkeypatch, capsys):
+        monkeypatch.setenv(name, "frogs")
+        argv = self.UNREAD[command]
+        assert run_main(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("method", ["closed", "closed_alt", "residue", "feynman"])
+    def test_env_contour_not_refused_for_other_methods(self, method, monkeypatch, capsys):
+        monkeypatch.setenv("MBBOX_QUAD_NODES", "5")
+        monkeypatch.setenv("MBBOX_QUAD_HEIGHT", "-1")
+        argv = ["eval", "--s", "-1", "--t", "-2", "--eps", "0.3", "--method", method]
+        assert run_main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        monkeypatch.delenv("MBBOX_QUAD_NODES")
+        monkeypatch.delenv("MBBOX_QUAD_HEIGHT")
+        assert run_main(argv) == EXIT_OK
+        assert capsys.readouterr().out == out
