@@ -27,7 +27,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -415,15 +414,11 @@ def cmd_expand(cfg: RunConfig, order: int = 0) -> Report:
 
 
 def cmd_verify(suite: str, tol: float = 1e-11) -> Report:
-    if suite == "identities":
-        return verify_identities(tol)
-    if suite == "massless":
-        return verify_massless()
-    if suite == "onemass":
-        return verify_onemass()
-    if suite == "all":
-        return verify_all(tol)
-    raise DegenerateKinematics(f"unknown suite {suite!r}")
+    suites = {"identities": lambda: verify_identities(tol), "massless": verify_massless,
+              "onemass": verify_onemass, "all": lambda: verify_all(tol)}
+    if suite not in suites:
+        raise DegenerateKinematics(f"unknown suite {suite!r}")
+    return suites[suite]()
 
 
 def _grid_inputs(index: int, point) -> tuple[dict, list]:
@@ -469,9 +464,11 @@ def _sweep_point(index: int, inputs: dict, methods: list) -> dict:
 
 
 def cmd_sweep(grid_file: str, out_file: str | None, tol: float = 1e-8) -> Report:
-    """Evaluate a grid whose invariants are all checked first.  A point that
-    raises is recorded as ``skipped-degenerate`` (counted in ``warnings``)
-    or ``failed`` (in ``errors``), and the sweep goes on."""
+    """Evaluate a grid whose invariants are all checked first, point by point
+    in grid order on the calling thread (a point's numpy calls last a few
+    µs, too short for threads to pay off).  A point that raises is
+    recorded as ``skipped-degenerate`` (counted in ``warnings``) or
+    ``failed`` (in ``errors``), and the sweep goes on."""
     try:
         with open(grid_file) as fh:
             grid = json.load(fh)
@@ -482,12 +479,7 @@ def cmd_sweep(grid_file: str, out_file: str | None, tol: float = 1e-8) -> Report
         raise DegenerateKinematics("grid must be a list of points or an object "
                                    "whose 'points' key holds one")
     checked = [_grid_inputs(i, p) for i, p in enumerate(points)]
-    inputs = [c[0] for c in checked]
-    methods = [c[1] for c in checked]
-    # threads pay only for mb: numpy releases the interpreter lock, the other routes hold it
-    workers = 4 if any("mb" in m for m in methods) else 1
-    with ThreadPoolExecutor(max_workers=min(workers, max(1, len(points)))) as pool:
-        records = list(pool.map(_sweep_point, range(len(points)), inputs, methods))
+    records = [_sweep_point(i, inputs, methods) for i, (inputs, methods) in enumerate(checked)]
     failures = 0
     max_dev = 0.0
     for rec in records:
@@ -623,15 +615,14 @@ def main(argv: list[str] | None = None) -> int:
             report = cmd_verify(args.suite, tol)
             _emit(report, args)
             return EXIT_OK if report.summary["failures"] == 0 else EXIT_VERIFY_FAILED
-        if args.command == "sweep":
-            tol = _tolerance(args, 1e-8)
-            report = cmd_sweep(args.grid_file, args.out, tol)
-            if not args.out:
-                _emit(report, args)
-            if report.summary["errors"]:
-                return EXIT_NOT_CONVERGED
-            return EXIT_OK if report.summary["failures"] == 0 else EXIT_VERIFY_FAILED
-        raise DegenerateKinematics(f"unknown command {args.command}")
+        # the parser admits only these four commands: this one is sweep
+        tol = _tolerance(args, 1e-8)
+        report = cmd_sweep(args.grid_file, args.out, tol)
+        if not args.out:
+            _emit(report, args)
+        if report.summary["errors"]:
+            return EXIT_NOT_CONVERGED
+        return EXIT_OK if report.summary["failures"] == 0 else EXIT_VERIFY_FAILED
     except MbboxError as exc:
         # bad input is named by these two classes; every other failure is numerical
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -348,12 +348,19 @@ def li2(z, cut: CutPrescription = PV) -> complex:
 # ---------------------------------------------------------------------------
 
 def f21_general_series(a: float, b: float, c: float, z) -> complex:
-    """Plain Gauss series for 2F1(a, b; c; z), |z| < 1 required."""
+    """Plain Gauss series for 2F1(a, b; c; z), |z| < 1 required.  A series
+    that cannot converge within its term cap is refused before it is summed."""
     z = _argument(z, "f21_general_series argument z")
     if _is_nonpositive_integer(complex(c)):
         raise PoleError(f"lower parameter c={c} is a non-positive integer")
     if abs(z) >= 1.0:
         raise NonConvergence(f"series argument |z|={abs(z):.3f} >= 1")
+    if abs(z) > 0.999:  # below, |z|^N < e^-100 beats the terms' n^(a+b-c-1) growth
+        # a term N above SERIES_RTOL times the sum of all term moduli: no partial sum can stop
+        n = np.arange(SERIES_MAX_TERMS)
+        mods = np.cumprod(np.abs((a + n) * (b + n) / ((c + n) * (n + 1.0))) * abs(z))
+        if mods[-1] > SERIES_RTOL * (1.0 + mods.sum()):
+            raise NonConvergence(f"2F1 series cannot converge in {SERIES_MAX_TERMS} terms")
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
     prev_inc = math.inf
@@ -476,8 +483,8 @@ def f21_1e(z, eps: float, cut: CutPrescription = PV) -> complex:
 
     Defined at every real z except the pole z = 1.  Complex z converges
     outside the lens 0.7 < |z| < 1.4, |1 - z| > 0.7, Re z >= 1/2: there the
-    annulus series raises :class:`NonConvergence`, after its whole term cap
-    when Re z is at or just below 1/2.  The same holds for :func:`f21_2e`,
+    annulus series raises :class:`NonConvergence` at once, or after its term
+    cap within about 1e-4 below Re z = 1/2.  The same holds for :func:`f21_2e`,
     and for :func:`f21_11` at |z| > 0.7 with the lens taken at 1 - 1/z.
     The box routes pass real z only.
     """

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import mpmath
@@ -660,25 +661,27 @@ class TestSweep:
             closed = cmd_eval(RunConfig("massless", pt["s"], pt["t"], pt["eps"]))
             assert rec["values"]["closed"] == closed.records[0]["value"]
 
-    @pytest.mark.parametrize("methods, workers", [
-        (["closed", "residue"], 1), (["closed", "feynman"], 1), (["closed", "mb"], 4)])
-    def test_threads_only_for_mb(self, methods, workers, tmp_path, monkeypatch):
-        import mbbox.cli as cli
-        seen = []
+    @pytest.mark.parametrize("methods", [["closed", "residue"], ["closed", "feynman"],
+                                         ["closed", "mb"]])
+    def test_points_run_in_grid_order_on_the_calling_thread(self, methods, tmp_path,
+                                                             monkeypatch):
+        calls = []
+        evaluate = cli._evaluate
 
-        class Recording(cli.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-                super().__init__(max_workers=max_workers)
+        def recording(cfg, k):
+            calls.append((threading.get_ident(), cfg.s, cfg.method))
+            return evaluate(cfg, k)
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
-        pts = [{"s": -1.0, "t": -2.0, "eps": 0.3, "methods": ["closed"]}] * 4
+        monkeypatch.setattr(cli, "_evaluate", recording)
+        pts = [{"s": -1.0 - i, "t": -2.0, "eps": 0.3, "methods": ["closed"]} for i in range(4)]
         pts[-1] = {**pts[-1], "methods": methods}
         grid_file = tmp_path / "grid.json"
         grid_file.write_text(json.dumps(pts))
         assert run_main(["sweep", str(grid_file), "--out", str(tmp_path / "r.json")]) \
             == EXIT_OK
-        assert seen == [workers]
+        expected = [(p["s"], m) for p in pts for m in p["methods"]]
+        assert [(s, m) for _, s, m in calls] == expected
+        assert {ident for ident, _, _ in calls} == {threading.get_ident()}
 
     def test_one_kinematics_and_one_unit_point_per_point(self, tmp_path, monkeypatch):
         # the point and its unit point: every method of the point shares both

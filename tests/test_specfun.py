@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import mpmath
 import pytest
@@ -159,6 +160,26 @@ class TestHypergeometric:
             sf.f21_general_series(1.0, 0.3, 1.3, 1.05)
         with pytest.raises(PoleError):
             sf.f21_general_series(1.0, 1.0, -2.0, 0.3)
+
+    @pytest.mark.parametrize("call", [lambda: sf.f21_2e(0.5 + 0.9j, 0.3),
+                                      lambda: sf.f21_1e(0.4999 + 0.9j, 0.3)],
+                             ids=["f21_2e", "f21_1e"])
+    def test_lens_refused_before_summing(self, call):
+        # the annulus Pfaff argument has modulus 1 - 1e-16 and 0.999906: the
+        # terms cannot fall below SERIES_RTOL within the cap, so none is summed
+        start = time.perf_counter()
+        with pytest.raises(NonConvergence, match="cannot converge in 100000 terms"):
+            call()
+        assert time.perf_counter() - start < 0.05
+
+    @pytest.mark.parametrize("a, b, c, z", [(1e-20, 1.0, 2.0, 0.9999999),
+                                            (-2.0, 1.0, 2.0, 0.99999999),
+                                            (-2.059, 2.932, 2.346, -0.99995)])
+    def test_near_unit_series_that_converge_are_summed(self, a, b, c, z):
+        # near |z| = 1 yet convergent: tiny terms, a polynomial, large early terms
+        with mpmath.workdps(30):
+            ref = complex(mpmath.hyp2f1(a, b, c, z))
+        assert abs(sf.f21_general_series(a, b, c, z) - ref) <= 1e-9 * abs(ref)
 
     def test_euler_integral_agreement(self):
         # series evaluation against the Euler-integral quadrature

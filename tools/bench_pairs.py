@@ -10,7 +10,9 @@ the change first in even ones, each run in a fresh process from its own root.  T
 holds, per workload and side, the median and quartiles of every end-to-end
 metric that ``BENCHMARK.json`` declares and of the failed-operation count,
 the pairs the change won on each metric, and every command that was run
-with its result.
+with its result.  Under ``import`` it holds, per side, the median and
+quartiles of IMPORT_PAIRS alternating cold ``import mbbox.cli`` timings,
+each in a fresh interpreter with ``PYTHONPATH=<root>/src``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,10 @@ import sys
 import time
 
 PAIRS = 10
+IMPORT_PAIRS = 30
 RUN_TIMEOUT_S = 600
+IMPORT_CODE = ("import time\nstart = time.perf_counter()\nimport mbbox.cli\n"
+               "print(time.perf_counter() - start)")
 
 
 def run_once(root: str, command: list, workload: str, seed: int, seconds: float) -> dict:
@@ -39,6 +44,14 @@ def run_once(root: str, command: list, workload: str, seed: int, seconds: float)
     return {"cwd": root, "command": cmd, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+
+
+def import_once(root: str) -> float:
+    """Seconds that a fresh interpreter takes to import ``mbbox.cli`` from ``root``."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(root), "src")}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_CODE], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=RUN_TIMEOUT_S, check=True)
+    return float(proc.stdout)
 
 
 def summary(values: list) -> dict:
@@ -75,6 +88,11 @@ def main(argv=None) -> int:
     roots = {"parent": args.parent, "change": args.change}
     report = {"pairs": PAIRS, "run_seconds": seconds, "cpus": os.cpu_count(),
               "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()), "workloads": {}}
+    imports = {"parent": [], "change": []}
+    for i in range(IMPORT_PAIRS):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            imports[side].append(import_once(roots[side]))
+    report["import"] = {side: summary(values) for side, values in imports.items()}
     for workload in (w["name"] for w in bench["workloads"]):
         runs = {"parent": [], "change": []}
         for i in range(PAIRS):
