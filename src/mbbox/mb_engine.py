@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import BoxValue, Kinematics, _gammas
+from .closed_form import BoxValue, Kinematics
 from .errors import InfeasibleContour, NotConverged, PoleError
 from .specfun import (
     EULER_GAMMA,
@@ -429,29 +429,6 @@ def mb_onemass_eval(k: Kinematics, ca: ContourSpec | None = None,
 # residue resummation, massless
 # ---------------------------------------------------------------------------
 
-def _gamma_product(*terms) -> complex:
-    """Product of gamma factors: terms are (power, argument) pairs.
-
-    Assembled in value space so real arguments give an exactly real
-    result; the powers involved here are small integers, far from any
-    overflow at the regulator values in (0, 1).
-    """
-    acc = 1.0 + 0.0j
-    for power, arg in terms:
-        acc *= gamma(arg) ** power
-    return acc
-
-
-def _pole_coefficients(sign: float, args: tuple, log_x: complex) -> tuple[complex, complex]:
-    """delta^-1 and delta^0 coefficients of (sign/delta) prod Gamma(a + sigma delta) x^delta.
-
-    ``args`` are the (a, sigma) pairs.  With P = prod Gamma(a) the two
-    coefficients are sign P and sign P (sum sigma psi(a) + log x).
-    """
-    p = sign * _gamma_product(*((1.0, a) for a, _ in args))
-    return p, p * (sum(sigma * digamma(a) for a, sigma in args) + log_x)
-
-
 def residue_massless(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     """Massless box reconstructed from the left-closure pole families.
 
@@ -461,54 +438,56 @@ def residue_massless(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     into two simple families, each a product (1/delta) prod Gamma(a + sigma
     delta) x^delta; Gamma(-+delta) Gamma(1+-delta) = -+(1/delta)(1 + O(delta^2))
     leaves the pole sign.  Only the delta^-1 and delta^0 coefficients are
-    needed, and they are read off Gamma and psi.  The pole coefficients must
-    cancel between the families, and the finite leftovers must cancel
-    against the continuation leftover.
+    needed: with P the signed product of the Gamma(a), they are P and
+    P (sum sigma psi(a) + log x).  The pole coefficients must cancel between
+    the families, and the finite leftovers against the continuation
+    leftover.  Every Gamma factor is Gamma(eps), Gamma(1-eps), Gamma(2eps),
+    or one of them moved by Gamma(x+1) = x Gamma(x).
     """
     k.require_massless()
     u, factor = k.unit
     e = u.eps
     s, t = u.s, u.t
     st = s * t
+    # Gamma(e) ~ 1/e: divide it by Gamma(2e) before a second Gamma(e) multiplies
+    ge, g1me = gamma(e).real, gamma(1.0 - e).real
+    ratio = ge / gamma(2.0 * e).real
+    g = ratio * ge * g1me  # Gamma(e)^2 Gamma(1-e) / Gamma(2e)
 
-    # simple-pole family: C1 * F(1,1;2-e;-s/t), split by the continuation
-    c1 = _gamma_product((2.0, e), (2.0, 1.0 - e), (-1.0, 2.0 * e), (-1.0, 2.0 - e)) \
-        * (-t) ** (e - 2.0) * factor
+    # simple-pole family: Gamma(e)^2 Gamma(1-e)^2 / (Gamma(2e) Gamma(2-e)) (-t)^(e-2)
+    # F(1,1;2-e;-s/t), with Gamma(2-e) = (1-e) Gamma(1-e), split by the continuation
+    c1 = g / (1.0 - e) * (-t) ** (e - 2.0) * factor
     hyp_piece, alg_piece = f21_11_split(t / s, e, cut)
     i1 = c1 * (hyp_piece + alg_piece)
     spur_1 = c1 * alg_piece
 
     # shared real factors of the double-pole sector
     kernel = factor / st * (1.0 + s / t) ** (-e)
-    g2e, g1me = _gammas(e)
 
-    # shifted simple poles, -(1/d) Gamma(e+d) Gamma(1-e-d) (s/t)^d: the whole
-    # finite part is a continuation artifact
-    pref_a = _gamma_product((1.0, e), (-1.0, 2.0 * e)).real * kernel
-    pole_a, fin_a = _pole_coefficients(-1.0, ((e, 1.0), (1.0 - e, -1.0)), math.log(s / t))
-    i2a = fin_a * pref_a
+    # shifted simple poles, Gamma(e)/Gamma(2e) times -(1/d) Gamma(e+d) Gamma(1-e-d)
+    # (s/t)^d: the whole finite part is a continuation artifact
+    pref_a = ratio * kernel
+    pole_a = -ge * g1me
+    i2a = pole_a * (digamma(e) - digamma(1.0 - e) + math.log(s / t)) * pref_a
 
-    # unshifted simple poles: the exact half, -Gamma(1+d) Gamma(e-d) at d = 0,
-    # plus the pole/log leftover (1/d) (-s/t)^d
-    exact = -_gamma_product((2.0, e), (1.0, -e), (-1.0, 2.0 * e)) / st \
-        * f21_1e(1.0 + s / t, e, cut) * factor
-    pref_b = g2e * g1me * kernel
-    pole_b, fin_b = _pole_coefficients(1.0, (), cut_log(-s / t, cut))
-    spur_2b = fin_b * pref_b
+    # unshifted simple poles: the exact half, -Gamma(e)^2 Gamma(-e) / Gamma(2e) with
+    # Gamma(-e) = -Gamma(1-e)/e, plus the pole/log leftover (1/d) (-s/t)^d
+    pref_b = g * kernel
+    exact = g / e / st * f21_1e(1.0 + s / t, e, cut) * factor
+    spur_2b = cut_log(-s / t, cut) * pref_b
     i2b = exact + spur_2b
 
-    spurious_sum = spur_1 + i2a + spur_2b
     return BoxValue(i1 + i2a + i2b, "residue", {
         "I1": i1,
         "I2a": i2a,
         "I2b": i2b,
-        "spurious_sum": spurious_sum,
+        "spurious_sum": spur_1 + i2a + spur_2b,
         "spurious_terms": {
             "I1_algebraic": spur_1,
             "I2a_finite": i2a,
             "I2b_pole_log": spur_2b,
         },
-        "delta_pole_coefficient": pole_a * pref_a + pole_b * pref_b,
+        "delta_pole_coefficient": complex(pole_a * pref_a + pref_b),
     })
 
 
@@ -521,8 +500,8 @@ def residue_onemass(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
 
     The three right-closure families resum into single-variable
     hypergeometric functions; two of them leave algebraic continuation
-    leftovers that must cancel in the sum.  No auxiliary regulator is
-    needed: every pole family here is simple.
+    leftovers that must cancel in the sum.  Every pole family is simple, and
+    the Gamma factors are built as in :func:`residue_massless`.
     """
     k.require_onemass()
     u, factor = k.unit
@@ -530,29 +509,27 @@ def residue_onemass(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     s, t, m2 = u.s, u.t, u.msq
     st = s * t
 
-    # first family: the beta-contour integral resummed; its two closure
-    # sub-families are evaluated separately, the algebraic parts cancel.
-    # The second is Gamma(e) Gamma(1-e) / Gamma(2-e) times the connection
-    # tail, whose own Gamma(2-e) the ratio divides out
-    x1 = s / (m2 - t)
-    pref_1 = factor * (-t) ** e / (t * (m2 - t)) \
-        * _gamma_product((1.0, e), (1.0, 1.0 - e), (-1.0, 2.0 * e))
-    tilde_a = -gamma(e).real / (1.0 - e) * f21_11(x1, e, cut)
-    tilde_b = _f21_11_tail(e, x1, cut) * _gamma_product((1.0, e), (1.0, 1.0 - e),
-                                                          (-1.0, 2.0 - e))
-    im1 = pref_1 * (tilde_a + tilde_b)
+    # Gamma(e) ~ 1/e: divide it by Gamma(2e) before a second Gamma(e) multiplies
+    ge, g1me = gamma(e).real, gamma(1.0 - e).real
+    ratio = ge / gamma(2.0 * e).real
+    g = ratio * ge * g1me  # Gamma(e)^2 Gamma(1-e) / Gamma(2e)
 
-    # second family: reduced two-variable function, then continued
+    # first family: Gamma(e) Gamma(1-e) / Gamma(2e) times the beta-contour integral's
+    # two closure sub-families, Gamma(e)/(1-e) [tail - F(1,1;2-e;x1)], where F = head + tail
+    # is the connection of f21_11_split at t/s = -1/x1 = (t - m2)/s: minus the head remains
+    pref_1 = factor * (-t) ** e / (t * (m2 - t)) * (ratio * g1me)
+    im1 = -pref_1 * ge / (1.0 - e) * f21_11_split((t - m2) / s, e, cut)[0]
+
+    # second family: reduced two-variable function, then continued, with prefactor
+    # Gamma(e) Gamma(1-e) Gamma(e-1) / Gamma(2e), Gamma(e-1) = Gamma(e)/(e-1)
     z2a = st / ((m2 - s) * (m2 - t))
-    coef_2a = -factor * (-m2) ** e / ((m2 - t) * (m2 - s)) \
-        * _gamma_product((1.0, e), (1.0, 1.0 - e), (1.0, e - 1.0), (-1.0, 2.0 * e))
+    coef_2a = -factor * (-m2) ** e / ((m2 - t) * (m2 - s)) * (g / (e - 1.0))
     im2a = coef_2a * f21_11(z2a, e, cut)
     spur_2a = coef_2a * _f21_11_tail(e, z2a, cut)
 
-    # third family
+    # third family, with prefactor Gamma(e)^2 Gamma(1-e) / Gamma(2e) / (1-e)
     z2b = t / (m2 - s)
-    coef_2b = -factor / (s * (m2 - s)) \
-        * _gamma_product((2.0, e), (1.0, 1.0 - e), (-1.0, 2.0 * e)) / (1.0 - e)
+    coef_2b = -factor / (s * (m2 - s)) * g / (1.0 - e)
     im2b = coef_2b * f21_11(z2b, e, cut)
     spur_2b = coef_2b * _f21_11_tail(e, z2b, cut)
 

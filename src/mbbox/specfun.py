@@ -1,9 +1,10 @@
 """Complex special functions used by the box-integral pipelines.
 
 Everything here is a pure function of its arguments: log-gamma / gamma /
-digamma, the dilogarithm, the two Gauss hypergeometric families
-F(1, b; 1+b; z) and F(1, 1; c; z) with their analytic continuations, and
-a generic power-series kernel.
+digamma, the dilogarithm, the Gauss hypergeometric family F(1, b; 1+b; z)
+with its analytic continuations, F(1, 1; 2-eps; z) from it by one Pfaff
+transformation, and the plain Gauss series.  One power-series loop sums
+the dilogarithm and F(1, b; 1+b; z) near 0.
 
 Branch conventions, fixed globally:
 
@@ -286,19 +287,25 @@ def cut_power(x, p: float, cut: CutPrescription = PV) -> complex:
 # dilogarithm
 # ---------------------------------------------------------------------------
 
-def _li2_series(z: complex) -> complex:
-    # direct sum, |z| <= 0.75; stop on two consecutive negligible increments
-    total = 0.0 + 0.0j
-    term = 1.0 + 0.0j
+def _power_sum(z: complex, p: int, b: float, c: float, start: complex) -> complex:
+    """start + sum_(n>=1) c z^n / (n + b)^p, |z| <= 0.75, stopped on two
+    consecutive negligible terms: Li2 (p = 2, b = 0, c = 1, start 0) and
+    F(1, b; 1+b; z) (p = 1, c = b, start 1)."""
+    total = start
+    zp = 1.0 + 0.0j
     small = 0
     for n in range(1, SERIES_MAX_TERMS):
-        term = term * z
-        inc = term / (n * n)
+        zp = zp * z
+        inc = c * zp / (n + b) ** p
         total += inc
-        small = small + 1 if abs(inc) <= SERIES_RTOL * max(abs(total), 1e-300) else 0
+        small = 0 if abs(inc) > SERIES_RTOL * abs(total) else small + 1
         if small >= 2 and n > 3:
             return total
-    raise NonConvergence("dilogarithm series did not converge")
+    raise NonConvergence("power series did not converge")
+
+
+def _li2_series(z: complex) -> complex:
+    return _power_sum(z, 2, 0, 1, 0.0 + 0.0j)
 
 
 def _li2_offcut(z: complex) -> complex:
@@ -356,10 +363,12 @@ def f21_general_series(a: float, b: float, c: float, z) -> complex:
     if abs(z) >= 1.0:
         raise NonConvergence(f"series argument |z|={abs(z):.3f} >= 1")
     if abs(z) > 0.999:  # below, |z|^N < e^-100 beats the terms' n^(a+b-c-1) growth
-        # a term N above SERIES_RTOL times the sum of all term moduli: no partial sum can stop
+        # the loop's own stop test on numpy partial sums of the same terms: none passes
         n = np.arange(SERIES_MAX_TERMS)
-        mods = np.cumprod(np.abs((a + n) * (b + n) / ((c + n) * (n + 1.0))) * abs(z))
-        if mods[-1] > SERIES_RTOL * (1.0 + mods.sum()):
+        terms = np.cumprod((a + n) * (b + n) / ((c + n) * (n + 1.0)) * z)
+        mods = np.abs(terms)
+        tol = SERIES_RTOL * np.maximum(np.abs(1.0 + np.cumsum(terms)), 1e-300)
+        if not np.any((mods <= tol) & (np.append(math.inf, mods[:-1]) <= tol)):
             raise NonConvergence(f"2F1 series cannot converge in {SERIES_MAX_TERMS} terms")
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
@@ -374,40 +383,24 @@ def f21_general_series(a: float, b: float, c: float, z) -> complex:
     raise NonConvergence(f"2F1 series hit the {SERIES_MAX_TERMS}-term cap at |z|={abs(z):.6f}")
 
 
-def _f21_1b_direct(b: float, z: complex) -> complex:
-    # F(1, b; 1+b; z) = b * sum_n z^n / (n + b)
-    total = 1.0 + 0.0j
-    zp = 1.0 + 0.0j
-    small = 0
-    for n in range(1, SERIES_MAX_TERMS):
-        zp = zp * z
-        inc = b * zp / (n + b)
-        total += inc
-        small = small + 1 if abs(inc) <= SERIES_RTOL * max(abs(total), 1e-300) else 0
-        if small >= 2 and n > 3:
-            return total
-    raise NonConvergence("F(1,b;1+b;z) series did not converge")
-
-
 def _f21_1b_logcase(b: float, z: complex, cut: CutPrescription) -> complex:
     # expansion around z=1 for the c = a+b (logarithmic) case:
-    # F(1,b;1+b;z) = b sum_n (b)_n/n! [psi(n+1) - psi(b+n) - ln(1-z)] (1-z)^n
+    # F(1,b;1+b;z) = b sum_n (b)_n/n! [psi(n+1) - psi(b+n) - ln(1-z)] (1-z)^n,
+    # whose binomial half sum_n (b)_n/n! (1-z)^n is z^(-b)
     w = 1.0 - z
     if w == 0:
         raise PoleError("F(1,b;1+b;z) diverges at z=1")
-    lw = cut_log(w, _flip(cut))
-    # sum the psi part and the plain binomial part separately
+    binomial = z ** (-b)
+    size = abs(binomial)
     psi_n1 = -EULER_GAMMA           # psi(1)
     psi_bn = digamma(b).real        # psi(b)
     s_psi = 0.0 + 0.0j
-    s_bin = 0.0 + 0.0j
     poch = 1.0
     wp = 1.0 + 0.0j
     for n in range(SERIES_MAX_TERMS):
         coeff = poch * wp
         s_psi += coeff * (psi_n1 - psi_bn)
-        s_bin += coeff
-        if n > 4 and abs(coeff) <= SERIES_RTOL * max(abs(s_bin), abs(s_psi), 1e-300):
+        if n > 4 and abs(coeff) <= SERIES_RTOL * max(size, abs(s_psi)):
             break
         poch *= (b + n) / (1.0 + n)
         wp = wp * w
@@ -415,11 +408,11 @@ def _f21_1b_logcase(b: float, z: complex, cut: CutPrescription) -> complex:
         psi_bn += 1.0 / (b + n)
     else:
         raise NonConvergence("logarithmic 2F1 expansion did not converge")
-    return b * (s_psi - lw * s_bin)
+    return b * (s_psi - cut_log(w, _flip(cut)) * binomial)
 
 
 def _flip(cut: CutPrescription) -> CutPrescription:
-    # the maps z -> 1-z, z -> -z and z -> 1/z reverse the approach side
+    # the maps z -> 1-z, z -> -z, z -> 1/z and z -> z/(z-1) reverse the approach side
     if cut is ABOVE:
         return BELOW
     if cut is BELOW:
@@ -434,7 +427,7 @@ def _f21_1b(b: float, z: complex, cut: CutPrescription) -> complex:
         return 1.0 + 0.0j
     az = abs(z)
     if az <= 0.7:
-        return _f21_1b_direct(b, z)
+        return _power_sum(z, 1, b, b, 1.0 + 0.0j)
     if abs(1.0 - z) <= 0.7:
         return _f21_1b_logcase(b, z, cut)
     if az >= 1.4:
@@ -454,23 +447,12 @@ def _f21_11_tail(e: float, z: complex, cut: CutPrescription) -> complex:
         * cut_power(z, e - 1.0, cut)
 
 
-def _f21_11_connection(e: float, z: complex, cut: CutPrescription) -> tuple[complex, complex]:
-    """(head, tail) with F(1, 1; 2-e; z) = head + tail: the head carries
-    F(1, e; 1+e; 1 - 1/z), whose argument keeps the side of z, and the tail
-    is :func:`_f21_11_tail`."""
-    head = -((1.0 - e) / e) * _f21_1b(e, 1.0 - 1.0 / z, cut) / z
-    return head, _f21_11_tail(e, z, cut)
-
-
 def _f21_one_one(e: float, z: complex, cut: CutPrescription) -> complex:
-    """F(1, 1; 2-e; z), 0 < e < 1, wherever :func:`_f21_1b` takes 1 - 1/z."""
-    if abs(z) <= 0.7:
-        return f21_general_series(1.0, 1.0, 2.0 - e, z)
-    if z.imag == 0.0 and z.real < 0.0:
-        # Pfaff keeps everything real: argument in (0, 1)
-        return _f21_1b(1.0 - e, z / (z - 1.0), PV) / (1.0 - z)
-    head, tail = _f21_11_connection(e, z, cut)
-    return head + tail
+    """F(1, 1; 2-e; z) = F(1, 1-e; 2-e; z/(z-1)) / (1-z), 0 < e < 1 (Pfaff,
+    DLMF 15.8.1); z/(z-1) is on the cut where z is, on the other side."""
+    if z == 1:
+        raise PoleError("F(1,1;2-e;z) diverges at z=1")
+    return _f21_1b(1.0 - e, z / (z - 1.0), _flip(cut)) / (1.0 - z)
 
 
 def _check_eps(eps: float):
@@ -483,10 +465,9 @@ def f21_1e(z, eps: float, cut: CutPrescription = PV) -> complex:
 
     Defined at every real z except the pole z = 1.  Complex z converges
     outside the lens 0.7 < |z| < 1.4, |1 - z| > 0.7, Re z >= 1/2: there the
-    annulus series raises :class:`NonConvergence` at once, or after its term
-    cap within about 1e-4 below Re z = 1/2.  The same holds for :func:`f21_2e`,
-    and for :func:`f21_11` at |z| > 0.7 with the lens taken at 1 - 1/z.
-    The box routes pass real z only.
+    annulus series raises :class:`NonConvergence` before it is summed.  The
+    same holds for :func:`f21_2e`, and for :func:`f21_11` with the lens taken
+    at z/(z-1).  The box routes pass real z only.
     """
     _check_eps(eps)
     return _require_finite(_f21_1b(eps, _argument(z, "f21_1e argument z"), cut), "f21_1e")
@@ -509,14 +490,16 @@ def f21_11_split(t_over_s, eps: float, cut: CutPrescription = PV) -> tuple[compl
 
     Returns ``(hypergeometric_piece, algebraic_piece)``, the connection
     through 1 - z at z = -s/t, whose sum equals ``f21_11(-1/t_over_s, eps)``
-    for every prescription.  The first piece carries 2F1(1, eps; eps+1;
-    1 + t/s); the second is the algebraic leftover of the continuation.
-    For Euclidean ratios (t/s > 0) both pieces are individually complex
-    away from the principal-value mode.
+    for every prescription.  The first piece is
+    -(1-eps)/eps F(1, eps; eps+1; 1 - 1/z) / z, whose argument 1 - 1/z =
+    1 + t/s keeps the side of z; the second, :func:`_f21_11_tail`, is the
+    algebraic leftover of the continuation.  For Euclidean ratios (t/s > 0)
+    both pieces are individually complex away from the principal-value mode.
     """
     _check_eps(eps)
     r = _argument(t_over_s, "f21_11_split argument t_over_s")
     if r == 0:
         raise DomainError("t/s must be nonzero")
-    head, tail = _f21_11_connection(eps, -1.0 / r, cut)
-    return _require_finite(head, "continuation head"), _require_finite(tail, "continuation tail")
+    head = (1.0 - eps) / eps * r * _f21_1b(eps, 1.0 + r, cut)
+    return (_require_finite(head, "continuation head"),
+            _require_finite(_f21_11_tail(eps, -1.0 / r, cut), "continuation tail"))

@@ -136,6 +136,16 @@ class TestDilogarithm:
         assert abs(above.imag - math.pi * math.log(x)) < 1e-12
         assert abs((above + below) / 2 - sf.li2(x, PV)) < 1e-13
 
+    @pytest.mark.parametrize("x", [-50.0, -1.4, -1.39, -0.76, -0.75, 0.25, 0.75, 0.76,
+                                   0.999, 1.0, 1.001, 1.4, 50.0])
+    def test_against_mpmath(self, x):
+        # every reduction of li2 and both sides of each switch between them
+        with mpmath.workdps(40):
+            ref = mpmath.re(mpmath.polylog(2, x))
+            val = sf.li2(x)
+            assert val.imag == 0.0
+            assert abs((val.real - ref) / ref) <= 1e-15
+
     def test_complex_plane(self):
         # against the defining series, well inside the disk
         z = 0.2 + 0.55j
@@ -162,8 +172,9 @@ class TestHypergeometric:
             sf.f21_general_series(1.0, 1.0, -2.0, 0.3)
 
     @pytest.mark.parametrize("call", [lambda: sf.f21_2e(0.5 + 0.9j, 0.3),
-                                      lambda: sf.f21_1e(0.4999 + 0.9j, 0.3)],
-                             ids=["f21_2e", "f21_1e"])
+                                      lambda: sf.f21_1e(0.4999 + 0.9j, 0.3),
+                                      lambda: sf.f21_2e(0.4997 + 0.9j, 0.9)],
+                             ids=["f21_2e", "f21_1e", "f21_2e_below_half"])
     def test_lens_refused_before_summing(self, call):
         # the annulus Pfaff argument has modulus 1 - 1e-16 and 0.999906: the
         # terms cannot fall below SERIES_RTOL within the cap, so none is summed
@@ -300,7 +311,8 @@ class TestOneSidedAgainstMpmath:
     inversion and, for f21_11, the connection through 1 - z), on the
     negative axis (the annulus Pfaff series and the inversion) and off it."""
 
-    ON_AXIS = (1.05, 1.3, 1.6, 2.5, 9.0, -0.8, -5.0)
+    ON_AXIS = (1.05, 1.3, 1.6, 2.5, 9.0, -0.8, -5.0,
+               0.71, 0.95, 1.0 - 1e-9, 1.0 + 1e-9, 1.69, -0.71, -1.39)
     OFF_AXIS = (1.3 + 0.2j, 2.5 - 0.7j, -3.0 + 0.1j)
 
     @staticmethod

@@ -9,15 +9,18 @@ workload of ``BENCHMARK.json``, pair i runs its command with ``--seed i``
 the change first in even ones, each run in a fresh process from its own root.  The output file
 holds, per workload and side, the median and quartiles of every end-to-end
 metric that ``BENCHMARK.json`` declares and of the failed-operation count,
-the pairs the change won on each metric, and every command that was run
-with its result.  Under ``import`` it holds, per side, the median and
-quartiles of IMPORT_PAIRS alternating cold ``import mbbox.cli`` timings,
-each in a fresh interpreter with ``PYTHONPATH=<root>/src``.
+the pairs the change won on each metric, the no-regression verdict on
+each metric (see :func:`verdict`), and every command that was run with its
+result.  Under ``import`` it holds, per side, the median and quartiles of
+IMPORT_PAIRS alternating cold ``import mbbox.cli`` timings, each in a fresh
+interpreter with ``PYTHONPATH=<root>/src``, and under ``src_lines`` each
+side's count of lines in the Python files under ``src/``.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -59,19 +62,45 @@ def summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def src_lines(root: str) -> int:
+    """Lines in the Python files under ``<root>/src``."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "**", "*.py"), recursive=True):
+        with open(path) as fh:
+            total += sum(1 for _ in fh)
+    return total
+
+
+def verdict(parent: dict, change: dict, metric: dict) -> str:
+    """``worse`` when the change's median is worse than the parent's by more
+    than the metric's bound, a share of the parent median; else
+    ``unresolved`` when the parent's quartile spread is wider than that
+    bound; else ``ok``."""
+    allowed = metric["bound"] * abs(parent["median"])
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    if sign * (parent["median"] - change["median"]) > allowed:
+        return "worse"
+    if parent["q3"] - parent["q1"] > allowed:
+        return "unresolved"
+    return "ok"
+
+
 def summarise(runs: dict, declared: list) -> dict:
     """Per side, a summary of each declared metric and of ``failed``; per
-    metric, the pairs whose change run reads better than its parent run."""
+    metric, the pairs whose change run reads better than its parent run and
+    the verdict."""
     out = {side: {"failed": summary([r["failed"] for r in runs[side]]),
                   "correct": all(r["correct"] for r in runs[side])} for side in runs}
-    wins = {}
+    wins, verdicts = {}, {}
     for metric in declared:
         name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
         for side in runs:
             out[side][name] = summary([r["metrics"][name] for r in runs[side]])
         pairs = zip(runs["parent"], runs["change"])
         wins[name] = sum(sign * (c["metrics"][name] - p["metrics"][name]) > 0 for p, c in pairs)
+        verdicts[name] = verdict(out["parent"][name], out["change"][name], metric)
     out["change_wins"] = wins
+    out["verdict"] = verdicts
     return out
 
 
@@ -87,7 +116,9 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     roots = {"parent": args.parent, "change": args.change}
     report = {"pairs": PAIRS, "run_seconds": seconds, "cpus": os.cpu_count(),
-              "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()), "workloads": {}}
+              "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+              "src_lines": {side: src_lines(root) for side, root in roots.items()},
+              "workloads": {}}
     imports = {"parent": [], "change": []}
     for i in range(IMPORT_PAIRS):
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
