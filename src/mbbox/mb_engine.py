@@ -162,21 +162,27 @@ def select_contour_massless(k: Kinematics) -> ContourSpec:
     return massless_line(k, (eps - 1.0) / 2.0 if eps < 0.5 else -1.0 + eps / 2.0)
 
 
+def _onemass_abscissae(eps: float) -> tuple[float, float]:
+    """(a0, b0) = (-eps/3, -1 + 2 eps/3), the pair whose smallest pole gap is largest."""
+    third = eps / 3.0
+    return -third, -1.0 + 2.0 * third
+
+
 def select_contour_onemass(k: Kinematics) -> tuple[ContourSpec, ContourSpec]:
     """Feasible pair of vertical lines for the iterated two-variable representation.
 
     The seven gamma-factor arguments keep a positive real part on the
-    contours: with b0 = -1 + eps/2 the inner abscissa a0 = (-1 - b0)/2,
-    about -eps/4, is the midpoint of the interval (-1 - b0, 0) allowed for
-    it.  Both lines share one step, set by the smallest of those
-    arguments, -a0 or 1 + a0 + b0, the distance to the nearest pole.
+    contours.  Three of them, -a0, 1 + a0 + b0 and eps - 1 - b0, sum to
+    eps, so the smallest is at most eps/3, and a0 = -eps/3, b0 = -1 + 2 eps/3
+    makes all three eps/3 (see :func:`_onemass_abscissae`); the other four
+    are 2 eps/3 or 1 - 2 eps/3.  Both lines share one step, set by that
+    pole gap of eps/3.  On this pair the three log-gamma lines coincide, and
+    so do the two cosecant lines (see :func:`_onemass_grids`).
     """
     eps = k.eps
-    b0 = -1.0 + eps / 2.0
-    a0 = 0.5 * (-1.0 - b0)
-    gap = min(-a0, 1.0 + a0 + b0)
+    a0, b0 = _onemass_abscissae(eps)
     spread = abs(math.log(k.s / k.t)) + abs(math.log(k.msq / k.t))
-    step = _fine_step(gap, 40.0, spread)
+    step = _fine_step(-a0, 40.0, spread)
     return (ContourSpec.from_step(a0, 10.0, step), ContourSpec.from_step(b0, 10.0, step))
 
 
@@ -187,7 +193,8 @@ def select_contour_onemass(k: Kinematics) -> tuple[ContourSpec, ContourSpec]:
 # Worst absolute error of a grid log-gamma on these contours, against
 # mpmath.  The estimates count it once per gamma factor of the scalar
 # integrands, six massless and seven one-mass; the grid forms carry fewer
-# log-gammas (two and four) and turn the reflection pairs into cosecants
+# log-gammas (two a massless node, three a one-mass node, all three off one
+# line on the default pair) and turn the reflection pairs into cosecants
 # good to a few ulp, so that count bounds them.  The rounding of h sum f
 # is at most the count times this times h sum |f|; the FFT correlation
 # adds only about log2(length) * 2.2e-16 of the same sum.
@@ -352,17 +359,65 @@ def _correlate(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.fft.ifft(prod)[..., na - 1:nc]
 
 
+def _shared_lines(fn, lines: list) -> list:
+    """fn(x + i y) for each line (x, y) of ``lines``, y an array of heights.
+
+    A line reuses the values of an earlier line with the same real part x
+    whose heights start with its own, so lines that coincide cost one
+    call of fn on the longest of them.
+    """
+    done, out = [], []
+    for x, y in lines:
+        for x0, y0, v0 in done:
+            if x0 == x and np.array_equal(y, y0[:len(y)]):
+                out.append(v0[:len(y)])
+                break
+        else:
+            done.append((x, y, fn(x + 1j * y)))
+            out.append(done[-1][2])
+    return out
+
+
 def _onemass_grids(k: Kinematics, alpha: np.ndarray, beta: np.ndarray,
                    sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A(alpha), B(beta) and C(sigma), whose product at sigma = alpha + beta
-    is the integrand over exp((eps - 2) ln(-t)) / Gamma(2 eps).  B and C
-    each pair two of their three gamma factors by reflection."""
+    """A(alpha), B(beta) and C(sigma) on three vertical lines, whose product
+    at sigma = alpha + beta is the integrand over exp((eps - 2) ln(-t)) /
+    Gamma(2 eps).  B and C each pair two of their three gamma factors by
+    reflection.
+
+    With Gamma(conj z) = conj Gamma(z), every gamma factor is read off a
+    line at the heights Im alpha, Im beta or Im sigma themselves: ln
+    Gamma(-alpha), ln Gamma(eps - 1 - beta) and ln Gamma(1 + sigma) off the
+    lines at real parts -a0, eps - 1 - b0 and 1 + a0 + b0, and the two
+    cosecants off 1 + b0 and eps - 1 - a0 - b0.  On the default pair (by
+    exact equality with :func:`_onemass_abscissae`) the log-gamma lines are
+    all the line at eps/3 and the cosecant lines the line at 2 eps/3, so
+    lines whose heights start alike share one evaluation (see
+    :func:`_shared_lines`).
+    """
     e = k.eps
-    a = np.exp(ln_gamma_grid(-alpha) + alpha * math.log(-k.msq))
+    a0, b0, s0 = alpha.real[0], beta.real[0], sigma.real[0]
+    if (a0, b0) == _onemass_abscissae(e):
+        third = -a0
+        xa = xb = xs = third
+        pb = ps = 2.0 * third
+    else:
+        xa, xb, xs = -a0, e - 1.0 - b0, 1.0 + s0
+        pb, ps = 1.0 + b0, e - 1.0 - s0
+    ya, yb, ys = alpha.imag, beta.imag, sigma.imag
+    lg_s, lg_a, lg_b = _shared_lines(ln_gamma_grid, [(xs, ys), (xa, ya), (xb, yb)])
+    csc_s, csc_b = _shared_lines(_pi_csc, [(ps, ys), (pb, yb)])
+    a = np.exp(lg_a.conj() + alpha * math.log(-k.msq))
     # Gamma(-beta) Gamma(1+beta) and Gamma(2-eps+sigma) Gamma(eps-1-sigma)
-    b = np.exp(ln_gamma_grid(e - 1.0 - beta) + beta * math.log(-k.s)) * _pi_csc(1.0 + beta)
-    c = np.exp(ln_gamma_grid(1.0 + sigma) - sigma * math.log(-k.t)) * _pi_csc(e - 1.0 - sigma)
+    b = np.exp(lg_b.conj() + beta * math.log(-k.s)) * csc_b
+    c = np.exp(lg_s - sigma * math.log(-k.t)) * csc_s.conj()
     return a, b, c
+
+
+def _mirrored(upper: np.ndarray) -> np.ndarray:
+    """The whole line of a grid with f(conj w) = conj f(w), from its upper
+    half: upper[j] at Im w = j h becomes entry j of the result's Im >= 0 side."""
+    return np.concatenate([upper[:0:-1].conj(), upper])
 
 
 def _mb_onemass_sums(k: Kinematics, ca: ContourSpec, cb: ContourSpec
@@ -373,19 +428,22 @@ def _mb_onemass_sums(k: Kinematics, ca: ContourSpec, cb: ContourSpec
     Three gamma factors depend on alpha + beta only, so on grids with one
     step h the double sum is sum_i B_i sum_j A_j C_{i+j}, with A in alpha
     (inner), B in beta (outer) and C on the grid of alpha + beta.  That is
-    one correlation: O(n) gamma evaluations and an O(n log n) FFT.  The
-    tail estimate sums |f| at the top corner and at the top centre of both
-    edges, all of them grid nodes.
+    one correlation: O(n) gamma evaluations and an O(n log n) FFT.  A, B
+    and C are conjugate-symmetric about Im 0, so they are built on their
+    upper halves, at the heights j h, and mirrored; on the default pair
+    that takes one log-gamma and one cosecant half-line of the sigma
+    grid's length (see :func:`_onemass_grids`).  The tail estimate sums |f|
+    at the top corner and at the top centre of both edges, all of them
+    grid nodes.
     """
     u, factor = k.unit
     e = u.eps
     h = ca.step
-    ya, yb = ca.fine_heights(), cb.fine_heights()
-    alpha = ca.abscissa + 1j * ya
-    beta = cb.abscissa + 1j * yb
-    sigma = (ca.abscissa + cb.abscissa) + 1j * (
-        h * np.arange(len(ya) + len(yb) - 1) - (ca.height + cb.height))
-    a, b, c = _onemass_grids(u, alpha, beta, sigma)
+    ya, yb = ca.upper_heights(), cb.upper_heights()
+    up_a, up_b, up_c = _onemass_grids(u, ca.abscissa + 1j * ya, cb.abscissa + 1j * yb,
+                                      (ca.abscissa + cb.abscissa)
+                                      + 1j * h * np.arange(len(ya) + len(yb) - 1))
+    a, b, c = _mirrored(up_a), _mirrored(up_b), _mirrored(up_c)
     corr, corr_abs = _correlate(np.stack([a, np.abs(a)]), np.stack([c, np.abs(c)]))
     scale = factor * math.exp((e - 2.0) * math.log(-u.t) - ln_gamma(2.0 * e).real) \
         / (4.0 * math.pi ** 2)
@@ -395,7 +453,7 @@ def _mb_onemass_sums(k: Kinematics, ca: ContourSpec, cb: ContourSpec
     coarse = 4.0 * weight * float((b[::2] @ _correlate(a[::2], c[::2])).real)
     abs_sum = weight * float(np.abs(b) @ corr_abs.real)
     # alpha and beta at the top of their lines or at Im 0
-    ia, ib = len(ya) - 1, len(yb) - 1
+    ia, ib = len(a) - 1, len(b) - 1
     ja, jb = ca.nodes - 1, cb.nodes - 1
     tail = scale * float(abs(a[ia] * b[ib] * c[ia + ib]) + abs(a[ia] * b[jb] * c[ia + jb])
                          + abs(a[ja] * b[ib] * c[ja + ib]))
@@ -407,8 +465,11 @@ def mb_onemass_eval(k: Kinematics, ca: ContourSpec | None = None,
     """One-mass box by the trapezoid rule on both contours (inner alpha, outer beta).
 
     The two lines are given together, and share one step, or not at all,
-    and then the pair is :func:`select_contour_onemass`'s.  The grids take
-    four log-gammas and two reflection pairs (see :func:`_onemass_grids`).
+    and then the pair is :func:`select_contour_onemass`'s.  A node's
+    integrand takes three log-gammas and two reflection pairs, and on that
+    default pair the grids read them all off one log-gamma and one
+    cosecant half-line of 2n - 1 points for n nodes a line (see
+    :func:`_mb_onemass_sums`); other pairs take three and two such lines.
     The rounding term counts the seven gamma factors of the scalar
     integrand per node and h^2 sum |f| / 4 pi^2, and the delta is held to
     ``ONEMASS_DELTA_RTOL`` (see :func:`_contour_value`).

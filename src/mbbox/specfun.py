@@ -354,26 +354,38 @@ def li2(z, cut: CutPrescription = PV) -> complex:
 # Gauss hypergeometric families
 # ---------------------------------------------------------------------------
 
+# Terms the series loop runs before a series near |z| = 1 is checked for
+# convergence: one that stops this early (a polynomial, tiny terms) skips it.
+_SERIES_PREFIX = 64
+
+
+def _cannot_converge(a: float, b: float, c: float, z: complex) -> bool:
+    """True when no partial sum within the term cap passes the series loop's
+    stop test: the same test on numpy partial sums of the same terms."""
+    n = np.arange(SERIES_MAX_TERMS)
+    terms = np.cumprod((a + n) * (b + n) / ((c + n) * (n + 1.0)) * z)
+    mods = np.abs(terms)
+    tol = SERIES_RTOL * np.maximum(np.abs(1.0 + np.cumsum(terms)), 1e-300)
+    return not np.any((mods <= tol) & (np.append(math.inf, mods[:-1]) <= tol))
+
+
 def f21_general_series(a: float, b: float, c: float, z) -> complex:
     """Plain Gauss series for 2F1(a, b; c; z), |z| < 1 required.  A series
-    that cannot converge within its term cap is refused before it is summed."""
+    that cannot converge within its term cap is refused after its first
+    ``_SERIES_PREFIX`` terms, before the rest is summed."""
     z = _argument(z, "f21_general_series argument z")
     if _is_nonpositive_integer(complex(c)):
         raise PoleError(f"lower parameter c={c} is a non-positive integer")
     if abs(z) >= 1.0:
         raise NonConvergence(f"series argument |z|={abs(z):.3f} >= 1")
-    if abs(z) > 0.999:  # below, |z|^N < e^-100 beats the terms' n^(a+b-c-1) growth
-        # the loop's own stop test on numpy partial sums of the same terms: none passes
-        n = np.arange(SERIES_MAX_TERMS)
-        terms = np.cumprod((a + n) * (b + n) / ((c + n) * (n + 1.0)) * z)
-        mods = np.abs(terms)
-        tol = SERIES_RTOL * np.maximum(np.abs(1.0 + np.cumsum(terms)), 1e-300)
-        if not np.any((mods <= tol) & (np.append(math.inf, mods[:-1]) <= tol)):
-            raise NonConvergence(f"2F1 series cannot converge in {SERIES_MAX_TERMS} terms")
+    # below |z| = 0.999, |z|^N < e^-100 beats the terms' n^(a+b-c-1) growth
+    check_at = _SERIES_PREFIX if abs(z) > 0.999 else -1
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
     prev_inc = math.inf
     for n in range(SERIES_MAX_TERMS):
+        if n == check_at and _cannot_converge(a, b, c, z):
+            raise NonConvergence(f"2F1 series cannot converge in {SERIES_MAX_TERMS} terms")
         term = term * (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
         total += term
         inc = abs(term)

@@ -1,7 +1,9 @@
-"""tools/bench_pairs.py: the per-metric verdict on synthetic paired runs."""
+"""tools/bench_pairs.py: the per-metric verdict on synthetic paired runs, and the
+flags it passes to the benchmark command."""
 
 import importlib.util
 import pathlib
+import sys
 
 import pytest
 
@@ -64,3 +66,14 @@ def test_src_lines(tmp_path):
     (tmp_path / "src" / "b.py").write_text("z = 3\n")
     (tmp_path / "src" / "notes.txt").write_text("not code\n")
     assert bench_pairs.src_lines(str(tmp_path)) == 3
+
+
+def test_run_once_passes_the_trace_flag(tmp_path):
+    # a stand-in benchmark command that reports the arguments it was given
+    echo = ("import json, sys; print(json.dumps({'correct': True, 'attempted': 1, "
+            "'failed': 0, 'metrics': {'argv': {'value': sys.argv[1:]}}}))")
+    for trace in (0, 1):
+        run = bench_pairs.run_once(str(tmp_path), [sys.executable, "-c", echo], "mb-onemass",
+                                   1, 2.0, trace=trace)
+        assert run["metrics"]["argv"] == ["--workload", "mb-onemass", "--seed", "1",
+                                          "--seconds", "2.0", "--trace", str(trace)]

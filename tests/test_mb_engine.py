@@ -63,8 +63,8 @@ class TestContourSelection:
 
     def test_onemass_example(self):
         ca, cb = select_contour_onemass(onemass_point(0.4))
-        assert abs(cb.abscissa + 0.8) < 1e-15
-        assert abs(ca.abscissa + 0.1) < 1e-15
+        assert abs(cb.abscissa - (-1.0 + 0.8 / 3.0)) < 1e-15
+        assert abs(ca.abscissa + 0.4 / 3.0) < 1e-15
 
     @pytest.mark.parametrize("eps", [1e-6, 0.003, 0.2, 0.5, 0.8, 0.999999])
     def test_onemass_gamma_arguments_positive(self, eps):
@@ -215,7 +215,7 @@ class TestMasslessQuadrature:
         with pytest.raises(NotConverged):
             mb_massless_eval(Kinematics(s=-1.0, t=-2.0, eps=0.3),
                              ContourSpec(-0.85, 6.0, 10 ** 12))
-        # the one-mass rule still sets its step by a pole gap of eps/4
+        # the one-mass rule still sets its step by a pole gap of eps/3
         k = onemass_point(1e-6)
         assert select_contour_onemass(k)[0].nodes > 1000 * MAX_NODES
         with pytest.raises(NotConverged):
@@ -311,6 +311,63 @@ class TestOneMassQuadrature:
         direct_coarse *= 4.0 * h * h / (4.0 * math.pi ** 2)
         assert abs(coarse - direct_coarse) < 1e-13 * abs(direct_coarse)
 
+    def test_fft_correlation_matches_direct_double_sum_on_the_default_pair(self):
+        # the shared-line path: at eps = 0.3 the default pair is (-0.1, -0.8),
+        # where one log-gamma and one cosecant half-line give every factor
+        k = Kinematics(s=-1.0, t=-2.0, eps=0.3, msq=-0.5)
+        a0, b0 = (c.abscissa for c in select_contour_onemass(k))
+        assert abs(a0 + 0.1) < 1e-15 and abs(b0 + 0.8) < 1e-15
+        ca, cb = ContourSpec(a0, 4.0, 33), ContourSpec(b0, 4.0, 33)
+        fine, coarse, _ = mb_engine._mb_onemass_sums(k, ca, cb)
+        alpha = ca.abscissa + 1j * ca.fine_heights()
+        beta = cb.abscissa + 1j * cb.fine_heights()
+        weight = ca.step ** 2 / (4.0 * math.pi ** 2)
+        direct = weight * sum(mb_onemass_integrand(a, b, k) for a in alpha for b in beta)
+        assert abs(fine - direct) < 1e-13 * abs(direct)
+        direct_coarse = 4.0 * weight * sum(mb_onemass_integrand(a, b, k)
+                                           for a in alpha[::2] for b in beta[::2])
+        assert abs(coarse - direct_coarse) < 1e-13 * abs(direct_coarse)
+
+    def test_shared_line_grids_match_three_factor_products(self):
+        # the default pair at the heights j h of the sums' upper halves
+        k = Kinematics(s=-3.0, t=-2.0, eps=0.3, msq=-0.5)
+        ca, cb = select_contour_onemass(k)
+        heights = ca.step * np.arange(ca.nodes + cb.nodes - 1)
+        alpha = ca.abscissa + 1j * heights[:ca.nodes]
+        beta = cb.abscissa + 1j * heights[:cb.nodes]
+        sigma = ca.abscissa + cb.abscissa + 1j * heights
+        a, b, c = mb_engine._onemass_grids(k, alpha, beta, sigma)
+        e, lg = k.eps, sf.ln_gamma
+        for ai, al in zip(a[::5], alpha[::5]):
+            ref_a = np.exp(lg(-al) + al * math.log(-k.msq))
+            assert abs(ai - ref_a) < 1e-13 * abs(ref_a), al
+        for bi, be in zip(b[::5], beta[::5]):
+            ref_b = np.exp(lg(-be) + lg(1.0 + be) + lg(e - 1.0 - be) + be * math.log(-k.s))
+            assert abs(bi - ref_b) < 1e-13 * abs(ref_b), be
+        for ci, si in zip(c[::5], sigma[::5]):
+            ref_c = np.exp(lg(2.0 - e + si) + lg(e - 1.0 - si) + lg(1.0 + si)
+                           - si * math.log(-k.t))
+            assert abs(ci - ref_c) < 1e-13 * abs(ref_c), si
+
+    def test_one_log_gamma_half_line_on_the_default_pair(self, monkeypatch):
+        points = {"ln_gamma_grid": [], "_pi_csc": []}
+        for name in points:
+            def counting(z, real=getattr(mb_engine, name), sizes=points[name]):
+                sizes.append(z.size)
+                return real(z)
+            monkeypatch.setattr(mb_engine, name, counting)
+        k = Kinematics(s=-1.0, t=-2.0, eps=0.4, msq=-0.5)
+        ca, cb = select_contour_onemass(k)
+        n = ca.nodes
+        mb_engine._mb_onemass_sums(k, ca, cb)
+        assert points == {"ln_gamma_grid": [2 * n - 1], "_pi_csc": [2 * n - 1]}
+        # a shifted pair: three log-gamma lines and two cosecant lines
+        for sizes in points.values():
+            sizes.clear()
+        mb_engine._mb_onemass_sums(k, ContourSpec(ca.abscissa * 0.6, ca.height, n),
+                                   ContourSpec(cb.abscissa + 0.04, cb.height, n))
+        assert points == {"ln_gamma_grid": [2 * n - 1, n, n], "_pi_csc": [2 * n - 1, n]}
+
     def test_reflection_grids_match_three_factor_products(self):
         k = Kinematics(s=-3.0, t=-2.0, eps=0.3, msq=-0.5)
         ca, cb = select_contour_onemass(k)
@@ -360,8 +417,10 @@ class TestOneMassQuadrature:
         k = Kinematics(s=-1.0, t=-2.0, eps=0.4, msq=-0.5)
         ca, cb = select_contour_onemass(k)
         base = mb_onemass_eval(k, ca, cb).value
+        # on the same nodes the shifted pair's nearest pole is 0.6 of the
+        # step's gap eps/3 (-alpha at 0.08), and eps - 1 - beta sits at 0.7
         ca2 = ContourSpec(ca.abscissa * 0.6, ca.height, ca.nodes)
-        cb2 = ContourSpec(cb.abscissa + 0.08, cb.height, cb.nodes)
+        cb2 = ContourSpec(cb.abscissa + 0.04, cb.height, cb.nodes)
         v = mb_onemass_eval(k, ca2, cb2).value
         assert abs(v - base) < 1e-8 * abs(base)
 

@@ -192,6 +192,25 @@ class TestHypergeometric:
             ref = complex(mpmath.hyp2f1(a, b, c, z))
         assert abs(sf.f21_general_series(a, b, c, z) - ref) <= 1e-9 * abs(ref)
 
+    def test_series_that_stops_early_skips_the_refusal_check(self, monkeypatch):
+        # 2F1(-2, 1; 2; z) = 1 - z + z^2/3 stops within the loop's first
+        # terms, so the numpy check over the whole term cap never runs
+        checks = []
+        monkeypatch.setattr(sf, "_cannot_converge", lambda *args: checks.append(args))
+        z = 0.99999999
+        assert abs(sf.f21_general_series(-2.0, 1.0, 2.0, z) - (1.0 - z + z * z / 3.0)) <= 1e-16
+        assert checks == []
+
+    def test_series_that_cannot_converge_is_checked_once(self, monkeypatch):
+        # |z| = 0.9999 needs about 4e5 terms: refused after the short prefix
+        checks = []
+        real = sf._cannot_converge
+        monkeypatch.setattr(sf, "_cannot_converge",
+                            lambda *args: checks.append(args) or real(*args))
+        with pytest.raises(NonConvergence, match="cannot converge in 100000 terms"):
+            sf.f21_general_series(1.0, 0.3, 1.3, 0.9999)
+        assert len(checks) == 1
+
     def test_euler_integral_agreement(self):
         # series evaluation against the Euler-integral quadrature
         for eps in (0.2, 0.5, 0.8):

@@ -14,7 +14,9 @@ each metric (see :func:`verdict`), and every command that was run with its
 result.  Under ``import`` it holds, per side, the median and quartiles of
 IMPORT_PAIRS alternating cold ``import mbbox.cli`` timings, each in a fresh
 interpreter with ``PYTHONPATH=<root>/src``, and under ``src_lines`` each
-side's count of lines in the Python files under ``src/``.
+side's count of lines in the Python files under ``src/``.  Each
+``--trace WORKLOAD`` adds, under ``trace``, one traced run (``--trace 1``,
+seed 1) of that workload per side, with its per-layer metrics.
 """
 
 from __future__ import annotations
@@ -35,10 +37,11 @@ IMPORT_CODE = ("import time\nstart = time.perf_counter()\nimport mbbox.cli\n"
                "print(time.perf_counter() - start)")
 
 
-def run_once(root: str, command: list, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: str, command: list, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
     """One benchmark run in ``root``; its JSON result and the command."""
     cmd = [*command, "--workload", workload, "--seed", str(seed), "--seconds", repr(seconds),
-           "--trace", "0"]
+           "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n"
@@ -109,6 +112,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="root of the parent checkout")
     parser.add_argument("--change", required=True, help="root of the changed checkout")
     parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--trace", action="append", default=[], metavar="WORKLOAD",
+                        help="add one traced run of WORKLOAD per side (repeatable)")
     args = parser.parse_args(argv)
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
@@ -135,6 +140,10 @@ def main(argv=None) -> int:
                       f"{run['metrics']['points_per_s']:.1f}", file=sys.stderr)
         report["workloads"][workload] = {**summarise(runs, bench["end_to_end"]),
                                          "runs": runs}
+    report["trace"] = {workload: {side: run_once(root, bench["command"], workload, 1, seconds,
+                                                 trace=1)
+                                  for side, root in roots.items()}
+                       for workload in args.trace}
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
