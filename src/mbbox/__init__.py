@@ -6,8 +6,8 @@ contour quadrature of their Mellin-Barnes representations plus residue
 resummation (:mod:`mbbox.mb_engine`), and direct Feynman-parameter
 quadrature (:mod:`mbbox.oracles`), all restricted to the Euclidean region.
 The eps expansions return their three Laurent coefficients as plain
-numbers; :mod:`mbbox.series`, a truncated Laurent algebra that no route
-uses, stays importable until the benchmark's tracer stops naming it.
+numbers; :mod:`mbbox.series` is the truncated-series helper that the
+Laurent tests use as their reference, and no route calls it.
 :mod:`mbbox.cli` wires everything into a command-line tool with
 machine-readable reports.
 """

@@ -126,24 +126,25 @@ def _channels(k: Kinematics) -> tuple:
 
 
 def _gammas(e: float) -> tuple:
-    # Gamma(e)^2 / Gamma(2e) and Gamma(1-e); Gamma(e) ~ 1/e, so divide before squaring
-    g = gamma(e).real
-    return g / gamma(2.0 * e).real * g, gamma(1.0 - e).real
+    """(Gamma(e), Gamma(1-e), Gamma(e)/Gamma(2e)).  Gamma(e) ~ 1/e: its ratio to
+    Gamma(2e) is formed before a second Gamma(e) multiplies it."""
+    ge = gamma(e).real
+    return ge, gamma(1.0 - e).real, ge / gamma(2.0 * e).real
 
 
 def _closed(k: Kinematics, cut: CutPrescription) -> complex:
     u, factor = k.unit
     e = k.eps
-    g2, g1me = _gammas(e)
+    ge, g1me, ratio = _gammas(e)
     total = sum(sign * neg ** e * f21_1e(z, e, cut) for sign, neg, z, _ in _channels(u))
-    return g2 * g1me / e * factor / (u.s * u.t) * total
+    return ratio * ge * g1me / e * factor / (u.s * u.t) * total
 
 
 def _closed_alt(k: Kinematics, cut: CutPrescription) -> complex:
     # F(1,e;1+e;z)/e = 1/e + z/(1+e) F(1,1+e;2+e;z), channel by channel
     u, factor = k.unit
     e = k.eps
-    g2, g1me = _gammas(e)
+    ge, g1me, ratio = _gammas(e)
     head = tail = 0.0
     for sign, neg, z, _ in _channels(u):
         power = sign * neg ** e / (u.s * u.t)
@@ -151,7 +152,7 @@ def _closed_alt(k: Kinematics, cut: CutPrescription) -> complex:
         tail += power * z * f21_2e(z, e, cut)
     # head and tail cancel to 1e-9 at (s, t, msq, e) = (-1, -1e-3, -1e3, 0.99),
     # so the order of these roundings sets the route's error there (6e-8)
-    return g2 * factor * (g1me / e * head + g1me / (1.0 + e) * tail)
+    return ratio * ge * factor * (g1me / e * head + g1me / (1.0 + e) * tail)
 
 
 def _laurent(k: Kinematics) -> tuple[float, float, float]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import BoxValue, Kinematics
+from .closed_form import BoxValue, Kinematics, _gammas
 from .errors import InfeasibleContour, NotConverged, PoleError
 from .specfun import (
     EULER_GAMMA,
@@ -35,7 +35,6 @@ from .specfun import (
     f21_1e,
     f21_11,
     f21_11_split,
-    gamma,
     ln_gamma,
     ln_gamma_grid,
     _f21_11_tail,
@@ -98,11 +97,6 @@ class ContourSpec:
     def _check_cap(self):
         if self.nodes > MAX_NODES:
             raise NotConverged(f"{self.nodes} coarse nodes exceed the cap of {MAX_NODES}")
-
-    def fine_heights(self) -> np.ndarray:
-        """Im w on the doubled rule; its even entries are the coarse nodes."""
-        self._check_cap()
-        return -self.height + self.step * np.arange(2 * self.nodes - 1)
 
     def upper_heights(self) -> np.ndarray:
         """The doubled rule's Im w >= 0, from 0 up: entry j is coarse when
@@ -510,9 +504,7 @@ def residue_massless(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     e = u.eps
     s, t = u.s, u.t
     st = s * t
-    # Gamma(e) ~ 1/e: divide it by Gamma(2e) before a second Gamma(e) multiplies
-    ge, g1me = gamma(e).real, gamma(1.0 - e).real
-    ratio = ge / gamma(2.0 * e).real
+    ge, g1me, ratio = _gammas(e)
     g = ratio * ge * g1me  # Gamma(e)^2 Gamma(1-e) / Gamma(2e)
 
     # simple-pole family: Gamma(e)^2 Gamma(1-e)^2 / (Gamma(2e) Gamma(2-e)) (-t)^(e-2)
@@ -570,9 +562,7 @@ def residue_onemass(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     s, t, m2 = u.s, u.t, u.msq
     st = s * t
 
-    # Gamma(e) ~ 1/e: divide it by Gamma(2e) before a second Gamma(e) multiplies
-    ge, g1me = gamma(e).real, gamma(1.0 - e).real
-    ratio = ge / gamma(2.0 * e).real
+    ge, g1me, ratio = _gammas(e)
     g = ratio * ge * g1me  # Gamma(e)^2 Gamma(1-e) / Gamma(2e)
 
     # first family: Gamma(e) Gamma(1-e) / Gamma(2e) times the beta-contour integral's

@@ -1,5 +1,5 @@
-"""tools/bench_pairs.py: the per-metric verdict on synthetic paired runs, and the
-flags it passes to the benchmark command."""
+"""tools/bench_pairs.py: the per-metric verdict on synthetic paired runs, the
+flags it passes to the benchmark command, and the sweep-report comparison."""
 
 import importlib.util
 import pathlib
@@ -77,3 +77,18 @@ def test_run_once_passes_the_trace_flag(tmp_path):
                                    1, 2.0, trace=trace)
         assert run["metrics"]["argv"] == ["--workload", "mb-onemass", "--seed", "1",
                                           "--seconds", "2.0", "--trace", str(trace)]
+
+
+def test_differing_reports(tmp_path):
+    roots = {side: str(tmp_path / side) for side in ("parent", "change")}
+    texts = {1: ('{"records": []}', '{"records": []}'),
+             2: ('{"records": [1]}', '{"records": [2]}'),
+             3: ('{"records": []}', None)}
+    for seed, pair in texts.items():
+        for root, text in zip(roots.values(), pair):
+            if text is not None:
+                path = pathlib.Path(bench_pairs.report_file(root, "analytic", seed))
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(text)
+    assert bench_pairs.differing_reports(roots, "analytic", [1]) == []
+    assert bench_pairs.differing_reports(roots, "analytic", [1, 2, 3, 4]) == [2, 3, 4]

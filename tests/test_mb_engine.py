@@ -33,6 +33,11 @@ def onemass_point(eps):
     return Kinematics(s=-1.0, t=-2.0, eps=eps, msq=-0.5)
 
 
+def full_line(spec):
+    """w on the doubled rule over the whole line; its even entries are the coarse nodes."""
+    return spec.abscissa + 1j * (-spec.height + spec.step * np.arange(2 * spec.nodes - 1))
+
+
 class TestContourSelection:
     def test_massless_default_abscissa(self):
         # below eps = 1/2 midway between the crossed pole eps - 1 and 0,
@@ -150,7 +155,7 @@ class TestMasslessQuadrature:
         # nodes - 1 even puts Im w = 0 on the coarse rule, odd leaves it off
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
         spec = ContourSpec(-0.85, 6.0, nodes)
-        full = mb_massless_integrand(spec.abscissa + 1j * spec.fine_heights(), k)
+        full = mb_massless_integrand(full_line(spec), k)
         upper = mb_massless_integrand(spec.abscissa + 1j * spec.upper_heights(), k)
         first = (nodes - 1) % 2
         for half, whole in ((mb_engine._mirror_sum(upper.real), np.sum(full)),
@@ -162,7 +167,7 @@ class TestMasslessQuadrature:
     def test_half_line_eval_matches_full_line(self, nodes):
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
         spec = ContourSpec(-0.85, 8.0, nodes)
-        full = mb_massless_integrand(spec.abscissa + 1j * spec.fine_heights(), k)
+        full = mb_massless_integrand(full_line(spec), k)
         weight = spec.step / (2.0 * math.pi)
         fine, coarse = weight * np.sum(full), 2.0 * weight * np.sum(full[::2])
         v = mb_massless_eval(k, spec)
@@ -301,8 +306,8 @@ class TestOneMassQuadrature:
         cb = ContourSpec(-0.85, 4.0, 33)
         fine, coarse, _ = mb_engine._mb_onemass_sums(k, ca, cb)
         h = ca.step
-        alpha = ca.abscissa + 1j * ca.fine_heights()
-        beta = cb.abscissa + 1j * cb.fine_heights()
+        alpha = full_line(ca)
+        beta = full_line(cb)
         direct = sum(mb_onemass_integrand(a, b, k) for a in alpha for b in beta)
         direct *= h * h / (4.0 * math.pi ** 2)
         assert abs(fine - direct) < 1e-13 * abs(direct)
@@ -319,8 +324,8 @@ class TestOneMassQuadrature:
         assert abs(a0 + 0.1) < 1e-15 and abs(b0 + 0.8) < 1e-15
         ca, cb = ContourSpec(a0, 4.0, 33), ContourSpec(b0, 4.0, 33)
         fine, coarse, _ = mb_engine._mb_onemass_sums(k, ca, cb)
-        alpha = ca.abscissa + 1j * ca.fine_heights()
-        beta = cb.abscissa + 1j * cb.fine_heights()
+        alpha = full_line(ca)
+        beta = full_line(cb)
         weight = ca.step ** 2 / (4.0 * math.pi ** 2)
         direct = weight * sum(mb_onemass_integrand(a, b, k) for a in alpha for b in beta)
         assert abs(fine - direct) < 1e-13 * abs(direct)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mbbox import specfun as sf
+from mbbox.closed_form import _LAURENT_PREFACTOR
 from mbbox.errors import DivisionByZeroSeries, DomainError
 from mbbox.series import (
     RegulatorSeries,
@@ -64,35 +65,31 @@ class TestRingAxioms:
         for p in _common_window(left, right):
             assert _close(left.coeff(p), right.coeff(p))
 
-    @settings(max_examples=100, deadline=None)
-    @given(series_strategy())
-    def test_leading_coefficient_normalized(self, a):
-        if not a.is_zero:
-            assert a.coeffs[0] != 0
-
 
 class TestArithmetic:
     def test_product_truncates(self):
-        one = RegulatorSeries.constant(1.0)
-        eps = RegulatorSeries.variable()
-        p = (one + eps) * (one - eps)
+        p = RegulatorSeries(0, (1, 1, 0)) * RegulatorSeries(0, (1, -1, 0))
+        assert p.max_power == 2
         assert p.coeff(0) == 1 and p.coeff(1) == 0 and p.coeff(2) == -1
 
     def test_pole_times_variable(self):
         inv_eps = RegulatorSeries(-1, (1.0,))
-        eps = RegulatorSeries.variable()
+        eps = RegulatorSeries(1, (1.0,))
         assert (inv_eps * eps).coeff(0) == 1.0
 
     def test_geometric_inverse(self):
-        one = RegulatorSeries.constant(1.0)
-        eps = RegulatorSeries.variable()
-        inv = one / (one - eps)
+        inv = RegulatorSeries(0, (1.0, 0.0, 0.0)) / RegulatorSeries(0, (1.0, -1.0, 0.0))
         for p in range(0, 3):
             assert abs(inv.coeff(p) - 1.0) < 1e-14
 
     def test_division_by_zero_series(self):
         with pytest.raises(DivisionByZeroSeries):
-            RegulatorSeries.constant(1.0) / RegulatorSeries.zero()
+            RegulatorSeries(0, (1.0, 0.0)) / RegulatorSeries(0, (0.0, 0.0))
+
+    def test_division_by_vanishing_leading_coefficient(self):
+        # eps + eps^2 stored from power 0: no trimming moves its window
+        with pytest.raises(DivisionByZeroSeries):
+            RegulatorSeries(0, (1.0, 2.0, 3.0)) / RegulatorSeries(0, (0.0, 1.0, 1.0))
 
     def test_unknown_coefficient_raises(self):
         trunc = power_series(2.0, 2)
@@ -103,7 +100,7 @@ class TestArithmetic:
 class TestExpLog:
     def test_exp_linear(self):
         c = 1.7
-        s = (RegulatorSeries.variable() * c).exp()
+        s = (RegulatorSeries(0, (0.0, 1.0, 0.0)) * c).exp()
         for k in range(0, 3):
             assert abs(s.coeff(k) - c ** k / math.factorial(k)) < 1e-14
 
@@ -137,6 +134,18 @@ class TestGammaSeries:
         slope = base * (sf.digamma(e) - sf.digamma(1.0 - e)).real
         assert abs(prod.coeff(0) - base) < 1e-12 * abs(base)
         assert abs(prod.coeff(1) - slope) < 1e-9 * abs(slope)
+
+    def test_laurent_prefactor(self):
+        # closed_form's constant coefficients of Gamma(1-e) Gamma(1+e)^2 / Gamma(1+2e)
+        # against mpmath and against the same product of gamma_series
+        with mpmath.workdps(30):
+            ref = mpmath.taylor(lambda x: mpmath.gamma(1 - x) * mpmath.gamma(1 + x) ** 2
+                                / mpmath.gamma(1 + 2 * x), 0, 2)
+        g = gamma_series(1.0, 2)
+        product = g.scaled_arg(-1) * g * g / g.scaled_arg(2)
+        for k, c in enumerate(_LAURENT_PREFACTOR):
+            assert abs(c - float(ref[k])) <= 1e-15
+            assert abs(c - product.coeff(k)) <= 1e-15
 
     def test_sampling_consistency_richardson(self):
         # truncated polynomial vs the exact function: the residual must

@@ -10,8 +10,11 @@ the change first in even ones, each run in a fresh process from its own root.  T
 holds, per workload and side, the median and quartiles of every end-to-end
 metric that ``BENCHMARK.json`` declares and of the failed-operation count,
 the pairs the change won on each metric, the no-regression verdict on
-each metric (see :func:`verdict`), and every command that was run with its
-result.  Under ``import`` it holds, per side, the median and quartiles of
+each metric (see :func:`verdict`), every command that was run with its
+result, and under ``reports_identical`` whether each seed's sweep report
+(``perfbench/out/runs/report-<workload>-<seed>.json``) is byte for byte the
+same on both sides, with the seeds that differ under ``reports_differ``.
+Under ``import`` it holds, per side, the median and quartiles of
 IMPORT_PAIRS alternating cold ``import mbbox.cli`` timings, each in a fresh
 interpreter with ``PYTHONPATH=<root>/src``, and under ``src_lines`` each
 side's count of lines in the Python files under ``src/``.  Each
@@ -72,6 +75,26 @@ def src_lines(root: str) -> int:
         with open(path) as fh:
             total += sum(1 for _ in fh)
     return total
+
+
+def report_file(root: str, workload: str, seed: int) -> str:
+    return os.path.join(root, "perfbench", "out", "runs", f"report-{workload}-{seed}.json")
+
+
+def differing_reports(roots: dict, workload: str, seeds) -> list:
+    """The seeds whose sweep report is missing on a side or differs between the sides."""
+    differ = []
+    for seed in seeds:
+        texts = []
+        for root in (roots["parent"], roots["change"]):
+            try:
+                with open(report_file(root, workload, seed), "rb") as fh:
+                    texts.append(fh.read())
+            except FileNotFoundError:
+                texts.append(None)
+        if texts[0] is None or texts[0] != texts[1]:
+            differ.append(seed)
+    return differ
 
 
 def verdict(parent: dict, change: dict, metric: dict) -> str:
@@ -138,8 +161,10 @@ def main(argv=None) -> int:
                 runs[side].append(run)
                 print(f"{workload} pair {i + 1} {side}: points_per_s "
                       f"{run['metrics']['points_per_s']:.1f}", file=sys.stderr)
+        differ = differing_reports(roots, workload, range(1, PAIRS + 1))
         report["workloads"][workload] = {**summarise(runs, bench["end_to_end"]),
-                                         "runs": runs}
+                                         "reports_identical": not differ,
+                                         "reports_differ": differ, "runs": runs}
     report["trace"] = {workload: {side: run_once(root, bench["command"], workload, 1, seconds,
                                                  trace=1)
                                   for side, root in roots.items()}
