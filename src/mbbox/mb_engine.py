@@ -35,6 +35,7 @@ from .specfun import (
     f21_1e,
     f21_11,
     f21_11_split,
+    gamma_abs2_line,
     ln_gamma,
     ln_gamma_grid,
     _f21_11_tail,
@@ -145,15 +146,20 @@ def massless_line(k: Kinematics, abscissa: float) -> ContourSpec:
     return ContourSpec.from_step(abscissa, 6.0, _fine_step(pole, 60.0, spread))
 
 
+def _massless_abscissa(eps: float) -> float:
+    """The midline of the wider band: (eps - 1)/2 for eps < 1/2, else -1 + eps/2."""
+    return (eps - 1.0) / 2.0 if eps < 0.5 else -1.0 + eps / 2.0
+
+
 def select_contour_massless(k: Kinematics) -> ContourSpec:
     """The massless line at the midline of the wider band (see :func:`massless_line`).
 
     For eps < 1/2 that is (eps - 1)/2, midway between the crossed double
     pole at eps - 1 and the pole at 0, so the pole gap no longer shrinks
-    with eps; otherwise -1 + eps/2, midway between -1 and eps - 1.
+    with eps; otherwise -1 + eps/2, midway between -1 and eps - 1 (see
+    :func:`_massless_abscissa`).
     """
-    eps = k.eps
-    return massless_line(k, (eps - 1.0) / 2.0 if eps < 0.5 else -1.0 + eps / 2.0)
+    return massless_line(k, _massless_abscissa(k.eps))
 
 
 def _onemass_abscissae(eps: float) -> tuple[float, float]:
@@ -185,14 +191,24 @@ def select_contour_onemass(k: Kinematics) -> tuple[ContourSpec, ContourSpec]:
 # ---------------------------------------------------------------------------
 
 # Worst absolute error of a grid log-gamma on these contours, against
-# mpmath.  The estimates count it once per gamma factor of the scalar
-# integrands, six massless and seven one-mass; the grid forms carry fewer
-# log-gammas (two a massless node, three a one-mass node, all three off one
-# line on the default pair) and turn the reflection pairs into cosecants
-# good to a few ulp, so that count bounds them.  The rounding of h sum f
-# is at most the count times this times h sum |f|; the FFT correlation
-# adds only about log2(length) * 2.2e-16 of the same sum.
+# mpmath: the flat charge of the one-mass route, and of a massless line off
+# the default abscissa (the general form, which checks the default one).
+# The estimates count it once per gamma factor of the scalar integrands,
+# six massless and seven one-mass; the grid forms carry fewer log-gammas
+# (two a massless node, three a one-mass node, all three off one line on
+# the default pair) and turn the reflection pairs into cosecants good to a
+# few ulp, so that count bounds them.  The rounding of h sum f is at most
+# the count times this times h sum |f|; the FFT correlation adds only about
+# log2(length) * 2.2e-16 of the same sum.
 _LN_GAMMA_ERR = 1e-14
+
+# Ulps of h sum |f| / 2 pi plus the crossed residue's size that bound the
+# rounding of a massless point on its default line (see
+# :func:`_conjugate_line`).  Measured against mpmath at 40 digits on 4000
+# seeded points (the sampler that tools/mb_accuracy.py scans, eps from
+# 1e-5 to 0.999, |t/s| in 1e+-8): no point needed more than 12.1, and 8
+# fell below the error at 24 of them.
+_MASSLESS_ULPS = 16.0
 
 
 def _pi_csc(z: np.ndarray) -> np.ndarray:
@@ -212,7 +228,10 @@ def mb_massless_integrand(w, k: Kinematics):
     Gamma(1+w) Gamma(-w) and Gamma(2-eps+w) Gamma(eps-1-w) by reflection,
     each as pi / sin(pi z) at z = 1 + w and z = eps - 1 - w.  The other
     Gamma(eps-1-w) is Gamma(eps-w) / (eps-1-w), whose argument keeps a
-    positive real part on either side of the pole at w = eps - 1.
+    positive real part on either side of the pole at w = eps - 1.  This grid
+    form is the general one: on the default line :func:`mb_massless_eval`
+    takes the real modulus-times-phase form of :func:`_conjugate_line`,
+    which the tests hold to this form and to the scalar one.
     """
     k.require_massless()
     e = k.eps
@@ -267,25 +286,65 @@ def _contour_value(specs: tuple, fine: complex, coarse: complex, tail: float,
 
 
 def _crossed_residue(u: Kinematics, factor: float) -> tuple[float, float]:
-    """Residue of the massless integrand at its double pole w = eps - 1,
-    and the rounding of it, at the unit point ``u`` times ``factor``.
+    """Residue of the massless integrand at its double pole w = eps - 1 at
+    the unit point ``u`` times ``factor``, and the size its rounding is
+    measured against.
 
     With w = eps - 1 + d, Gamma(-d)^2 = 1/d^2 + 2 gamma_E/d + O(1), so the
     residue is the rest of the integrand at the pole,
     (-t)^(eps-1) Gamma(eps)^2 Gamma(1-eps) / Gamma(2 eps) at s = -1, times
     2 gamma_E plus its logarithmic derivative there: the bracket
-    2 psi(eps) - psi(1-eps) + gamma_E + ln(-t).  The rounding counts the
-    four gamma factors on the residue and each bracket term on its own,
-    since the bracket can cancel (on a line crossed at eps > 1/2).
+    2 psi(eps) - psi(1-eps) + gamma_E + ln(-t).  Every piece is taken so
+    that it costs few ulps: the prefactor by ``pow`` and
+    Gamma(eps) Gamma(1-eps) = pi / sin(pi eps) times Gamma(eps) / Gamma(2 eps)
+    from :func:`closed_form._gammas`, not by the exponential of summed logs,
+    which puts ln(-t) ulps on it; psi(eps) as psi(1 + eps) - 1/eps, not by
+    the reflection, whose pi cot(pi eps) costs ulps of 1/eps.  The size is
+    the prefactor times the bracket's terms in magnitude, since the bracket
+    can cancel (on a line crossed at eps > 1/2).
     """
     e = u.eps
-    ln_mt = math.log(-u.t)
-    size = factor * math.exp((e - 1.0) * ln_mt + 2.0 * ln_gamma(e).real
-                             + ln_gamma(1.0 - e).real - ln_gamma(2.0 * e).real)
-    terms = (2.0 * digamma(e).real, -digamma(1.0 - e).real, EULER_GAMMA, ln_mt)
-    bracket = math.fsum(terms)
-    rounding = _LN_GAMMA_ERR * size * (4.0 * abs(bracket) + sum(map(abs, terms)))
-    return size * bracket, rounding
+    ratio = _gammas(e)[2]
+    # (-t)^eps / (-t), since the rounding of eps - 1 would cost ln(-t) ulps;
+    # sin(pi eps) = sin(pi (1 - eps)), and 1 - eps is exact from eps = 1/2 on
+    reflection = math.pi / math.sin(math.pi * min(e, 1.0 - e))
+    prefactor = factor * (-u.t) ** e / -u.t * (reflection * ratio)
+    terms = (-2.0 / e, 2.0 * digamma(1.0 + e).real, -digamma(1.0 - e).real, EULER_GAMMA,
+             math.log(-u.t))
+    return prefactor * math.fsum(terms), prefactor * sum(map(abs, terms))
+
+
+def _pi_csc_abs2(x: float, y: np.ndarray) -> np.ndarray:
+    """|pi / sin(pi (x + iy))|^2 = pi^2 / (sin^2 pi x + sinh^2 pi y) at heights y.
+
+    sinh^2 pi y is (1 - q)^2 / 4q with q = exp(-2 pi |y|), so the value stays
+    finite, and falls to 0, at any height.
+    """
+    arg = -2.0 * math.pi * np.abs(y)
+    q = np.exp(arg)
+    return 4.0 * math.pi ** 2 * q / (4.0 * math.sin(math.pi * x) ** 2 * q + np.expm1(arg) ** 2)
+
+
+def _conjugate_line(k: Kinematics, y: np.ndarray) -> np.ndarray:
+    """The massless integrand on its default line c (see
+    :func:`_massless_abscissa`) at heights y, as a real modulus times a phase.
+
+    With w = c + iy and a = 1 + w = x + iy, the grid form's other arguments
+    are conjugates of a: below eps = 1/2, x = (1 + eps)/2 and
+    b + 1 = eps - w = conj a; from 1/2 on, x = eps/2 and b = conj a.  So
+    Gamma(a) Gamma(b + 1) / b is |Gamma(a)|^2 / b below 1/2 and |Gamma(a)|^2
+    from 1/2 on, and the cosecant pair is -|pi csc pi a|^2 below 1/2 and
+    +|pi csc pi a|^2 from 1/2 on.  Hence
+    f = K |Gamma(x + iy)|^2 |pi csc pi(x + iy)|^2 e^(iy ln(t/s)), times
+    -1/(c - iy) below eps = 1/2, with K = (-t)^c (-s)^(eps-2-c) / Gamma(2 eps)
+    one scalar, taken by ``pow`` and ``math.gamma``.
+    """
+    e = k.eps
+    c = _massless_abscissa(e)
+    x = 1.0 + c
+    scale = (-k.t) ** c * (-k.s) ** (e - 2.0 - c) / math.gamma(2.0 * e)
+    f = scale * gamma_abs2_line(x, y) * _pi_csc_abs2(x, y) * np.exp(1j * math.log(k.t / k.s) * y)
+    return f / (1j * y - c) if e < 0.5 else f
 
 
 def mb_massless_eval(k: Kinematics, spec: ContourSpec | None = None) -> BoxValue:
@@ -293,17 +352,24 @@ def mb_massless_eval(k: Kinematics, spec: ContourSpec | None = None) -> BoxValue
 
     In the Euclidean region f(conj w) = conj f(w), so the rule sums only
     the nodes with Im w >= 0: the node at Im w = 0 once, the others as
-    twice their real part, and the value is real.  Each node takes two
-    log-gammas and a reflection pair (see :func:`mb_massless_integrand`).
+    twice their real part, and the value is real.  On the default line (by
+    exact equality with :func:`_massless_abscissa`, which ``--nodes`` and
+    ``--height`` keep) a node takes one |Gamma|^2 and one |csc|^2 in real
+    arithmetic (see :func:`_conjugate_line`), and the diagnostics record
+    ``"line": "conjugate"``; any other line takes the grid form's two
+    log-gammas and reflection pair (see :func:`mb_massless_integrand`),
+    ``"line": "general"``.
     A line right of the double pole at eps - 1 has crossed it, and the
     value is the line integral minus the pole's residue (see
     :func:`_crossed_residue`); the box is symmetric in s and t, and on such
     a line the integrand is taken with |t| <= |s|, which keeps the residue
     from swamping the box; then it is scaled (see :attr:`Kinematics.unit`).
-    The value is the doubled rule; the coarse rule is its even nodes.  The
-    rounding term is the error of each node's six gamma factors times
-    h sum |f| / 2 pi, plus the residue's, and the delta is held to
-    ``MASSLESS_DELTA_RTOL`` (see :func:`_contour_value`).
+    The value is the doubled rule; the coarse rule is its even nodes.  On
+    the default line the rounding term is a measured number of ulps of
+    h sum |f| / 2 pi plus the residue's size (see ``_MASSLESS_ULPS``); on
+    any other it is the flat ``_LN_GAMMA_ERR`` per gamma factor: six times
+    h sum |f| / 2 pi, four times |R| and once the residue's size.
+    The delta is held to ``MASSLESS_DELTA_RTOL`` (see :func:`_contour_value`).
     Without ``spec`` the line is :func:`select_contour_massless`'s.
     """
     k.require_massless()
@@ -315,16 +381,27 @@ def mb_massless_eval(k: Kinematics, spec: ContourSpec | None = None) -> BoxValue
     if crossed and abs(k.t) > abs(k.s):
         k = Kinematics(s=k.t, t=k.s, eps=k.eps)
     u, factor = k.unit
-    f = factor * mb_massless_integrand(spec.abscissa + 1j * spec.upper_heights(), u)
+    y = spec.upper_heights()
+    conjugate = spec.abscissa == _massless_abscissa(k.eps)
+    if conjugate:
+        f = factor * _conjugate_line(u, y)
+    else:
+        f = factor * mb_massless_integrand(spec.abscissa + 1j * y, u)
     size = np.abs(f)
     weight = spec.step / (2.0 * math.pi)
-    residue, residue_rounding = _crossed_residue(u, factor) if crossed else (0.0, 0.0)
+    residue, residue_size = _crossed_residue(u, factor) if crossed else (0.0, 0.0)
     fine = weight * _mirror_sum(f.real) - residue
     coarse = 2.0 * weight * _mirror_sum(f.real, (spec.nodes - 1) % 2, 2) - residue
     # beyond both ends the integrand decays like exp(-3 pi |Im w|)
     tail = 2.0 * size[-1] / (2.0 * math.pi * 3.0 * math.pi)
-    rounding = 6.0 * _LN_GAMMA_ERR * weight * _mirror_sum(size) + residue_rounding
-    return _contour_value((spec,), fine, coarse, tail, rounding, MASSLESS_DELTA_RTOL)
+    abs_sum = weight * _mirror_sum(size)
+    if conjugate:
+        rounding = _MASSLESS_ULPS * 2.0 ** -53 * (abs_sum + residue_size)
+    else:
+        rounding = _LN_GAMMA_ERR * (6.0 * abs_sum + 4.0 * abs(residue) + residue_size)
+    value = _contour_value((spec,), fine, coarse, tail, rounding, MASSLESS_DELTA_RTOL)
+    value.diagnostics["line"] = "conjugate" if conjugate else "general"
+    return value
 
 
 def mb_onemass_integrand(alpha, beta, k: Kinematics):

@@ -36,6 +36,7 @@ __all__ = [
     "BELOW",
     "ln_gamma",
     "ln_gamma_grid",
+    "gamma_abs2_line",
     "gamma",
     "digamma",
     "polygamma",
@@ -114,6 +115,7 @@ _LANCZOS_COEF = (
     -0.26190838401581408670e-4,
     0.36899182659531622704e-5,
 )
+_TWO_PI_EXP_M2G = 4.777141898008946481e-4  # 2 pi exp(-2 g)
 
 
 def _lanczos_ln_gamma(z):
@@ -165,6 +167,37 @@ def ln_gamma_grid(z: np.ndarray) -> np.ndarray:
     No pole checks: callers guarantee the contour stays away from poles.
     """
     return _lanczos_ln_gamma(np.asarray(z, dtype=complex))
+
+
+def gamma_abs2_line(x: float, y: np.ndarray) -> np.ndarray:
+    """|Gamma(x + iy)|^2 on the vertical line at real part x > 0, at heights y.
+
+    The Lanczos form Gamma(z) = sqrt(2 pi) T^(z - 1/2) e^(-T) S, with
+    T = z + g - 1/2, gives |S|^2 exp((2x - 1) ln|T| - 2y arg T - (2x - 1))
+    times 2 pi e^(-2g), all of it in real arithmetic, and Re T enters as
+    x - 1/2, exact for x in [1/4, 1], plus the constant g.  Within 1.5e-15
+    of mpmath for x in [1/4, 3/4] and |y| <= 1, and 1.0e-14 at |y| = 6,
+    where the Lanczos sum itself is that far off.  exp(2 Re ln_gamma_grid)
+    is not used: its real part is formed from -T and ln S, which are of
+    size about 5 and cancel, so it carries about one ulp(5) per point.
+    """
+    y = np.asarray(y, dtype=float)
+    y2 = y * y
+    # S = c0 + sum_k c_k / (x_k + iy) with x_k = x - 1 + k, the small terms first:
+    # Re S = c0 + sum_k c_k x_k / |x_k + iy|^2 and Im S = -y sum_k c_k / |x_k + iy|^2,
+    # whose sign |S|^2 drops
+    re_s = np.full(y.shape, _LANCZOS_COEF[0])
+    sum_im = np.zeros(y.shape)
+    for k in range(len(_LANCZOS_COEF) - 1, 0, -1):
+        xk = x - 1.0 + k
+        term = _LANCZOS_COEF[k] / (xk * xk + y2)
+        re_s += xk * term
+        sum_im += term
+    im_s = y * sum_im
+    half = x - 0.5
+    tr = half + _LANCZOS_G
+    power = np.exp(half * np.log(tr * tr + y2) - 2.0 * y * np.arctan2(y, tr) - 2.0 * half)
+    return (re_s * re_s + im_s * im_s) * power * _TWO_PI_EXP_M2G
 
 
 def gamma(z) -> complex:

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: extrapolation-based coefficient
-extraction and an mpmath reference for the box values."""
+extraction, an mpmath reference for the box values and a seeded sampler of
+massless points."""
 
 import mpmath as mp
 import numpy as np
@@ -72,3 +73,17 @@ def _mp_box(s, t, eps, msq):
     q = s + t - m
     return pref * ((-s) ** e * f21(q / t) + (-t) ** e * f21(q / s)
                    - (-m) ** e * f21(m * q / (s * t)))
+
+
+def sample(rng, n):
+    """n massless points (s, t, eps): eps log-uniform in [1e-5, 0.1] or uniform
+    in [0.1, 0.999] with equal odds, |t/s| log-uniform in 1e+-8 and |s| in 1e+-2."""
+    points = []
+    for _ in range(n):
+        if rng.random() < 0.5:
+            eps = 10.0 ** rng.uniform(-5.0, -1.0)
+        else:
+            eps = rng.uniform(0.1, 0.999)
+        s = -(10.0 ** rng.uniform(-2.0, 2.0))
+        points.append((s, s * 10.0 ** rng.uniform(-8.0, 8.0), eps))
+    return points

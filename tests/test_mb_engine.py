@@ -1,9 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from helpers import mp_box, mp_error
+from helpers import mp_box, mp_error, sample
 
 from mbbox import mb_engine, specfun as sf
 from mbbox.closed_form import Kinematics, massless_box, onemass_box
@@ -129,6 +130,10 @@ class TestMasslessIntegrand:
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
         f = mb_massless_integrand(-0.85 + 1j * np.array([-400.0, 300.0]), k)
         assert np.all(f == 0.0)
+        for eps in (0.3, 0.7):
+            f = mb_engine._conjugate_line(Kinematics(s=-1.0, t=-2.0, eps=eps),
+                                          np.array([-400.0, 300.0]))
+            assert np.all(f == 0.0)
 
 
 class TestMasslessQuadrature:
@@ -174,18 +179,49 @@ class TestMasslessQuadrature:
         assert abs(v.value - fine) < 1e-14 * abs(fine)
         assert abs(v.diagnostics["node_doubling_delta"] - abs(fine - coarse)) < 1e-14 * abs(fine)
 
-    def test_two_log_gammas_per_half_line_node(self, monkeypatch):
-        points = []
+    @staticmethod
+    def _grid_calls(monkeypatch, k, spec):
+        """Sizes of the ln_gamma_grid and gamma_abs2_line calls of one point,
+        and the line form its diagnostics record."""
+        sizes = {"ln_gamma_grid": [], "gamma_abs2_line": []}
+        for name in sizes:
+            def counting(*args, real=getattr(sf, name), calls=sizes[name]):
+                calls.append(args[-1].size)  # the grid z, or the heights y
+                return real(*args)
+            monkeypatch.setattr(mb_engine, name, counting)
+        return sizes, mb_massless_eval(k, spec).diagnostics["line"]
 
-        def counting(z):
-            points.append(z.size)
-            return sf.ln_gamma_grid(z)
+    @pytest.mark.parametrize("eps", [0.3, 0.7])
+    def test_one_abs_gamma_line_per_default_point(self, eps, monkeypatch):
+        # both default lines are self-conjugate, and so is a ContourSpec on
+        # the default abscissa with other nodes and height
+        k = Kinematics(s=-1.0, t=-2.0, eps=eps)
+        default = select_contour_massless(k)
+        for spec in (default, ContourSpec(default.abscissa, 4.0, 301)):
+            assert self._grid_calls(monkeypatch, k, spec) == (
+                {"ln_gamma_grid": [], "gamma_abs2_line": [spec.nodes]}, "conjugate")
 
-        monkeypatch.setattr(mb_engine, "ln_gamma_grid", counting)
-        k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
-        spec = select_contour_massless(k)
-        mb_massless_eval(k, spec)
-        assert sum(points) == 2 * spec.nodes
+    @pytest.mark.parametrize("eps, c", [(0.3, -1.0 + 0.75 * 0.3), (0.3, -0.85),
+                                        (0.7, -1.0 + 0.75 * 0.7), (0.7, -0.2)])
+    def test_two_log_gammas_per_general_node(self, eps, c, monkeypatch):
+        k = Kinematics(s=-1.0, t=-2.0, eps=eps)
+        spec = massless_line(k, c)
+        assert self._grid_calls(monkeypatch, k, spec) == (
+            {"ln_gamma_grid": [spec.nodes, spec.nodes], "gamma_abs2_line": []}, "general")
+
+    @pytest.mark.parametrize("ratio", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("eps", [1e-5, 0.02, 0.3, 0.4999, 0.5, 0.9, 0.999])
+    def test_conjugate_line_matches_grid_and_scalar_forms(self, eps, ratio):
+        # the whole default line, negative heights included, node by node
+        k = Kinematics(s=-1.5, t=-1.5 * ratio, eps=eps)
+        c = select_contour_massless(k).abscissa
+        y = np.linspace(-6.0, 6.0, 49)
+        conj = mb_engine._conjugate_line(k, y)
+        grid = mb_massless_integrand(c + 1j * y, k)
+        for yi, fi, gi in zip(y, conj, grid):
+            ref = mb_massless_integrand(complex(c, yi), k)
+            assert abs(fi - gi) < 1e-13 * abs(gi), yi
+            assert abs(fi - ref) < 1e-13 * abs(ref), yi
 
     def test_abscissa_shift_invariance(self):
         # lines on both sides of the double pole at eps - 1 = -0.7: the
@@ -257,11 +293,21 @@ class TestMasslessQuadrature:
     def test_error_estimate_is_tight(self, eps, ratio):
         # crossed lines below eps = 1/2, where the residue's rounding is
         # counted too, and uncrossed ones from 1/2 on: the estimate bounds
-        # the error and is at most 2e3 times it
+        # the error and is at most 2e2 times it (the worst here is 69)
         v = mb_massless_eval(Kinematics(s=-1.0, t=-ratio, eps=eps))
         error = mp_error(v.value.real, -1.0, -ratio, eps)
         estimate = v.diagnostics["error_estimate"]
-        assert error <= estimate <= 2e3 * error
+        assert error <= estimate <= 2e2 * error
+
+    def test_error_estimate_bounds_error_on_the_domain(self):
+        # seeded points over eps in (1e-5, 0.999) and |t/s| in 1e+-8 (the
+        # sampler that tools/mb_accuracy.py scans), against mpmath at 40
+        # digits; a charge of 8 ulp instead of 16 falls below the error at
+        # two of them
+        for s, t, eps in sample(random.Random(4), 60):
+            v = mb_massless_eval(Kinematics(s=s, t=t, eps=eps))
+            error = mp_error(v.value.real, s, t, eps, dps=40)
+            assert error <= v.diagnostics["error_estimate"], (s, t, eps)
 
 
 class TestOneMassQuadrature:
