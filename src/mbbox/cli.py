@@ -348,10 +348,10 @@ def verify_massless(tol_residue: float = 1e-10, tol_oracle: float = 1e-8,
                abs(mbv.value - closed) / abs(closed), tol_oracle)
         _check(checks, f"mb error within estimate {tag}",
                abs(mbv.value - closed), mbv.diagnostics["error_estimate"])
-        # below eps = 1/2 the default line has crossed the pole at eps - 1
-        # and adds its residue; this one has not
-        uncrossed = mb_engine.massless_line(k, -1.0 + 0.75 * e)
-        drift = abs(mb_engine.mb_massless_eval(k, uncrossed).value - mbv.value)
+        # the other line, across the pole at eps - 1 from the default: one
+        # of the two subtracts that pole's residue
+        other = mb_engine.massless_line(k, e >= 0.5)
+        drift = abs(mb_engine.mb_massless_eval(k, other).value - mbv.value)
         _check(checks, f"abscissa-shift drift {tag}", drift / abs(closed), 1e-10)
     return _suite_report("massless", checks)
 

@@ -4,9 +4,13 @@ Two independent routes live here:
 
 * direct numerical quadrature of the contour representations (one contour
   variable for the massless box, an iterated pair for the one-mass box),
-  by one trapezoid rule on vertical lines chosen to separate the left and
-  right pole families, except that the massless line crosses the right
-  double pole at eps - 1 for eps < 1/2 and subtracts its residue;
+  by one trapezoid rule on fixed vertical lines.  The one-mass pair
+  separates the left and right pole families.  The massless box has two
+  self-conjugate lines, one on each side of the right double pole at
+  eps - 1: the crossed line at (eps - 1)/2, whose value is the line
+  integral minus that pole's residue (the default for eps < 1/2), and the
+  uncrossed line at -1 + eps/2 (the default from 1/2 on); each checks the
+  other;
 * reconstruction from the resummed residue families.  An auxiliary
   regulator delta splits the massless double poles; the delta^-1 and
   delta^0 coefficients of the split families are read off Gamma and psi
@@ -95,29 +99,17 @@ class ContourSpec:
         """Step of the doubled rule."""
         return self.height / (self.nodes - 1)
 
-    def _check_cap(self):
+    def upper_nodes(self) -> np.ndarray:
+        """Indices j of the doubled rule's Im w = j h >= 0: entry j is coarse
+        when j = nodes - 1 (mod 2)."""
         if self.nodes > MAX_NODES:
             raise NotConverged(f"{self.nodes} coarse nodes exceed the cap of {MAX_NODES}")
-
-    def upper_heights(self) -> np.ndarray:
-        """The doubled rule's Im w >= 0, from 0 up: entry j is coarse when
-        j = nodes - 1 (mod 2)."""
-        self._check_cap()
-        return self.step * np.arange(self.nodes)
+        return np.arange(self.nodes)
 
 
 # ---------------------------------------------------------------------------
 # contour selection
 # ---------------------------------------------------------------------------
-
-def abscissa_is_feasible(c: float, eps: float) -> bool:
-    """True when the line at c lies between the massless integrand's left
-    poles (-1, -2, ... and eps - 2, ...) and its right poles at 0, 1, ...,
-    and off the double pole at eps - 1.  A line right of eps - 1 has
-    crossed that pole, and its residue is subtracted from the line
-    integral (see :func:`mb_massless_eval`)."""
-    return -1.0 < c < 0.0 and c != eps - 1.0
-
 
 def _fine_step(d: float, decay: float, spread: float) -> float:
     """Trapezoid step whose error is about exp(-decay) at pole distance d.
@@ -130,36 +122,52 @@ def _fine_step(d: float, decay: float, spread: float) -> float:
     return 2.0 * math.pi * d / (decay + d * spread)
 
 
-def massless_line(k: Kinematics, abscissa: float) -> ContourSpec:
-    """The massless integrand's line at ``abscissa``, with the step of its band.
+def _massless_gap(eps: float, crossed: bool) -> float:
+    """Pole distance d of a massless line: (1 - eps)/2 on the crossed line,
+    eps/2 on the uncrossed one."""
+    return (1.0 - eps) / 2.0 if crossed else eps / 2.0
 
-    The double pole at eps - 1 splits the lines between the poles at -1
-    and 0 into two bands, (-1, eps - 1) and (eps - 1, 0).  A band's step is
-    set for a pole at a third of the distance from its midline to its
-    edges, eps/6 or (1 - eps)/6, so that lines shifted toward a pole keep
-    converging on the same nodes.  The integrand decays like
-    exp(-3 pi |Im w|), so the tail beyond height 6 is below 1e-24.
+
+def _massless_abscissa(eps: float, crossed: bool) -> float:
+    """The crossed line's -d = (eps - 1)/2, or the uncrossed line's -1 + d = -1 + eps/2."""
+    d = _massless_gap(eps, crossed)
+    return -d if crossed else -1.0 + d
+
+
+def massless_line(k: Kinematics, crossed: bool) -> ContourSpec:
+    """One of the massless integrand's two lines, with the step of its band.
+
+    The double pole at eps - 1 splits the strip between the poles at -1 and
+    0 into two bands, (-1, eps - 1) and (eps - 1, 0), and each line is its
+    band's midline, a pole distance d from both edges (see
+    :func:`_massless_gap`): the crossed line right of eps - 1, the
+    uncrossed one left of it.  The step is set for a pole at d/3, eps/6 or
+    (1 - eps)/6, though the rule at the true distance d already meets its
+    exp(-60): the margin is for the coarse rule, at twice the step, whose
+    node-doubling delta is held to ``MASSLESS_DELTA_RTOL``.  At |t/s| near
+    1e+-8 the phase cancels the value to about 1/100 of h sum |f|, and with
+    the step set for d that delta passed the 1e-9 refusal on 11 of 253
+    lines (150 seeded points, both lines); set for d/3 it stayed below
+    1.2e-13.
+    The integrand decays like exp(-3 pi |Im w|), so the tail beyond height
+    6 is below 1e-24.
     """
     eps = k.eps
-    pole = (1.0 - eps) / 6.0 if abscissa > eps - 1.0 else eps / 6.0
+    gap = _massless_gap(eps, crossed)
     spread = abs(math.log(k.s / k.t))
-    return ContourSpec.from_step(abscissa, 6.0, _fine_step(pole, 60.0, spread))
-
-
-def _massless_abscissa(eps: float) -> float:
-    """The midline of the wider band: (eps - 1)/2 for eps < 1/2, else -1 + eps/2."""
-    return (eps - 1.0) / 2.0 if eps < 0.5 else -1.0 + eps / 2.0
+    return ContourSpec.from_step(_massless_abscissa(eps, crossed), 6.0,
+                                 _fine_step(gap / 3.0, 60.0, spread))
 
 
 def select_contour_massless(k: Kinematics) -> ContourSpec:
-    """The massless line at the midline of the wider band (see :func:`massless_line`).
+    """The massless line of the wider band: crossed for eps < 1/2, else uncrossed.
 
     For eps < 1/2 that is (eps - 1)/2, midway between the crossed double
     pole at eps - 1 and the pole at 0, so the pole gap no longer shrinks
     with eps; otherwise -1 + eps/2, midway between -1 and eps - 1 (see
-    :func:`_massless_abscissa`).
+    :func:`massless_line`).
     """
-    return massless_line(k, _massless_abscissa(k.eps))
+    return massless_line(k, k.eps < 0.5)
 
 
 def _onemass_abscissae(eps: float) -> tuple[float, float]:
@@ -190,25 +198,25 @@ def select_contour_onemass(k: Kinematics) -> tuple[ContourSpec, ContourSpec]:
 # contour quadrature
 # ---------------------------------------------------------------------------
 
-# Worst absolute error of a grid log-gamma on these contours, against
-# mpmath: the flat charge of the one-mass route, and of a massless line off
-# the default abscissa (the general form, which checks the default one).
-# The estimates count it once per gamma factor of the scalar integrands,
-# six massless and seven one-mass; the grid forms carry fewer log-gammas
-# (two a massless node, three a one-mass node, all three off one line on
-# the default pair) and turn the reflection pairs into cosecants good to a
-# few ulp, so that count bounds them.  The rounding of h sum f is at most
-# the count times this times h sum |f|; the FFT correlation adds only about
-# log2(length) * 2.2e-16 of the same sum.
+# Worst absolute error of a grid log-gamma on the one-mass contours,
+# against mpmath.  The one-mass estimate counts it once per gamma factor of
+# the scalar integrand, seven a node; the grids carry three log-gammas a
+# node (all three off one line on the default pair) and turn the two
+# reflection pairs into cosecants good to a few ulp, so that count bounds
+# them.  The rounding of h^2 sum f is at most the count times this times
+# h^2 sum |f|; the FFT correlation adds only about log2(length) * 2.2e-16
+# of the same sum.
 _LN_GAMMA_ERR = 1e-14
 
-# Ulps of h sum |f| / 2 pi plus the crossed residue's size that bound the
-# rounding of a massless point on its default line (see
-# :func:`_conjugate_line`).  Measured against mpmath at 40 digits on 4000
-# seeded points (the sampler that tools/mb_accuracy.py scans, eps from
-# 1e-5 to 0.999, |t/s| in 1e+-8): no point needed more than 12.1, and 8
-# fell below the error at 24 of them.
-_MASSLESS_ULPS = 16.0
+# The rounding of a massless point on either line (see :func:`_conjugate_line`):
+# _MASSLESS_ULPS of the line integral's size plus the crossed residue's
+# size, for what every node shares (K, the unit scaling) and the residue,
+# and _MASSLESS_NODE_ULPS of h sum |f| / 2 pi, for each node's own rounding,
+# which mostly cancels across the nodes.  Measured against mpmath at 40
+# digits on 4000 seeded points (tools/mb_accuracy.py's sampler) on both
+# lines: the sum is at least 1.17 times every error.
+_MASSLESS_ULPS = 12.0
+_MASSLESS_NODE_ULPS = 4.0
 
 
 def _pi_csc(z: np.ndarray) -> np.ndarray:
@@ -219,35 +227,23 @@ def _pi_csc(z: np.ndarray) -> np.ndarray:
     return 2j * math.pi * side * np.exp(phase) / np.expm1(2.0 * phase)
 
 
-def mb_massless_integrand(w, k: Kinematics):
+def mb_massless_integrand(w, k: Kinematics) -> complex:
     """Contour integrand of the massless box, including the 1/Gamma(2 eps) factor.
 
-    Accepts a complex scalar or an ndarray of contour points.  Scalars take
-    the six gamma factors literally and are checked against the pole
-    families.  Grids are assumed to sit on a feasible contour and pair
-    Gamma(1+w) Gamma(-w) and Gamma(2-eps+w) Gamma(eps-1-w) by reflection,
-    each as pi / sin(pi z) at z = 1 + w and z = eps - 1 - w.  The other
-    Gamma(eps-1-w) is Gamma(eps-w) / (eps-1-w), whose argument keeps a
-    positive real part on either side of the pole at w = eps - 1.  This grid
-    form is the general one: on the default line :func:`mb_massless_eval`
-    takes the real modulus-times-phase form of :func:`_conjugate_line`,
-    which the tests hold to this form and to the scalar one.
+    Takes the six gamma factors literally at a complex point w and checks
+    it against the pole families.  :func:`mb_massless_eval` takes the real
+    modulus-times-phase form of :func:`_conjugate_line` instead, which the
+    tests hold to this form.
     """
     k.require_massless()
     e = k.eps
-    ln_ms, ln_mt = math.log(-k.s), math.log(-k.t)
-    lg2e = ln_gamma(2.0 * e).real
-    if isinstance(w, np.ndarray):
-        a, b = w + 1.0, e - 1.0 - w
-        return np.exp(w * ln_mt - (2.0 - e + w) * ln_ms + ln_gamma_grid(a)
-                      + ln_gamma_grid(b + 1.0) - lg2e) * _pi_csc(a) * _pi_csc(b) / b
     w = complex(w)
     for arg in (w + 1.0, 2.0 - e + w, -w, e - 1.0 - w):
         if arg.imag == 0.0 and arg.real <= 0.0 and arg.real == math.floor(arg.real):
             raise PoleError(f"integrand pole at w={w}")
-    return cmath.exp(w * ln_mt - (2.0 - e + w) * ln_ms
+    return cmath.exp(w * math.log(-k.t) - (2.0 - e + w) * math.log(-k.s)
                      + 2.0 * ln_gamma(w + 1.0) + ln_gamma(2.0 - e + w)
-                     + ln_gamma(-w) + 2.0 * ln_gamma(e - 1.0 - w) - lg2e)
+                     + ln_gamma(-w) + 2.0 * ln_gamma(e - 1.0 - w) - ln_gamma(2.0 * e).real)
 
 
 def _mirror_sum(x: np.ndarray, first: int = 0, stride: int = 1) -> float:
@@ -301,7 +297,7 @@ def _crossed_residue(u: Kinematics, factor: float) -> tuple[float, float]:
     which puts ln(-t) ulps on it; psi(eps) as psi(1 + eps) - 1/eps, not by
     the reflection, whose pi cot(pi eps) costs ulps of 1/eps.  The size is
     the prefactor times the bracket's terms in magnitude, since the bracket
-    can cancel (on a line crossed at eps > 1/2).
+    can cancel (on the crossed line from eps = 1/2 on).
     """
     e = u.eps
     ratio = _gammas(e)[2]
@@ -314,94 +310,110 @@ def _crossed_residue(u: Kinematics, factor: float) -> tuple[float, float]:
     return prefactor * math.fsum(terms), prefactor * sum(map(abs, terms))
 
 
-def _pi_csc_abs2(x: float, y: np.ndarray) -> np.ndarray:
-    """|pi / sin(pi (x + iy))|^2 = pi^2 / (sin^2 pi x + sinh^2 pi y) at heights y.
+def _pi_csc_abs2(d: float, y: np.ndarray) -> np.ndarray:
+    """|pi / sin(pi (x + iy))|^2 = pi^2 / (sin^2 pi d + sinh^2 pi y) at heights y,
+    on a line x = d or 1 - d.
 
-    sinh^2 pi y is (1 - q)^2 / 4q with q = exp(-2 pi |y|), so the value stays
-    finite, and falls to 0, at any height.
+    sin pi d, not sin pi x, which cancels as x -> 1.  sinh^2 pi y is
+    (1 - q)^2 / 4q with q = exp(-2 pi |y|), so the value stays finite, and
+    falls to 0, at any height.
     """
     arg = -2.0 * math.pi * np.abs(y)
     q = np.exp(arg)
-    return 4.0 * math.pi ** 2 * q / (4.0 * math.sin(math.pi * x) ** 2 * q + np.expm1(arg) ** 2)
+    return 4.0 * math.pi ** 2 * q / (4.0 * math.sin(math.pi * d) ** 2 * q + np.expm1(arg) ** 2)
 
 
-def _conjugate_line(k: Kinematics, y: np.ndarray) -> np.ndarray:
-    """The massless integrand on its default line c (see
-    :func:`_massless_abscissa`) at heights y, as a real modulus times a phase.
+def _phase(k: Kinematics, step: float, j: np.ndarray) -> np.ndarray:
+    """exp(i y ln(t/s)) at the heights y = j step, good to about an ulp.
 
-    With w = c + iy and a = 1 + w = x + iy, the grid form's other arguments
-    are conjugates of a: below eps = 1/2, x = (1 + eps)/2 and
-    b + 1 = eps - w = conj a; from 1/2 on, x = eps/2 and b = conj a.  So
-    Gamma(a) Gamma(b + 1) / b is |Gamma(a)|^2 / b below 1/2 and |Gamma(a)|^2
-    from 1/2 on, and the cosecant pair is -|pi csc pi a|^2 below 1/2 and
-    +|pi csc pi a|^2 from 1/2 on.  Hence
+    step ln(t/s) is taken in the long double (on platforms where that is a
+    double, rounded) and split as top + rest, top cut to 35 bits so that
+    j top is exact for |j| < 2^18 (see ``MAX_NODES``): the phase is
+    exp(i j top) (1 + i j rest), and (j rest)^2 < 1e-17.  exp(i fl(y fl(ln(t/s))))
+    is off by up to |y ln(t/s)| ulps, 1.6e-14 at |y| = 5, |t/s| = 1e8, and
+    fl(ln(t/s))'s share is common to every node, so it does not cancel.
+    """
+    per_step = np.longdouble(step) * np.log(np.longdouble(k.t) / np.longdouble(k.s))
+    split = 262145.0 * float(per_step)  # 2^18 + 1
+    top = split - (split - float(per_step))
+    rest = float(per_step - np.longdouble(top))
+    return np.exp(1j * top * j) * (1.0 + 1j * rest * j)
+
+
+def _conjugate_line(k: Kinematics, step: float, j: np.ndarray, crossed: bool) -> np.ndarray:
+    """The massless integrand on one of its two lines (see
+    :func:`massless_line`) at heights y = j step, as a real modulus times a
+    phase (see :func:`_phase`).
+
+    The line is given by its pole distance d (see :func:`_massless_gap`),
+    not by its rounded abscissa: eps/2 is exact, and so is (1 - eps)/2
+    from eps = 1/2 on, where the crossed line nears its poles.  With
+    w = c + iy, a = 1 + w = x + iy and b = eps - 1 - w, the reflection pairs
+    Gamma(1 + w) Gamma(-w) and Gamma(2 - eps + w) Gamma(eps - 1 - w) are
+    pi csc pi a and pi csc pi b, and the rest is Gamma(a) Gamma(b).  On the
+    crossed line c = -d, x = 1 - d and b + 1 = conj a, so the product is
+    -|Gamma(a)|^2 |pi csc pi a|^2 / b; on the uncrossed line c = d - 1,
+    x = d and b = conj a, so it is |Gamma(a)|^2 |pi csc pi a|^2.  Either
+    way sin^2 pi x = sin^2 pi d.  Hence
     f = K |Gamma(x + iy)|^2 |pi csc pi(x + iy)|^2 e^(iy ln(t/s)), times
-    -1/(c - iy) below eps = 1/2, with K = (-t)^c (-s)^(eps-2-c) / Gamma(2 eps)
-    one scalar, taken by ``pow`` and ``math.gamma``.
+    1/(d + iy) on the crossed line, with K = (-t)^c (-s)^(eps-2-c) / Gamma(2 eps)
+    one scalar: (st)^-d / (-s) crossed and (st)^d / (st) uncrossed, since
+    eps = 1 - 2d or 2d, taken by ``pow`` and ``math.gamma``.
     """
     e = k.eps
-    c = _massless_abscissa(e)
-    x = 1.0 + c
-    scale = (-k.t) ** c * (-k.s) ** (e - 2.0 - c) / math.gamma(2.0 * e)
-    f = scale * gamma_abs2_line(x, y) * _pi_csc_abs2(x, y) * np.exp(1j * math.log(k.t / k.s) * y)
-    return f / (1j * y - c) if e < 0.5 else f
+    d = _massless_gap(e, crossed)
+    st = k.s * k.t
+    x, scale = (1.0 - d, st ** -d / -k.s) if crossed else (d, st ** d / st)
+    y = step * j
+    f = (scale / math.gamma(2.0 * e) * gamma_abs2_line(x, y) * _pi_csc_abs2(d, y)
+         * _phase(k, step, j))
+    return f / (d + 1j * y) if crossed else f
 
 
 def mb_massless_eval(k: Kinematics, spec: ContourSpec | None = None) -> BoxValue:
-    """Massless box by the trapezoid rule along a truncated vertical line.
+    """Massless box by the trapezoid rule along one of its two lines.
 
-    In the Euclidean region f(conj w) = conj f(w), so the rule sums only
-    the nodes with Im w >= 0: the node at Im w = 0 once, the others as
-    twice their real part, and the value is real.  On the default line (by
-    exact equality with :func:`_massless_abscissa`, which ``--nodes`` and
-    ``--height`` keep) a node takes one |Gamma|^2 and one |csc|^2 in real
-    arithmetic (see :func:`_conjugate_line`), and the diagnostics record
-    ``"line": "conjugate"``; any other line takes the grid form's two
-    log-gammas and reflection pair (see :func:`mb_massless_integrand`),
-    ``"line": "general"``.
-    A line right of the double pole at eps - 1 has crossed it, and the
+    The line is the crossed one at (eps - 1)/2 or the uncrossed one at
+    -1 + eps/2 (see :func:`massless_line`), told apart by exact equality of
+    ``spec.abscissa``; ``--nodes`` and ``--height`` keep it.  Any other
+    abscissa raises :class:`InfeasibleContour`.  Both lines are
+    self-conjugate, so a node takes one |Gamma|^2 and one |csc|^2 in real
+    arithmetic (see :func:`_conjugate_line`).  In the Euclidean region
+    f(conj w) = conj f(w), so the rule sums only the nodes with Im w >= 0:
+    the node at Im w = 0 once, the others as twice their real part, and
+    the value is real.
+    The crossed line lies right of the double pole at eps - 1, and its
     value is the line integral minus the pole's residue (see
-    :func:`_crossed_residue`); the box is symmetric in s and t, and on such
-    a line the integrand is taken with |t| <= |s|, which keeps the residue
+    :func:`_crossed_residue`); the box is symmetric in s and t, and on that
+    line the integrand is taken with |t| <= |s|, which keeps the residue
     from swamping the box; then it is scaled (see :attr:`Kinematics.unit`).
-    The value is the doubled rule; the coarse rule is its even nodes.  On
-    the default line the rounding term is a measured number of ulps of
-    h sum |f| / 2 pi plus the residue's size (see ``_MASSLESS_ULPS``); on
-    any other it is the flat ``_LN_GAMMA_ERR`` per gamma factor: six times
-    h sum |f| / 2 pi, four times |R| and once the residue's size.
-    The delta is held to ``MASSLESS_DELTA_RTOL`` (see :func:`_contour_value`).
-    Without ``spec`` the line is :func:`select_contour_massless`'s.
+    The value is the doubled rule; the coarse rule is its even nodes.  The
+    rounding term is ``_MASSLESS_ULPS``'s, and the delta is held to
+    ``MASSLESS_DELTA_RTOL`` (see :func:`_contour_value`).  Without ``spec``
+    the line is :func:`select_contour_massless`'s.
     """
     k.require_massless()
     if spec is None:
         spec = select_contour_massless(k)
-    if not abscissa_is_feasible(spec.abscissa, k.eps):
-        raise InfeasibleContour(f"abscissa {spec.abscissa} infeasible for eps={k.eps}")
     crossed = spec.abscissa > k.eps - 1.0
+    if spec.abscissa != _massless_abscissa(k.eps, crossed):
+        raise InfeasibleContour(f"abscissa {spec.abscissa} is neither massless line for "
+                                f"eps={k.eps}: (eps - 1)/2 or -1 + eps/2")
     if crossed and abs(k.t) > abs(k.s):
         k = Kinematics(s=k.t, t=k.s, eps=k.eps)
     u, factor = k.unit
-    y = spec.upper_heights()
-    conjugate = spec.abscissa == _massless_abscissa(k.eps)
-    if conjugate:
-        f = factor * _conjugate_line(u, y)
-    else:
-        f = factor * mb_massless_integrand(spec.abscissa + 1j * y, u)
+    f = factor * _conjugate_line(u, spec.step, spec.upper_nodes(), crossed)
     size = np.abs(f)
     weight = spec.step / (2.0 * math.pi)
     residue, residue_size = _crossed_residue(u, factor) if crossed else (0.0, 0.0)
-    fine = weight * _mirror_sum(f.real) - residue
+    line = weight * _mirror_sum(f.real)
+    fine = line - residue
     coarse = 2.0 * weight * _mirror_sum(f.real, (spec.nodes - 1) % 2, 2) - residue
     # beyond both ends the integrand decays like exp(-3 pi |Im w|)
     tail = 2.0 * size[-1] / (2.0 * math.pi * 3.0 * math.pi)
-    abs_sum = weight * _mirror_sum(size)
-    if conjugate:
-        rounding = _MASSLESS_ULPS * 2.0 ** -53 * (abs_sum + residue_size)
-    else:
-        rounding = _LN_GAMMA_ERR * (6.0 * abs_sum + 4.0 * abs(residue) + residue_size)
-    value = _contour_value((spec,), fine, coarse, tail, rounding, MASSLESS_DELTA_RTOL)
-    value.diagnostics["line"] = "conjugate" if conjugate else "general"
-    return value
+    rounding = 2.0 ** -53 * (_MASSLESS_ULPS * (abs(line) + residue_size)
+                             + _MASSLESS_NODE_ULPS * weight * _mirror_sum(size))
+    return _contour_value((spec,), fine, coarse, tail, rounding, MASSLESS_DELTA_RTOL)
 
 
 def mb_onemass_integrand(alpha, beta, k: Kinematics):
@@ -430,25 +442,6 @@ def _correlate(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.fft.ifft(prod)[..., na - 1:nc]
 
 
-def _shared_lines(fn, lines: list) -> list:
-    """fn(x + i y) for each line (x, y) of ``lines``, y an array of heights.
-
-    A line reuses the values of an earlier line with the same real part x
-    whose heights start with its own, so lines that coincide cost one
-    call of fn on the longest of them.
-    """
-    done, out = [], []
-    for x, y in lines:
-        for x0, y0, v0 in done:
-            if x0 == x and np.array_equal(y, y0[:len(y)]):
-                out.append(v0[:len(y)])
-                break
-        else:
-            done.append((x, y, fn(x + 1j * y)))
-            out.append(done[-1][2])
-    return out
-
-
 def _onemass_grids(k: Kinematics, alpha: np.ndarray, beta: np.ndarray,
                    sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A(alpha), B(beta) and C(sigma) on three vertical lines, whose product
@@ -462,22 +455,23 @@ def _onemass_grids(k: Kinematics, alpha: np.ndarray, beta: np.ndarray,
     lines at real parts -a0, eps - 1 - b0 and 1 + a0 + b0, and the two
     cosecants off 1 + b0 and eps - 1 - a0 - b0.  On the default pair (by
     exact equality with :func:`_onemass_abscissae`) the log-gamma lines are
-    all the line at eps/3 and the cosecant lines the line at 2 eps/3, so
-    lines whose heights start alike share one evaluation (see
-    :func:`_shared_lines`).
+    all the line at eps/3 and the cosecant lines the line at 2 eps/3, and
+    the heights are those :func:`_mb_onemass_sums` builds, j h from 0 on
+    every grid, so A and B take the first entries of one log-gamma and one
+    cosecant line on the sigma grid.  Other pairs take three log-gamma and
+    two cosecant lines, each at its own heights.
     """
     e = k.eps
     a0, b0, s0 = alpha.real[0], beta.real[0], sigma.real[0]
+    ys = sigma.imag
     if (a0, b0) == _onemass_abscissae(e):
-        third = -a0
-        xa = xb = xs = third
-        pb = ps = 2.0 * third
+        lg_s = ln_gamma_grid(-a0 + 1j * ys)
+        csc_s = _pi_csc(-2.0 * a0 + 1j * ys)
+        lg_a, lg_b, csc_b = lg_s[:len(alpha)], lg_s[:len(beta)], csc_s[:len(beta)]
     else:
-        xa, xb, xs = -a0, e - 1.0 - b0, 1.0 + s0
-        pb, ps = 1.0 + b0, e - 1.0 - s0
-    ya, yb, ys = alpha.imag, beta.imag, sigma.imag
-    lg_s, lg_a, lg_b = _shared_lines(ln_gamma_grid, [(xs, ys), (xa, ya), (xb, yb)])
-    csc_s, csc_b = _shared_lines(_pi_csc, [(ps, ys), (pb, yb)])
+        lg_s, lg_a, lg_b = (ln_gamma_grid(x + 1j * y) for x, y in (
+            (1.0 + s0, ys), (-a0, alpha.imag), (e - 1.0 - b0, beta.imag)))
+        csc_s, csc_b = _pi_csc(e - 1.0 - s0 + 1j * ys), _pi_csc(1.0 + b0 + 1j * beta.imag)
     a = np.exp(lg_a.conj() + alpha * math.log(-k.msq))
     # Gamma(-beta) Gamma(1+beta) and Gamma(2-eps+sigma) Gamma(eps-1-sigma)
     b = np.exp(lg_b.conj() + beta * math.log(-k.s)) * csc_b
@@ -510,7 +504,7 @@ def _mb_onemass_sums(k: Kinematics, ca: ContourSpec, cb: ContourSpec
     u, factor = k.unit
     e = u.eps
     h = ca.step
-    ya, yb = ca.upper_heights(), cb.upper_heights()
+    ya, yb = ca.step * ca.upper_nodes(), cb.step * cb.upper_nodes()
     up_a, up_b, up_c = _onemass_grids(u, ca.abscissa + 1j * ya, cb.abscissa + 1j * yb,
                                       (ca.abscissa + cb.abscissa)
                                       + 1j * h * np.arange(len(ya) + len(yb) - 1))

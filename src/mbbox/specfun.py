@@ -175,14 +175,19 @@ def gamma_abs2_line(x: float, y: np.ndarray) -> np.ndarray:
     The Lanczos form Gamma(z) = sqrt(2 pi) T^(z - 1/2) e^(-T) S, with
     T = z + g - 1/2, gives |S|^2 exp((2x - 1) ln|T| - 2y arg T - (2x - 1))
     times 2 pi e^(-2g), all of it in real arithmetic, and Re T enters as
-    x - 1/2, exact for x in [1/4, 1], plus the constant g.  Within 1.5e-15
-    of mpmath for x in [1/4, 3/4] and |y| <= 1, and 1.0e-14 at |y| = 6,
-    where the Lanczos sum itself is that far off.  exp(2 Re ln_gamma_grid)
-    is not used: its real part is formed from -T and ln S, which are of
-    size about 5 and cancel, so it carries about one ulp(5) per point.
+    x - 1/2, exact for x in [1/4, 2], plus the constant g.  Below x = 1/4
+    the value is |Gamma(x + 1 + iy)|^2 / (x^2 + y^2), since the sum's
+    terms near the pole at 0 lose up to 8e4 ulp at x = 1e-5.  Within
+    1.5e-15 of mpmath for x in [1/4, 3/4] and |y| <= 1, and 1.0e-14 at
+    |y| = 6, where the Lanczos sum itself is that far off.
+    exp(2 Re ln_gamma_grid) is not used: its real part is formed from -T
+    and ln S, which are of size about 5 and cancel, so it carries about
+    one ulp(5) per point.
     """
     y = np.asarray(y, dtype=float)
     y2 = y * y
+    if x < 0.25:
+        return gamma_abs2_line(x + 1.0, y) / (x * x + y2)
     # S = c0 + sum_k c_k / (x_k + iy) with x_k = x - 1 + k, the small terms first:
     # Re S = c0 + sum_k c_k x_k / |x_k + iy|^2 and Im S = -y sum_k c_k / |x_k + iy|^2,
     # whose sign |S|^2 drops

@@ -32,7 +32,7 @@ from mbbox.closed_form import (
 )
 from mbbox.errors import NonConvergence
 from mbbox.mb_engine import (
-    massless_line,
+    ContourSpec,
     mb_massless_eval,
     mb_onemass_eval,
     residue_massless,
@@ -336,31 +336,18 @@ class TestDefaultContour:
         record = json.loads(capsys.readouterr().out)["records"][0]
         assert record["diagnostics"]["nodes"] == 4001
         assert record["diagnostics"]["abscissa"] == select_contour_massless(k).abscissa
-        assert record["diagnostics"]["line"] == "conjugate"
         assert abs(record["value"]["re"] - ref.real) <= 1e-13 * abs(ref)
 
-    @pytest.mark.parametrize("eps", ["0.3", "0.7"])
-    def test_massless_mb_records_its_line_form(self, eps, tmp_path, capsys):
-        # eval and sweep take the default line, which is self-conjugate; a
-        # line passed in as a ContourSpec takes the general form, and the
-        # report keeps that record too
-        assert run_main(["eval", "--s=-1", "--t=-2", f"--eps={eps}", "--method", "mb",
-                         "--json"]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["records"][0]["diagnostics"]["line"] \
-            == "conjugate"
-        grid_file = tmp_path / "grid.json"
-        grid_file.write_text(json.dumps([{"integral": "massless", "s": -1.0, "t": -2.0,
-                                          "eps": float(eps), "methods": ["mb"]}]))
-        out_file = tmp_path / "report.json"
-        assert run_main(["sweep", str(grid_file), "--out", str(out_file)]) == EXIT_OK
-        swept = Report.from_json(out_file.read_text()).records[0]
-        assert swept["diagnostics"]["mb"]["line"] == "conjugate"
-        k = Kinematics(s=-1.0, t=-2.0, eps=float(eps))
-        general = mb_massless_eval(k, massless_line(k, -1.0 + 0.75 * k.eps))
-        report = Report(records=[{"diagnostics": cli._jsonable(general.diagnostics)}],
-                        summary={})
-        assert Report.from_json(report.to_json()).records[0]["diagnostics"]["line"] \
-            == "general"
+    @pytest.mark.parametrize("nodes", [[], ["--nodes", "801"]])
+    def test_massless_mb_off_its_lines_exits_2(self, nodes, monkeypatch, capsys):
+        # massless mb runs on its crossed line (eps - 1)/2 or its uncrossed
+        # line -1 + eps/2 only; any other abscissa is bad input
+        monkeypatch.setattr(cli.mb_engine, "select_contour_massless",
+                            lambda k: ContourSpec(-0.85, 6.0, 801))
+        assert run_main(["eval", "--s=-1", "--t=-2", "--eps=0.7", "--method", "mb",
+                         *nodes]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith(
+            "error: InfeasibleContour: abscissa -0.85 is neither massless line for eps=0.7")
 
 
 class TestOutOfRange:

@@ -103,11 +103,13 @@ class TestGammaFamily:
     @pytest.mark.parametrize("height, rtol", [(1.0, 2e-15), (6.0, 1.5e-14)])
     def test_abs2_line_against_mpmath(self, height, rtol):
         # the worst measured on this grid: 1.5e-15 for |y| <= 1, and 1.0e-14
-        # at |y| = 6 and x = 1/4, where the Lanczos sum itself is that far off
+        # at |y| = 6 and x = 1/4, where the Lanczos sum itself is that far
+        # off; below x = 1/4 the kernel steps up to x + 1, without which it
+        # was 9.1e-12 off at x = 1e-5
         import numpy as np
 
         y = np.linspace(-height, height, 49)
-        for x in np.linspace(0.25, 0.75, 11):
+        for x in [1e-5, 1e-4, 1.3e-3, 0.01, 0.1, 0.2, 0.2499, *np.linspace(0.25, 0.75, 11)]:
             for yi, g in zip(y, sf.gamma_abs2_line(x, y)):
                 ref = abs(mpmath.gamma(mpmath.mpc(x, yi))) ** 2
                 assert abs(g - ref) <= rtol * ref, (x, yi)
