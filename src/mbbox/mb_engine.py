@@ -41,7 +41,7 @@ from .specfun import (
     f21_11_split,
     gamma_abs2_line,
     ln_gamma,
-    ln_gamma_grid,
+    ln_gamma_line,
     _f21_11_tail,
 )
 
@@ -185,27 +185,28 @@ def select_contour_onemass(k: Kinematics) -> tuple[ContourSpec, ContourSpec]:
     makes all three eps/3 (see :func:`_onemass_abscissae`); the other four
     are 2 eps/3 or 1 - 2 eps/3.  Both lines share one step, set by that
     pole gap of eps/3.  On this pair the three log-gamma lines coincide, and
-    so do the two cosecant lines (see :func:`_onemass_grids`).
+    so do the two cosecant lines (see :func:`_onemass_grids`).  Four or six
+    gamma factors fall along alpha, beta and alpha = -beta, so beyond height
+    7 |f| is below exp(-2 pi 7) = e^-44 of its peak.
     """
     eps = k.eps
     a0, b0 = _onemass_abscissae(eps)
     spread = abs(math.log(k.s / k.t)) + abs(math.log(k.msq / k.t))
     step = _fine_step(-a0, 40.0, spread)
-    return (ContourSpec.from_step(a0, 10.0, step), ContourSpec.from_step(b0, 10.0, step))
+    return (ContourSpec.from_step(a0, 7.0, step), ContourSpec.from_step(b0, 7.0, step))
 
 
 # ---------------------------------------------------------------------------
 # contour quadrature
 # ---------------------------------------------------------------------------
 
-# Worst absolute error of a grid log-gamma on the one-mass contours,
-# against mpmath.  The one-mass estimate counts it once per gamma factor of
-# the scalar integrand, seven a node; the grids carry three log-gammas a
-# node (all three off one line on the default pair) and turn the two
-# reflection pairs into cosecants good to a few ulp, so that count bounds
-# them.  The rounding of h^2 sum f is at most the count times this times
-# h^2 sum |f|; the FFT correlation adds only about log2(length) * 2.2e-16
-# of the same sum.
+# Worst absolute error of a log-gamma on the one-mass lines against mpmath:
+# ln|Gamma| plus arg Gamma of specfun.ln_gamma_line is within 4.1e-15 for
+# |Im| <= 3 (past that |f| is below about e^-19 of its peak) and 1.5e-14 up to
+# the sigma line's top at 14; :func:`_pi_csc_line` within 1.3e-15 and 7.6e-15.
+# The estimate counts it once per gamma factor of the scalar integrand, seven
+# a node, for three log-gammas and two cosecants: the rounding of h^2 sum f is
+# at most that times h^2 sum |f|; the FFT adds about log2(length) * 2.2e-16 of it.
 _LN_GAMMA_ERR = 1e-14
 
 # The rounding of a massless point on either line (see :func:`_conjugate_line`):
@@ -217,14 +218,6 @@ _LN_GAMMA_ERR = 1e-14
 # lines: the sum is at least 1.17 times every error.
 _MASSLESS_ULPS = 12.0
 _MASSLESS_NODE_ULPS = 4.0
-
-
-def _pi_csc(z: np.ndarray) -> np.ndarray:
-    """pi / sin(pi z) = Gamma(z) Gamma(1 - z) on a grid, from exponentials
-    of the side of Im z that decays, so it stays finite at any height."""
-    side = np.where(z.imag < 0.0, -1.0, 1.0)
-    phase = 1j * math.pi * side * z
-    return 2j * math.pi * side * np.exp(phase) / np.expm1(2.0 * phase)
 
 
 def mb_massless_integrand(w, k: Kinematics) -> complex:
@@ -431,51 +424,56 @@ def mb_onemass_integrand(alpha, beta, k: Kinematics):
 
 
 def _correlate(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """out[..., i] = sum_j a[..., j] c[..., i + j] along the last axis, by FFT.
+    """out[i] = sum_j a[j] c[i + j], by FFT, in real arithmetic for real rows.
 
     The circular correlation on a power-of-two length of at least c's
     length wraps around only into the entries it drops.
     """
-    na, nc = a.shape[-1], c.shape[-1]
+    na, nc = len(a), len(c)
     size = 1 << (nc - 1).bit_length()
-    prod = np.fft.fft(a[..., ::-1], size) * np.fft.fft(c, size)
-    return np.fft.ifft(prod)[..., na - 1:nc]
-
-
-def _onemass_grids(k: Kinematics, alpha: np.ndarray, beta: np.ndarray,
-                   sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A(alpha), B(beta) and C(sigma) on three vertical lines, whose product
-    at sigma = alpha + beta is the integrand over exp((eps - 2) ln(-t)) /
-    Gamma(2 eps).  B and C each pair two of their three gamma factors by
-    reflection.
-
-    With Gamma(conj z) = conj Gamma(z), every gamma factor is read off a
-    line at the heights Im alpha, Im beta or Im sigma themselves: ln
-    Gamma(-alpha), ln Gamma(eps - 1 - beta) and ln Gamma(1 + sigma) off the
-    lines at real parts -a0, eps - 1 - b0 and 1 + a0 + b0, and the two
-    cosecants off 1 + b0 and eps - 1 - a0 - b0.  On the default pair (by
-    exact equality with :func:`_onemass_abscissae`) the log-gamma lines are
-    all the line at eps/3 and the cosecant lines the line at 2 eps/3, and
-    the heights are those :func:`_mb_onemass_sums` builds, j h from 0 on
-    every grid, so A and B take the first entries of one log-gamma and one
-    cosecant line on the sigma grid.  Other pairs take three log-gamma and
-    two cosecant lines, each at its own heights.
-    """
-    e = k.eps
-    a0, b0, s0 = alpha.real[0], beta.real[0], sigma.real[0]
-    ys = sigma.imag
-    if (a0, b0) == _onemass_abscissae(e):
-        lg_s = ln_gamma_grid(-a0 + 1j * ys)
-        csc_s = _pi_csc(-2.0 * a0 + 1j * ys)
-        lg_a, lg_b, csc_b = lg_s[:len(alpha)], lg_s[:len(beta)], csc_s[:len(beta)]
+    if np.iscomplexobj(c):
+        out = np.fft.ifft(np.fft.fft(a[::-1], size) * np.fft.fft(c, size))
     else:
-        lg_s, lg_a, lg_b = (ln_gamma_grid(x + 1j * y) for x, y in (
-            (1.0 + s0, ys), (-a0, alpha.imag), (e - 1.0 - b0, beta.imag)))
-        csc_s, csc_b = _pi_csc(e - 1.0 - s0 + 1j * ys), _pi_csc(1.0 + b0 + 1j * beta.imag)
-    a = np.exp(lg_a.conj() + alpha * math.log(-k.msq))
-    # Gamma(-beta) Gamma(1+beta) and Gamma(2-eps+sigma) Gamma(eps-1-sigma)
-    b = np.exp(lg_b.conj() + beta * math.log(-k.s)) * csc_b
-    c = np.exp(lg_s - sigma * math.log(-k.t)) * csc_s.conj()
+        out = np.fft.irfft(np.fft.rfft(a[::-1], size) * np.fft.rfft(c, size), size)
+    return out[na - 1:nc]
+
+
+def _pi_csc_line(u: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ln|pi csc pi(u + iy)|, arg pi csc pi(u + iy)) at heights y, 0 < u < 1.
+
+    ln 2 pi - pi |y| - ln(4 sin^2(pi u) q + (1 - q)^2) / 2, q = exp(-2 pi |y|),
+    is finite at any height (see :func:`_pi_csc_abs2`), and the phase is
+    -atan2(cos pi u tanh pi y, sin pi u).
+    """
+    arg = -2.0 * math.pi * np.abs(y)
+    sin, cos = math.sin(math.pi * u), math.cos(math.pi * u)
+    modulus = (math.log(2.0 * math.pi) + 0.5 * arg
+               - 0.5 * np.log(4.0 * sin * sin * np.exp(arg) + np.expm1(arg) ** 2))
+    return modulus, -np.arctan2(cos * np.tanh(math.pi * y), sin)
+
+
+def _onemass_grids(k: Kinematics, h: float, na: int, nb: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A(alpha), B(beta) and C(sigma) of the default pair at the unit point,
+    at the heights j h >= 0, na, nb and na + nb - 1 of them: their product
+    at sigma = alpha + beta is the integrand over (-msq)^a0
+    (-t)^(eps - 2 - a0 - b0) / Gamma(2 eps), since (-s)^beta = 1.
+
+    With Gamma(conj z) = conj Gamma(z), Gamma(-alpha), Gamma(eps - 1 - beta)
+    and Gamma(1 + sigma) are read off the line at eps/3, and the reflection
+    pairs Gamma(-beta) Gamma(1 + beta) = pi csc pi(1 + beta) and
+    Gamma(2 - eps + sigma) Gamma(eps - 1 - sigma) = pi csc pi(eps - 1 - sigma)
+    off the line at 2 eps/3, each grid as one exp(modulus + i phase).
+    """
+    third = k.eps / 3.0
+    y = h * np.arange(na + nb - 1)
+    ln_msq, ln_t = math.log(-k.msq), math.log(-k.t)
+    lg, arg = ln_gamma_line(third, y)
+    csc, csc_arg = _pi_csc_line(2.0 * third, y)
+    modulus, phase = lg + csc, arg - csc_arg
+    a = np.exp(lg[:na] + 1j * (y[:na] * ln_msq - arg[:na]))
+    b = np.exp(modulus[:nb] - 1j * phase[:nb])
+    c = np.exp(modulus + 1j * (phase - y * ln_t))
     return a, b, c
 
 
@@ -495,28 +493,27 @@ def _mb_onemass_sums(k: Kinematics, ca: ContourSpec, cb: ContourSpec
     (inner), B in beta (outer) and C on the grid of alpha + beta.  That is
     one correlation: O(n) gamma evaluations and an O(n log n) FFT.  A, B
     and C are conjugate-symmetric about Im 0, so they are built on their
-    upper halves, at the heights j h, and mirrored; on the default pair
-    that takes one log-gamma and one cosecant half-line of the sigma
-    grid's length (see :func:`_onemass_grids`).  The tail estimate sums |f|
-    at the top corner and at the top centre of both edges, all of them
-    grid nodes.
+    upper halves (see :func:`_onemass_grids`) and mirrored.  The coarse
+    rule correlates every other node; |f| = |A| |B| |C| is smooth, so
+    h^2 sum |f| is 4 times the coarse rule's, by a real correlation.  The
+    tail estimate sums |f| at the top corner and at the top centre of both
+    edges, all of them grid nodes.
     """
     u, factor = k.unit
-    e = u.eps
+    e, third = u.eps, u.eps / 3.0
     h = ca.step
-    ya, yb = ca.step * ca.upper_nodes(), cb.step * cb.upper_nodes()
-    up_a, up_b, up_c = _onemass_grids(u, ca.abscissa + 1j * ya, cb.abscissa + 1j * yb,
-                                      (ca.abscissa + cb.abscissa)
-                                      + 1j * h * np.arange(len(ya) + len(yb) - 1))
-    a, b, c = _mirrored(up_a), _mirrored(up_b), _mirrored(up_c)
-    corr, corr_abs = _correlate(np.stack([a, np.abs(a)]), np.stack([c, np.abs(c)]))
-    scale = factor * math.exp((e - 2.0) * math.log(-u.t) - ln_gamma(2.0 * e).real) \
-        / (4.0 * math.pi ** 2)
+    na, nb = len(ca.upper_nodes()), len(cb.upper_nodes())  # within the node cap
+    a, b, c = (_mirrored(g) for g in _onemass_grids(u, h, na, nb))
+    # (-msq)^a0 (-t)^(eps - 2 - a0 - b0) = (-t)^eps / (-t) (msq t)^(-eps/3) by pow: an
+    # exp of summed logs would put ulps of ln(-t) on every node alike
+    kinematic = (-u.t) ** e / -u.t * (-u.msq) ** -third * (-u.t) ** -third
+    scale = factor * kinematic / math.gamma(2.0 * e) / (4.0 * math.pi ** 2)
     weight = h * h * scale
     # the box is real in the Euclidean region: the imaginary parts are rounding
-    fine = weight * float((b @ corr).real)
-    coarse = 4.0 * weight * float((b[::2] @ _correlate(a[::2], c[::2])).real)
-    abs_sum = weight * float(np.abs(b) @ corr_abs.real)
+    fine = weight * float((b @ _correlate(a, c)).real)
+    a2, b2, c2 = a[::2], b[::2], c[::2]
+    coarse = 4.0 * weight * float((b2 @ _correlate(a2, c2)).real)
+    abs_sum = 4.0 * weight * float(np.abs(b2) @ _correlate(np.abs(a2), np.abs(c2)))
     # alpha and beta at the top of their lines or at Im 0
     ia, ib = len(a) - 1, len(b) - 1
     ja, jb = ca.nodes - 1, cb.nodes - 1
@@ -530,13 +527,12 @@ def mb_onemass_eval(k: Kinematics, ca: ContourSpec | None = None,
     """One-mass box by the trapezoid rule on both contours (inner alpha, outer beta).
 
     The two lines are given together, and share one step, or not at all,
-    and then the pair is :func:`select_contour_onemass`'s.  A node's
-    integrand takes three log-gammas and two reflection pairs, and on that
-    default pair the grids read them all off one log-gamma and one
-    cosecant half-line of 2n - 1 points for n nodes a line (see
-    :func:`_mb_onemass_sums`); other pairs take three and two such lines.
-    The rounding term counts the seven gamma factors of the scalar
-    integrand per node and h^2 sum |f| / 4 pi^2, and the delta is held to
+    and then the pair is :func:`select_contour_onemass`'s; abscissae other
+    than that default pair's raise :class:`InfeasibleContour`.  The grids
+    read every factor off one log-gamma and one cosecant half-line of
+    2n - 1 points for n nodes a line (see :func:`_mb_onemass_sums`).  The
+    rounding term counts the seven gamma factors of the scalar integrand per
+    node and h^2 sum |f| / 4 pi^2, and the delta is held to
     ``ONEMASS_DELTA_RTOL`` (see :func:`_contour_value`).
     """
     k.require_onemass()
@@ -544,6 +540,9 @@ def mb_onemass_eval(k: Kinematics, ca: ContourSpec | None = None,
         raise InfeasibleContour("give both contours or neither")
     if ca is None:
         ca, cb = select_contour_onemass(k)
+    if (ca.abscissa, cb.abscissa) != _onemass_abscissae(k.eps):
+        raise InfeasibleContour(f"abscissae ({ca.abscissa}, {cb.abscissa}) are not the one-mass "
+                                f"pair for eps={k.eps}: (-eps/3, -1 + 2 eps/3)")
     if not math.isclose(ca.step, cb.step, rel_tol=1e-12):
         raise InfeasibleContour(f"contour steps differ: {ca.step} and {cb.step}")
     fine, coarse, (abs_sum, tail) = _mb_onemass_sums(k, ca, cb)

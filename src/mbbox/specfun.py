@@ -37,6 +37,7 @@ __all__ = [
     "ln_gamma",
     "ln_gamma_grid",
     "gamma_abs2_line",
+    "ln_gamma_line",
     "gamma",
     "digamma",
     "polygamma",
@@ -169,6 +170,19 @@ def ln_gamma_grid(z: np.ndarray) -> np.ndarray:
     return _lanczos_ln_gamma(np.asarray(z, dtype=complex))
 
 
+def _lanczos_sums(x: float, y: np.ndarray, y2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re S and Im S of the Lanczos sum S = c0 + sum_k c_k / (x_k + iy) with
+    x_k = x - 1 + k, in real arithmetic, the small terms first."""
+    re_s = np.full(y.shape, _LANCZOS_COEF[0])
+    sum_im = np.zeros(y.shape)
+    for k in range(len(_LANCZOS_COEF) - 1, 0, -1):
+        xk = x - 1.0 + k
+        term = _LANCZOS_COEF[k] / (xk * xk + y2)
+        re_s += xk * term
+        sum_im += term
+    return re_s, -y * sum_im
+
+
 def gamma_abs2_line(x: float, y: np.ndarray) -> np.ndarray:
     """|Gamma(x + iy)|^2 on the vertical line at real part x > 0, at heights y.
 
@@ -188,21 +202,33 @@ def gamma_abs2_line(x: float, y: np.ndarray) -> np.ndarray:
     y2 = y * y
     if x < 0.25:
         return gamma_abs2_line(x + 1.0, y) / (x * x + y2)
-    # S = c0 + sum_k c_k / (x_k + iy) with x_k = x - 1 + k, the small terms first:
-    # Re S = c0 + sum_k c_k x_k / |x_k + iy|^2 and Im S = -y sum_k c_k / |x_k + iy|^2,
-    # whose sign |S|^2 drops
-    re_s = np.full(y.shape, _LANCZOS_COEF[0])
-    sum_im = np.zeros(y.shape)
-    for k in range(len(_LANCZOS_COEF) - 1, 0, -1):
-        xk = x - 1.0 + k
-        term = _LANCZOS_COEF[k] / (xk * xk + y2)
-        re_s += xk * term
-        sum_im += term
-    im_s = y * sum_im
+    re_s, im_s = _lanczos_sums(x, y, y2)
     half = x - 0.5
     tr = half + _LANCZOS_G
     power = np.exp(half * np.log(tr * tr + y2) - 2.0 * y * np.arctan2(y, tr) - 2.0 * half)
     return (re_s * re_s + im_s * im_s) * power * _TWO_PI_EXP_M2G
+
+
+def ln_gamma_line(x: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ln|Gamma(x + iy)|, arg Gamma(x + iy)) on the vertical line at real part x > 0.
+
+    The Lanczos form of :func:`gamma_abs2_line`, with T = x - 1/2 + g + iy:
+    ln|Gamma| = ln sqrt(2 pi) + (x - 1/2) ln|T| - y arg T - Re T + ln|S| and
+    arg Gamma = (x - 1/2) arg T + y ln|T| - y + arg S, continuous along the
+    line; below x = 1/4, Gamma(z + 1) / z.
+    """
+    y = np.asarray(y, dtype=float)
+    if x < 0.25:
+        modulus, phase = ln_gamma_line(x + 1.0, y)
+        return modulus - 0.5 * np.log(x * x + y * y), phase - np.arctan2(y, x)
+    y2 = y * y
+    re_s, im_s = _lanczos_sums(x, y, y2)
+    half = x - 0.5
+    tr = half + _LANCZOS_G
+    ln_t = 0.5 * np.log(tr * tr + y2)
+    arg_t = np.arctan2(y, tr)
+    modulus = LN_SQRT_2PI + half * ln_t - y * arg_t - tr + 0.5 * np.log(re_s * re_s + im_s * im_s)
+    return modulus, half * arg_t + y * ln_t - y + np.arctan2(im_s, re_s)
 
 
 def gamma(z) -> complex:

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite: extrapolation-based coefficient
-extraction, an mpmath reference for the box values and a seeded sampler of
-massless points."""
+extraction, an mpmath reference for the box values and seeded samplers of
+massless and one-mass points."""
+
+import math
 
 import mpmath as mp
 import numpy as np
@@ -86,4 +88,18 @@ def sample(rng, n):
             eps = rng.uniform(0.1, 0.999)
         s = -(10.0 ** rng.uniform(-2.0, 2.0))
         points.append((s, s * 10.0 ** rng.uniform(-8.0, 8.0), eps))
+    return points
+
+
+def sample_onemass(rng, n):
+    """n one-mass points (s, t, msq, eps): eps log-uniform in [0.002, 0.99],
+    |s| log-uniform in 1e+-2, and t/s and msq/s in 1e+-6, redrawn until msq
+    is 5 % (relative) clear of the singular lines msq = s, t and s + t."""
+    points = []
+    while len(points) < n:
+        eps = 10.0 ** rng.uniform(math.log10(0.002), math.log10(0.99))
+        s = -(10.0 ** rng.uniform(-2.0, 2.0))
+        t, msq = (s * 10.0 ** rng.uniform(-6.0, 6.0) for _ in range(2))
+        if all(abs(msq / x - 1.0) >= 0.05 for x in (s, t, s + t)):
+            points.append((s, t, msq, eps))
     return points

@@ -349,6 +349,16 @@ class TestDefaultContour:
         assert capsys.readouterr().err.startswith(
             "error: InfeasibleContour: abscissa -0.85 is neither massless line for eps=0.7")
 
+    @pytest.mark.parametrize("nodes", [[], ["--nodes", "801"]])
+    def test_onemass_mb_off_its_pair_exits_2(self, nodes, monkeypatch, capsys):
+        # one-mass mb runs on its default pair (-eps/3, -1 + 2 eps/3) only
+        monkeypatch.setattr(cli.mb_engine, "select_contour_onemass",
+                            lambda k: (ContourSpec(-0.075, 7.0, 801), ContourSpec(-0.85, 7.0, 801)))
+        assert run_main(["eval", "--integral", "onemass", "--s=-1", "--t=-2", "--msq=-0.5",
+                         "--eps=0.3", "--method", "mb", *nodes]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith(
+            "error: InfeasibleContour: abscissae (-0.075, -0.85) are not the one-mass pair")
+
 
 class TestOutOfRange:
     """At (s, t, msq) = (-1e200, -2e200, -5e199) the box is about 1e-340,

@@ -200,18 +200,18 @@ class TestMasslessQuadrature:
     @pytest.mark.parametrize("eps", [0.3, 0.7])
     def test_one_abs_gamma_line_per_point(self, eps, crossed, monkeypatch):
         # both lines are self-conjugate, also with other nodes and height:
-        # one gamma_abs2_line call of ``nodes`` heights and no log-gamma grid
-        sizes = {"ln_gamma_grid": [], "gamma_abs2_line": []}
+        # one gamma_abs2_line call of ``nodes`` heights and no log-gamma line
+        sizes = {"ln_gamma_line": [], "gamma_abs2_line": []}
         for name in sizes:
             def counting(*args, real=getattr(sf, name), calls=sizes[name]):
-                calls.append(args[-1].size)  # the grid z, or the heights y
+                calls.append(args[-1].size)  # the heights y
                 return real(*args)
             monkeypatch.setattr(mb_engine, name, counting)
         k = Kinematics(s=-1.0, t=-2.0, eps=eps)
         line = massless_line(k, crossed)
         for spec in (line, ContourSpec(line.abscissa, 4.0, 301)):
             mb_massless_eval(k, spec)
-            assert sizes == {"ln_gamma_grid": [], "gamma_abs2_line": [spec.nodes]}
+            assert sizes == {"ln_gamma_line": [], "gamma_abs2_line": [spec.nodes]}
             sizes["gamma_abs2_line"].clear()
 
     @pytest.mark.parametrize("eps", [0.02, 0.3, 0.7, 0.97])
@@ -344,6 +344,15 @@ class TestOneMassQuadrature:
         estimate = v.diagnostics["error_estimate"]
         assert error <= estimate <= 1e3 * error
 
+    @pytest.mark.parametrize("eps", [0.0016, 0.002, 0.0025])
+    def test_error_estimate_bounds_error_near_the_cap(self, eps):
+        # 53k-84k nodes a line at a pole gap of eps/3: the Lanczos sum taken
+        # at real part eps/3 itself, not at eps/3 + 1, is about 1e2 ulp off
+        # there, and the value was up to 1.8 times its estimate off
+        v = mb_onemass_eval(onemass_point(eps))
+        error = mp_error(v.value.real, -1.0, -2.0, eps, -0.5, dps=40)
+        assert error <= v.diagnostics["error_estimate"]
+
     @pytest.mark.parametrize("s,t,m2,eps", [(-1.0, -1.0, -0.5, 0.4), (-1.0, -2.0, -0.5, 0.3)])
     def test_value_exactly_real(self, s, t, m2, eps):
         assert mb_onemass_eval(Kinematics(s=s, t=t, eps=eps, msq=m2)).value.imag == 0.0
@@ -356,10 +365,13 @@ class TestOneMassQuadrature:
 
     def test_fft_correlation_matches_direct_double_sum(self):
         # the factorised FFT sum against the scalar integrand summed over
-        # every node pair of the same doubled grids (65 x 65 nodes)
-        k = Kinematics(s=-1.0, t=-2.0, eps=0.3, msq=-0.5)
-        ca = ContourSpec(-0.075, 4.0, 33)
-        cb = ContourSpec(-0.85, 4.0, 33)
+        # every node pair of the same doubled grids: the default pair at
+        # s != -1 (the unit scaling), with 79 x 65 nodes of one step, so the
+        # inner line is the longer one and its coarse nodes skip Im 0
+        k = Kinematics(s=-2.0, t=-0.5, eps=0.6, msq=-1.0)
+        a0, b0 = (c.abscissa for c in select_contour_onemass(k))
+        ca, cb = ContourSpec(a0, 4.875, 40), ContourSpec(b0, 4.0, 33)
+        assert ca.step == cb.step == 0.125
         fine, coarse, _ = mb_engine._mb_onemass_sums(k, ca, cb)
         h = ca.step
         alpha = full_line(ca)
@@ -389,63 +401,74 @@ class TestOneMassQuadrature:
                                            for a in alpha[::2] for b in beta[::2])
         assert abs(coarse - direct_coarse) < 1e-13 * abs(direct_coarse)
 
+    @staticmethod
+    def three_factor_products(k, alpha, beta, sigma):
+        """A, B and C at the unit point k from the scalar ln_gamma: the seven
+        gamma factors and the phases of (-msq)^alpha and (-t)^-sigma."""
+        e, lg = k.eps, sf.ln_gamma
+        ref_a = [np.exp(lg(-al) + 1j * al.imag * math.log(-k.msq)) for al in alpha]
+        ref_b = [np.exp(lg(-be) + lg(1.0 + be) + lg(e - 1.0 - be)) for be in beta]
+        ref_c = [np.exp(lg(2.0 - e + si) + lg(e - 1.0 - si) + lg(1.0 + si)
+                        - 1j * si.imag * math.log(-k.t)) for si in sigma]
+        return ref_a, ref_b, ref_c
+
     def test_shared_line_grids_match_three_factor_products(self):
         # the default pair at the heights j h of the sums' upper halves
-        k = Kinematics(s=-3.0, t=-2.0, eps=0.3, msq=-0.5)
+        k = Kinematics(s=-3.0, t=-2.0, eps=0.3, msq=-0.5).unit[0]
         ca, cb = select_contour_onemass(k)
         heights = ca.step * np.arange(ca.nodes + cb.nodes - 1)
         alpha = ca.abscissa + 1j * heights[:ca.nodes]
         beta = cb.abscissa + 1j * heights[:cb.nodes]
         sigma = ca.abscissa + cb.abscissa + 1j * heights
-        a, b, c = mb_engine._onemass_grids(k, alpha, beta, sigma)
-        e, lg = k.eps, sf.ln_gamma
-        for ai, al in zip(a[::5], alpha[::5]):
-            ref_a = np.exp(lg(-al) + al * math.log(-k.msq))
-            assert abs(ai - ref_a) < 1e-13 * abs(ref_a), al
-        for bi, be in zip(b[::5], beta[::5]):
-            ref_b = np.exp(lg(-be) + lg(1.0 + be) + lg(e - 1.0 - be) + be * math.log(-k.s))
-            assert abs(bi - ref_b) < 1e-13 * abs(ref_b), be
-        for ci, si in zip(c[::5], sigma[::5]):
-            ref_c = np.exp(lg(2.0 - e + si) + lg(e - 1.0 - si) + lg(1.0 + si)
-                           - si * math.log(-k.t))
-            assert abs(ci - ref_c) < 1e-13 * abs(ref_c), si
+        grids = mb_engine._onemass_grids(k, ca.step, ca.nodes, cb.nodes)
+        refs = self.three_factor_products(k, alpha[::5], beta[::5], sigma[::5])
+        for grid, ref in zip(grids, refs):
+            assert np.all(abs(grid[::5] - ref) < 1e-13 * np.abs(ref))
 
     def test_one_log_gamma_half_line_on_the_default_pair(self, monkeypatch):
-        points = {"ln_gamma_grid": [], "_pi_csc": []}
+        # one log-gamma and one cosecant line of 2n - 1 points, also with
+        # other nodes and height, and no complex Lanczos sum
+        points = {"ln_gamma_line": [], "_pi_csc_line": []}
         for name in points:
-            def counting(z, real=getattr(mb_engine, name), sizes=points[name]):
-                sizes.append(z.size)
-                return real(z)
+            def counting(x, y, real=getattr(mb_engine, name), sizes=points[name]):
+                sizes.append(y.size)
+                return real(x, y)
             monkeypatch.setattr(mb_engine, name, counting)
+        monkeypatch.setattr(sf, "_lanczos_ln_gamma", None)
+        assert not hasattr(mb_engine, "ln_gamma_grid")
         k = Kinematics(s=-1.0, t=-2.0, eps=0.4, msq=-0.5)
         ca, cb = select_contour_onemass(k)
-        n = ca.nodes
-        mb_engine._mb_onemass_sums(k, ca, cb)
-        assert points == {"ln_gamma_grid": [2 * n - 1], "_pi_csc": [2 * n - 1]}
-        # a shifted pair: three log-gamma lines and two cosecant lines
-        for sizes in points.values():
-            sizes.clear()
-        mb_engine._mb_onemass_sums(k, ContourSpec(ca.abscissa * 0.6, ca.height, n),
-                                   ContourSpec(cb.abscissa + 0.04, cb.height, n))
-        assert points == {"ln_gamma_grid": [2 * n - 1, n, n], "_pi_csc": [2 * n - 1, n]}
+        for pair in ((ca, cb), tuple(ContourSpec(c.abscissa, 4.0, 301) for c in (ca, cb))):
+            mb_onemass_eval(k, *pair)
+            n = pair[0].nodes
+            assert points == {"ln_gamma_line": [2 * n - 1], "_pi_csc_line": [2 * n - 1]}
+            for sizes in points.values():
+                sizes.clear()
 
     def test_reflection_grids_match_three_factor_products(self):
-        # a shifted pair, whose lines are taken at whatever heights are given
-        # (the default pair reads alpha and beta off the sigma grid)
-        k = Kinematics(s=-3.0, t=-2.0, eps=0.3, msq=-0.5)
+        # the mirrored grids over the whole lines, Im < 0 included
+        k = Kinematics(s=-3.0, t=-2.0, eps=0.3, msq=-0.5).unit[0]
         ca, cb = select_contour_onemass(k)
-        a0, b0 = 0.6 * ca.abscissa, cb.abscissa + 0.04
-        y = np.linspace(-cb.height, cb.height, 41)
-        beta = b0 + 1j * y
-        sigma = a0 + b0 + 2j * y
-        _, b, c = mb_engine._onemass_grids(k, a0 + 1j * y, beta, sigma)
-        e, lg = k.eps, sf.ln_gamma
-        for bi, ci, be, si in zip(b, c, beta, sigma):
-            ref_b = np.exp(lg(-be) + lg(1.0 + be) + lg(e - 1.0 - be) + be * math.log(-k.s))
-            ref_c = np.exp(lg(2.0 - e + si) + lg(e - 1.0 - si) + lg(1.0 + si)
-                           - si * math.log(-k.t))
-            assert abs(bi - ref_b) < 1e-13 * abs(ref_b), be
-            assert abs(ci - ref_c) < 1e-13 * abs(ref_c), si
+        grids = [mb_engine._mirrored(g)[::7]
+                 for g in mb_engine._onemass_grids(k, ca.step, ca.nodes, cb.nodes)]
+        sigma = ca.abscissa + cb.abscissa + 1j * ca.step * np.arange(
+            2 - ca.nodes - cb.nodes, ca.nodes + cb.nodes - 1)
+        refs = self.three_factor_products(k, full_line(ca)[::7], full_line(cb)[::7], sigma[::7])
+        for grid, ref in zip(grids, refs):
+            assert np.all(abs(grid - ref) < 1e-13 * np.abs(ref))
+
+    @pytest.mark.parametrize("height, bound", [(3.0, 2e-15), (14.0, 9e-15)])
+    def test_csc_line_against_mpmath(self, height, bound):
+        # |ln|pi csc| error| + |arg error| on the lines at 2 eps/3; the worst
+        # measured on this grid: 1.2e-15 for |y| <= 3 and 7.6e-15 up to 14,
+        # where pi |y| carries an ulp of 44
+        y = np.linspace(-height, height, 57)
+        for u in (2e-5, 1e-3, 0.01, 0.1, 0.2, 0.4, 0.5, 0.6, 0.66):
+            modulus, phase = mb_engine._pi_csc_line(u, y)
+            with mpmath.workdps(30):
+                for yi, m, p in zip(y, modulus, phase):
+                    ref = mpmath.log(mpmath.pi / mpmath.sin(mpmath.pi * mpmath.mpc(u, yi)))
+                    assert float(abs(m - ref.real) + abs(p - ref.imag)) <= bound, (u, yi)
 
     @pytest.mark.parametrize("s,t,m2,eps", [(-1.0, -2.0, -0.5, 0.3), (-1.0, -100.0, -0.01, 0.95)])
     def test_tail_read_off_the_grids(self, s, t, m2, eps):
@@ -461,15 +484,28 @@ class TestOneMassQuadrature:
 
     def test_contours_share_one_step(self):
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3, msq=-0.5)
-        with pytest.raises(InfeasibleContour):
-            mb_onemass_eval(k, ContourSpec(-0.075, 10.0, 801), ContourSpec(-0.85, 10.0, 802))
+        a0, b0 = (c.abscissa for c in select_contour_onemass(k))
+        with pytest.raises(InfeasibleContour, match="contour steps differ"):
+            mb_onemass_eval(k, ContourSpec(a0, 10.0, 801), ContourSpec(b0, 10.0, 802))
 
     def test_contours_given_together(self):
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3, msq=-0.5)
+        a0, b0 = (c.abscissa for c in select_contour_onemass(k))
         with pytest.raises(InfeasibleContour, match="both contours or neither"):
-            mb_onemass_eval(k, ContourSpec(-0.075, 10.0, 801))
+            mb_onemass_eval(k, ContourSpec(a0, 10.0, 801))
         with pytest.raises(InfeasibleContour, match="both contours or neither"):
-            mb_onemass_eval(k, cb=ContourSpec(-0.85, 10.0, 801))
+            mb_onemass_eval(k, cb=ContourSpec(b0, 10.0, 801))
+
+    @pytest.mark.parametrize("eps", [0.002, 0.3, 0.95])
+    def test_off_pair_abscissae_rejected(self, eps):
+        # only the default pair is taken, by exact equality: not a shifted
+        # pair, the swapped one, nor a neighbouring double of either line
+        k = onemass_point(eps)
+        a0, b0 = (c.abscissa for c in select_contour_onemass(k))
+        for pair in ((0.6 * a0, b0 + 0.04), (b0, a0), (math.nextafter(a0, 0.0), b0),
+                     (a0, math.nextafter(b0, -1.0))):
+            with pytest.raises(InfeasibleContour, match="not the one-mass pair"):
+                mb_onemass_eval(k, *(ContourSpec(c, 7.0, 801) for c in pair))
 
     def test_integrand_conjugate_symmetry(self):
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3, msq=-0.5)
@@ -477,16 +513,13 @@ class TestOneMassQuadrature:
         b = mb_onemass_integrand(-0.075 - 0.9j, -0.85 + 0.4j, k)
         assert abs(a - b.conjugate()) < 1e-13 * abs(a)
 
-    def test_abscissa_shift_invariance(self):
+    def test_step_and_height_invariance(self):
+        # the default pair on a higher rule with a finer step
         k = Kinematics(s=-1.0, t=-2.0, eps=0.4, msq=-0.5)
-        ca, cb = select_contour_onemass(k)
-        base = mb_onemass_eval(k, ca, cb).value
-        # on the same nodes the shifted pair's nearest pole is 0.6 of the
-        # step's gap eps/3 (-alpha at 0.08), and eps - 1 - beta sits at 0.7
-        ca2 = ContourSpec(ca.abscissa * 0.6, ca.height, ca.nodes)
-        cb2 = ContourSpec(cb.abscissa + 0.04, cb.height, cb.nodes)
-        v = mb_onemass_eval(k, ca2, cb2).value
-        assert abs(v - base) < 1e-8 * abs(base)
+        base = mb_onemass_eval(k).value
+        v = mb_onemass_eval(k, *(ContourSpec(c.abscissa, 9.0, 2 * c.nodes)
+                                 for c in select_contour_onemass(k))).value
+        assert abs(v - base) < 1e-13 * abs(base)
 
     def test_massless_trend(self):
         e = 0.3

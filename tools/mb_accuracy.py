@@ -1,4 +1,4 @@
-"""Seeded accuracy scan of the massless ``mb`` route against an mpmath reference.
+"""Seeded accuracy scan of both ``mb`` routes against an mpmath reference.
 
     python3 tools/mb_accuracy.py --points 400 --seed 1 [--root .]
 
@@ -14,8 +14,11 @@ or node-doubling delta), the mean and largest relative error, the median
 digits (-log10 of the relative error, floored at 2^-53 like the benchmark),
 the smallest and largest ratio of ``error_estimate`` to the true error, how
 many estimates fall below their error, and the largest ratio of the true
-error to the rounding term alone (``mb_engine._MASSLESS_ULPS``), which stays
-below 1 where the rounding term covers the error by itself.
+error to the rounding term alone (``rounding_estimate``), which stays
+below 1 where the rounding term covers the error by itself.  Then it draws
+as many one-mass points (``tests/helpers.sample_onemass``, same seed) and
+prints the same columns for ``mb_engine.mb_onemass_eval`` on its default
+pair, per eps band.
 ``--root`` points the scan at the ``src/`` of another checkout that has
 ``massless_line(k, crossed)``; the points and the reference stay the same.
 """
@@ -34,39 +37,56 @@ DPS = 40
 HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 LINES = (("crossed", True), ("uncrossed", False))
 BANDS = (("eps<0.5", lambda e: e < 0.5), ("eps>=0.5", lambda e: e >= 0.5))
+ONEMASS_BANDS = (("eps<0.01", lambda e: e < 0.01), ("0.01-0.1", lambda e: 0.01 <= e < 0.1),
+                 ("0.1-0.5", lambda e: 0.1 <= e < 0.5), ("eps>=0.5", lambda e: e >= 0.5))
+
+
+def row(line: str, evaluate, s: float, t: float, eps: float, msq: float | None = None) -> tuple:
+    """(line, eps, relative error, error_estimate / error, error / rounding_estimate)
+    of ``evaluate()``, the route at the point (s, t, eps, msq), the last
+    three None where the route refused the point."""
+    from helpers import mp_error
+    from mbbox.errors import NotConverged
+
+    try:
+        v = evaluate()
+    except NotConverged:
+        return (line, eps, None, None, None)
+    value = v.value.real
+    error = mp_error(value, s, t, eps, msq, dps=DPS)
+    d = v.diagnostics
+    return (line, eps, error / abs(value), d["error_estimate"] / error,
+            error / d["rounding_estimate"])
 
 
 def scan(points: list) -> list:
-    """Per point and line: (line, eps, relative error, error_estimate / error,
-    error / rounding_estimate), the last three None where the line refused
-    the point."""
-    from helpers import mp_error
+    """The rows (see :func:`row`) of every massless point on both lines."""
     from mbbox.closed_form import Kinematics
-    from mbbox.errors import NotConverged
     from mbbox.mb_engine import massless_line, mb_massless_eval
 
     rows = []
     for s, t, eps in points:
         k = Kinematics(s=s, t=t, eps=eps)
         for line, crossed in LINES:
-            try:
-                v = mb_massless_eval(k, massless_line(k, crossed))
-            except NotConverged:
-                rows.append((line, eps, None, None, None))
-                continue
-            value = v.value.real
-            error = mp_error(value, s, t, eps, dps=DPS)
-            d = v.diagnostics
-            rows.append((line, eps, error / abs(value), d["error_estimate"] / error,
-                         error / d["rounding_estimate"]))
+            rows.append(row(line, lambda: mb_massless_eval(k, massless_line(k, crossed)),
+                            s, t, eps))
     return rows
 
 
-def bands(rows: list) -> dict:
-    """The scan's summary per (line, band)."""
+def scan_onemass(points: list) -> list:
+    """The rows (see :func:`row`) of every one-mass point on its default pair."""
+    from mbbox.closed_form import Kinematics
+    from mbbox.mb_engine import mb_onemass_eval
+
+    return [row("onemass", lambda: mb_onemass_eval(Kinematics(s=s, t=t, eps=eps, msq=msq)),
+                s, t, eps, msq) for s, t, msq, eps in points]
+
+
+def bands(rows: list, eps_bands=BANDS) -> dict:
+    """The scan's summary per (line, band), the lines in the rows' order."""
     out = {}
-    for line, _ in LINES:
-        for band, keep in BANDS:
+    for line in dict.fromkeys(r[0] for r in rows):
+        for band, keep in eps_bands:
             cell = [r for r in rows if r[0] == line and keep(r[1])]
             done = [r for r in cell if r[2] is not None]
             if not done:
@@ -94,8 +114,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path[:0] = [os.path.join(os.path.abspath(args.root), "src"), os.path.join(HERE, "tests")]
 
-    from helpers import sample
+    from helpers import sample, sample_onemass
     summary = bands(scan(sample(random.Random(args.seed), args.points)))
+    summary.update(bands(scan_onemass(sample_onemass(random.Random(args.seed), args.points)),
+                         ONEMASS_BANDS))
     print(f"{'line':9} {'band':9} {'points':>6} {'refused':>7} {'mean rel':>9} {'max rel':>9} "
           f"{'med dig':>7} {'min est/err':>11} {'max est/err':>11} {'under':>5} {'err/round':>9}")
     for (line, band), b in summary.items():
