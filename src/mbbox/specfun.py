@@ -1,22 +1,22 @@
-"""Complex special functions used by the box-integral pipelines.
+"""Special functions on the real axis used by the box-integral pipelines.
 
 Everything here is a pure function of its arguments: log-gamma / gamma /
-digamma, the dilogarithm, the Gauss hypergeometric family F(1, b; 1+b; z)
-with its analytic continuations, F(1, 1; 2-eps; z) from it by one Pfaff
+digamma, the dilogarithm, the Gauss hypergeometric family F(1, b; 1+b; x)
+with its analytic continuations, F(1, 1; 2-eps; x) from it by one Pfaff
 transformation, and the plain Gauss series.  One power-series loop sums
-the dilogarithm and F(1, b; 1+b; z) near 0.
+the dilogarithm and F(1, b; 1+b; x) near 0.  They take real arguments, in
+real arithmetic; only the log-gamma kernels take complex ones.
 
 Branch conventions, fixed globally:
 
-* principal logarithm; powers and logs are cut along the negative real
-  axis, with ``(-x)**p = |x|**p * exp(+i*pi*p)`` for ``x > 0`` (the value
-  continued from above the cut).  :func:`cut_power` and :func:`cut_log`
-  are the only code that picks a side of that cut; the continuation
-  formulas call them with the side of each argument;
+* powers and logs are cut along the negative real axis, with
+  ``(-x)**p = |x|**p * exp(+i*pi*p)`` for ``x > 0`` (the value continued
+  from above the cut), as :func:`cut_power` and :func:`cut_log` give it;
 * the dilogarithm and the hypergeometric evaluators are cut along
-  ``[1, inf)`` on the real axis; a :class:`CutPrescription` selects the
-  boundary value there, defaulting to the principal value (the average of
-  the two one-sided limits, which is real for real arguments).
+  ``[1, inf)``.  Their kernels give the principal value (the average of the
+  two one-sided limits, real), and a :class:`CutPrescription` adds the jump
+  in closed form: F(1, b; 1+b; x +- i0) = PV +- i pi b x^(-b) (DLMF
+  15.2.3) and Li2(x +- i0) = PV +- i pi ln(x).
 """
 
 from __future__ import annotations
@@ -79,15 +79,20 @@ def _require_finite(value, what="value"):
     return v
 
 
-def _argument(z, what: str) -> complex:
-    """complex(z), refused at once when it is NaN, which no series can sum."""
-    z = complex(z)
-    if cmath.isnan(z):
-        raise NonConvergence(f"{what}={z!r} is not a number")
-    return z
+def _argument(x, what: str) -> float:
+    """float(x), refused at once when it is NaN, which no series can sum."""
+    x = float(x)
+    if math.isnan(x):
+        raise NonConvergence(f"{what}={x!r} is not a number")
+    return x
 
 
-def _is_nonpositive_integer(z: complex) -> bool:
+def _jump(cut: CutPrescription, size: float) -> float:
+    """The imaginary part on a cut: +size above it, -size below it, 0 for the PV."""
+    return size if cut is ABOVE else -size if cut is BELOW else 0.0
+
+
+def _is_nonpositive_integer(z) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
 
 
@@ -95,9 +100,8 @@ def _is_nonpositive_integer(z: complex) -> bool:
 # gamma family
 # ---------------------------------------------------------------------------
 
-# Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set), for
-# log-gamma and complex gamma (real gamma is math.gamma).  Relative accuracy
-# ~1e-14 on Re z >= 0.5; reflection extends it to the rest of the plane.
+# Lanczos log-gamma, g = 607/128, 15 coefficients (Godfrey's set): relative
+# accuracy ~1e-14 on Re z >= 0.5; reflection extends it to the rest of the plane.
 _LANCZOS_G = 607.0 / 128.0
 _LANCZOS_COEF = (
     0.99999999999999709182,
@@ -231,14 +235,12 @@ def ln_gamma_line(x: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return modulus, half * arg_t + y * ln_t - y + np.arctan2(im_s, re_s)
 
 
-def gamma(z) -> complex:
-    """Gamma function: math.gamma, exactly real, on the real axis; else exp(ln_gamma)."""
-    z = complex(z)
-    if z.imag == 0.0:
-        if _is_nonpositive_integer(z):
-            raise PoleError(f"gamma pole at z={z.real}")
-        return _require_finite(math.gamma(z.real), "gamma")
-    return _require_finite(cmath.exp(ln_gamma(z)), "gamma")
+def gamma(x) -> complex:
+    """Gamma function of a real x: math.gamma, as a complex number."""
+    x = float(x)
+    if _is_nonpositive_integer(x):
+        raise PoleError(f"gamma pole at z={x}")
+    return _require_finite(math.gamma(x), "gamma")
 
 
 # Bernoulli numbers B_2 .. B_14 for the digamma and polygamma asymptotic tails.
@@ -253,29 +255,27 @@ _BERNOULLI_2N = (
 )
 
 
-def digamma(z) -> complex:
-    """psi(z) = d/dz ln Gamma(z), by recurrence shift plus Stirling tail."""
-    z = complex(z)
-    if _is_nonpositive_integer(z):
-        raise PoleError(f"digamma pole at z={z.real}")
-    acc = 0.0 + 0.0j
-    if z.real < 0.5:
-        # psi(z) = psi(1-z) - pi cot(pi z)
-        acc -= PI / cmath.tan(PI * z)
-        z = 1.0 - z
-    while z.real < 16.0:
-        acc -= 1.0 / z
-        z += 1.0
-    inv2 = 1.0 / (z * z)
-    tail = 0.0 + 0.0j
+def digamma(x) -> complex:
+    """psi(x) = d/dx ln Gamma(x) of a real x, by recurrence shift plus Stirling
+    tail, as a complex number."""
+    x = float(x)
+    if _is_nonpositive_integer(x):
+        raise PoleError(f"digamma pole at z={x}")
+    acc = 0.0
+    if x < 0.5:
+        # psi(x) = psi(1-x) - pi cot(pi x)
+        acc -= PI / math.tan(PI * x)
+        x = 1.0 - x
+    while x < 16.0:
+        acc -= 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    tail = 0.0
     p = inv2
     for k, b in enumerate(_BERNOULLI_2N, start=1):
         tail += b / (2 * k) * p
         p *= inv2
-    out = acc + cmath.log(z) - 0.5 / z - tail
-    if out.imag == 0.0:
-        out = complex(out.real, 0.0)
-    return _require_finite(out, "digamma")
+    return _require_finite(acc + math.log(x) - 0.5 / x - tail, "digamma")
 
 
 def polygamma(k: int, x: float) -> float:
@@ -306,61 +306,50 @@ def polygamma(k: int, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 def cut_log(x, cut: CutPrescription = PV) -> complex:
-    """log(x) where a negative real x is resolved by the cut prescription.
+    """log(x) of a real x, where a negative x is resolved by the cut prescription.
 
     Above the cut gives ``log|x| + i pi`` (the principal value in the sense
     of the global branch convention), below gives ``-i pi``, and the
     principal-value mode keeps only ``log|x|``.
     """
-    x = complex(x)
+    x = float(x)
     if x == 0:
         raise DomainError("log of zero")
-    if x.imag == 0.0 and x.real < 0.0:
-        mag = math.log(-x.real)
-        if cut is ABOVE:
-            return complex(mag, PI)
-        if cut is BELOW:
-            return complex(mag, -PI)
-        return complex(mag, 0.0)
-    return cmath.log(x)
+    return complex(math.log(abs(x)), _jump(cut, PI) if x < 0.0 else 0.0)
 
 
 def cut_power(x, p: float, cut: CutPrescription = PV) -> complex:
-    """x**p with negative real x resolved by the cut prescription.
+    """x**p of a real x, where a negative x is resolved by the cut prescription.
 
     The above-cut mode reproduces the global convention
     ``(-1)**p = exp(+i pi p)``; the principal-value mode is the average of
     the two boundary values, ``|x|**p cos(pi p)``.
     """
-    x = complex(x)
+    x = float(x)
     if x == 0:
         if p > 0:
             return 0.0 + 0.0j
         raise DomainError("zero base with non-positive exponent")
-    if x.imag == 0.0 and x.real < 0.0:
-        mag = (-x.real) ** p
-        if cut is ABOVE:
-            return mag * cmath.exp(1j * PI * p)
-        if cut is BELOW:
-            return mag * cmath.exp(-1j * PI * p)
-        return complex(mag * math.cos(PI * p), 0.0)
-    return x ** p
+    if x < 0.0:
+        mag = (-x) ** p
+        return complex(mag * math.cos(PI * p), _jump(cut, mag * math.sin(PI * p)))
+    return complex(x ** p, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # dilogarithm
 # ---------------------------------------------------------------------------
 
-def _power_sum(z: complex, p: int, b: float, c: float, start: complex) -> complex:
-    """start + sum_(n>=1) c z^n / (n + b)^p, |z| <= 0.75, stopped on two
+def _power_sum(x: float, p: int, b: float, c: float, start: float) -> float:
+    """start + sum_(n>=1) c x^n / (n + b)^p, |x| <= 0.75, stopped on two
     consecutive negligible terms: Li2 (p = 2, b = 0, c = 1, start 0) and
-    F(1, b; 1+b; z) (p = 1, c = b, start 1)."""
+    F(1, b; 1+b; x) (p = 1, c = b, start 1)."""
     total = start
-    zp = 1.0 + 0.0j
+    xp = 1.0
     small = 0
     for n in range(1, SERIES_MAX_TERMS):
-        zp = zp * z
-        inc = c * zp / (n + b) ** p
+        xp = xp * x
+        inc = c * xp / (n + b) ** p
         total += inc
         small = 0 if abs(inc) > SERIES_RTOL * abs(total) else small + 1
         if small >= 2 and n > 3:
@@ -368,111 +357,80 @@ def _power_sum(z: complex, p: int, b: float, c: float, start: complex) -> comple
     raise NonConvergence("power series did not converge")
 
 
-def _li2_series(z: complex) -> complex:
-    return _power_sum(z, 2, 0, 1, 0.0 + 0.0j)
-
-
-def _li2_offcut(z: complex) -> complex:
-    # any z not on the real interval [1, inf)
-    az = abs(z)
-    if az <= 0.75:
-        return _li2_series(z)
-    if az >= 1.4:
-        # Li2(z) + Li2(1/z) = -pi^2/6 - ln(-z)^2/2
-        return -PI * PI / 6.0 - 0.5 * cmath.log(-z) ** 2 - _li2_series(1.0 / z)
-    if abs(1.0 - z) <= 0.75:
-        # Li2(z) + Li2(1-z) = pi^2/6 - ln(z) ln(1-z)
-        return PI * PI / 6.0 - cmath.log(z) * cmath.log(1.0 - z) - _li2_series(1.0 - z)
-    # Landen: Li2(z) = -Li2(z/(z-1)) - ln(1-z)^2/2
-    w = z / (z - 1.0)
-    if abs(w) > 0.75:
-        raise DomainError(f"dilogarithm reduction failed for z={z!r}")
-    return -_li2_series(w) - 0.5 * cmath.log(1.0 - z) ** 2
+def _li2_below_one(x: float) -> float:
+    # Li2(x) at a real x < 1; each reduction's argument is within 0.75 of 0
+    ax = abs(x)
+    if ax <= 0.75:
+        return _power_sum(x, 2, 0, 1, 0.0)
+    if ax >= 1.4:
+        # Li2(x) + Li2(1/x) = -pi^2/6 - ln(-x)^2/2
+        log = math.log(-x)
+        return -PI * PI / 6.0 - 0.5 * (log * log) - _power_sum(1.0 / x, 2, 0, 1, 0.0)
+    if abs(1.0 - x) <= 0.75:
+        # Li2(x) + Li2(1-x) = pi^2/6 - ln(x) ln(1-x)
+        return PI * PI / 6.0 - math.log(x) * math.log(1.0 - x) \
+            - _power_sum(1.0 - x, 2, 0, 1, 0.0)
+    # Landen on -1.4 < x < -0.75: Li2(x) = -Li2(x/(x-1)) - ln(1-x)^2/2
+    log = math.log(1.0 - x)
+    return -_power_sum(x / (x - 1.0), 2, 0, 1, 0.0) - 0.5 * (log * log)
 
 
 def li2(z, cut: CutPrescription = PV) -> complex:
-    """Dilogarithm Li2(z), principal cut on [1, inf).
+    """Dilogarithm Li2(x) of a real x, cut on [1, inf).
 
-    The ``cut`` prescription only matters for real z > 1; everywhere else
-    the principal branch is returned.
+    The ``cut`` prescription only matters for x > 1, where it adds
+    +-i pi ln(x) to the principal value.
     """
-    z = _argument(z, "li2 argument z")
-    if z.imag == 0.0 and z.real > 1.0:
-        x = z.real
+    x = _argument(z, "li2 argument z")
+    if x > 1.0:
         # Li2(x +- i0) = pi^2/3 - ln(x)^2/2 - Li2(1/x) +- i pi ln(x)
-        re = PI * PI / 3.0 - 0.5 * math.log(x) ** 2 - _li2_offcut(1.0 / x).real
-        if cut is ABOVE:
-            return complex(re, PI * math.log(x))
-        if cut is BELOW:
-            return complex(re, -PI * math.log(x))
-        return complex(re, 0.0)
-    if z == 1.0:
+        log = math.log(x)
+        return complex(PI * PI / 3.0 - 0.5 * log ** 2 - _li2_below_one(1.0 / x),
+                       _jump(cut, PI * log))
+    if x == 1.0:
         return complex(PI * PI / 6.0, 0.0)
-    out = _li2_offcut(z)
-    if z.imag == 0.0:
-        out = complex(out.real, 0.0)
-    return _require_finite(out, "li2")
+    return _require_finite(_li2_below_one(x), "li2")
 
 
 # ---------------------------------------------------------------------------
 # Gauss hypergeometric families
 # ---------------------------------------------------------------------------
 
-# Terms the series loop runs before a series near |z| = 1 is checked for
-# convergence: one that stops this early (a polynomial, tiny terms) skips it.
-_SERIES_PREFIX = 64
-
-
-def _cannot_converge(a: float, b: float, c: float, z: complex) -> bool:
-    """True when no partial sum within the term cap passes the series loop's
-    stop test: the same test on numpy partial sums of the same terms."""
-    n = np.arange(SERIES_MAX_TERMS)
-    terms = np.cumprod((a + n) * (b + n) / ((c + n) * (n + 1.0)) * z)
-    mods = np.abs(terms)
-    tol = SERIES_RTOL * np.maximum(np.abs(1.0 + np.cumsum(terms)), 1e-300)
-    return not np.any((mods <= tol) & (np.append(math.inf, mods[:-1]) <= tol))
-
-
 def f21_general_series(a: float, b: float, c: float, z) -> complex:
-    """Plain Gauss series for 2F1(a, b; c; z), |z| < 1 required.  A series
-    that cannot converge within its term cap is refused after its first
-    ``_SERIES_PREFIX`` terms, before the rest is summed."""
-    z = _argument(z, "f21_general_series argument z")
-    if _is_nonpositive_integer(complex(c)):
+    """Plain Gauss series for 2F1(a, b; c; x), real |x| < 1 required.  A series
+    that does not converge within its term cap raises :class:`NonConvergence`."""
+    x = _argument(z, "f21_general_series argument z")
+    if _is_nonpositive_integer(c):
         raise PoleError(f"lower parameter c={c} is a non-positive integer")
-    if abs(z) >= 1.0:
-        raise NonConvergence(f"series argument |z|={abs(z):.3f} >= 1")
-    # below |z| = 0.999, |z|^N < e^-100 beats the terms' n^(a+b-c-1) growth
-    check_at = _SERIES_PREFIX if abs(z) > 0.999 else -1
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
+    if abs(x) >= 1.0:
+        raise NonConvergence(f"series argument |z|={abs(x):.3f} >= 1")
+    total = 1.0
+    term = 1.0
     prev_inc = math.inf
     for n in range(SERIES_MAX_TERMS):
-        if n == check_at and _cannot_converge(a, b, c, z):
-            raise NonConvergence(f"2F1 series cannot converge in {SERIES_MAX_TERMS} terms")
-        term = term * (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
+        term = term * (a + n) * (b + n) / ((c + n) * (1.0 + n)) * x
         total += term
         inc = abs(term)
         if inc <= SERIES_RTOL * max(abs(total), 1e-300) and prev_inc <= SERIES_RTOL * max(abs(total), 1e-300):
             return _require_finite(total, "2F1 series")
         prev_inc = inc
-    raise NonConvergence(f"2F1 series hit the {SERIES_MAX_TERMS}-term cap at |z|={abs(z):.6f}")
+    raise NonConvergence(f"2F1 series hit the {SERIES_MAX_TERMS}-term cap at |z|={abs(x):.6f}")
 
 
-def _f21_1b_logcase(b: float, z: complex, cut: CutPrescription) -> complex:
-    # expansion around z=1 for the c = a+b (logarithmic) case:
-    # F(1,b;1+b;z) = b sum_n (b)_n/n! [psi(n+1) - psi(b+n) - ln(1-z)] (1-z)^n,
-    # whose binomial half sum_n (b)_n/n! (1-z)^n is z^(-b)
-    w = 1.0 - z
+def _f21_1b_logcase(b: float, x: float) -> float:
+    # expansion around x=1 for the c = a+b (logarithmic) case, at the principal
+    # value: F(1,b;1+b;x) = b sum_n (b)_n/n! [psi(n+1) - psi(b+n) - ln|1-x|] (1-x)^n,
+    # whose binomial half sum_n (b)_n/n! (1-x)^n is x^(-b)
+    w = 1.0 - x
     if w == 0:
         raise PoleError("F(1,b;1+b;z) diverges at z=1")
-    binomial = z ** (-b)
+    binomial = x ** (-b)
     size = abs(binomial)
     psi_n1 = -EULER_GAMMA           # psi(1)
     psi_bn = digamma(b).real        # psi(b)
-    s_psi = 0.0 + 0.0j
+    s_psi = 0.0
     poch = 1.0
-    wp = 1.0 + 0.0j
+    wp = 1.0
     for n in range(SERIES_MAX_TERMS):
         coeff = poch * wp
         s_psi += coeff * (psi_n1 - psi_bn)
@@ -484,11 +442,11 @@ def _f21_1b_logcase(b: float, z: complex, cut: CutPrescription) -> complex:
         psi_bn += 1.0 / (b + n)
     else:
         raise NonConvergence("logarithmic 2F1 expansion did not converge")
-    return b * (s_psi - cut_log(w, _flip(cut)) * binomial)
+    return b * (s_psi - math.log(abs(w)) * binomial)
 
 
 def _flip(cut: CutPrescription) -> CutPrescription:
-    # the maps z -> 1-z, z -> -z, z -> 1/z and z -> z/(z-1) reverse the approach side
+    # the maps x -> 1-x and x -> x/(x-1) reverse the approach side
     if cut is ABOVE:
         return BELOW
     if cut is BELOW:
@@ -496,39 +454,39 @@ def _flip(cut: CutPrescription) -> CutPrescription:
     return PV
 
 
-def _f21_1b(b: float, z: complex, cut: CutPrescription) -> complex:
-    """F(1, b; 1+b; z) at every real z != 1, and at complex z outside the lens
-    0.7 < |z| < 1.4, |1 - z| > 0.7, Re z >= 1/2 (see :func:`f21_1e`)."""
-    if z == 0:
-        return 1.0 + 0.0j
-    az = abs(z)
-    if az <= 0.7:
-        return _power_sum(z, 1, b, b, 1.0 + 0.0j)
-    if abs(1.0 - z) <= 0.7:
-        return _f21_1b_logcase(b, z, cut)
-    if az >= 1.4:
-        # inversion: F = b/(b-1) (-z)^{-1} F(1,1-b;2-b;1/z) + G(1+b)G(1-b) (-z)^{-b}
-        head = b / (b - 1.0) * _f21_1b(1.0 - b, 1.0 / z, _flip(cut)) / (-z)
-        return head + gamma(1.0 + b) * gamma(1.0 - b) * cut_power(-z, -b, _flip(cut))
-    # annulus fallback, Pfaff: F(1,b;1+b;z) = (1-z)^{-b} F(b,b;1+b;z/(z-1)),
-    # whose series converges for Re z < 1/2 only
-    w = z / (z - 1.0)
-    return (1.0 - z) ** (-b) * f21_general_series(b, b, 1.0 + b, w)
+def _f21_1b(b: float, x: float) -> float:
+    """The principal value of F(1, b; 1+b; x) at every real x != 1: the
+    series for |x| <= 0.7, the log case for |1 - x| <= 0.7, the inversion
+    for |x| >= 1.4, and Pfaff on -1.4 < x < -0.7, where x/(x-1) is in
+    (0.41, 0.59).  No branch sees a side of the cut (see :func:`_f21_1b_cut`)."""
+    if x == 0:
+        return 1.0
+    ax = abs(x)
+    if ax <= 0.7:
+        return _power_sum(x, 1, b, b, 1.0)
+    if abs(1.0 - x) <= 0.7:
+        return _f21_1b_logcase(b, x)
+    if ax >= 1.4:
+        # inversion: F = b/(b-1) (-x)^{-1} F(1,1-b;2-b;1/x) + G(1+b)G(1-b) (-x)^{-b},
+        # where the principal value of (-x)^{-b} on the cut x > 0 is x^{-b} cos(pi b)
+        power = (-x) ** (-b) if x < 0.0 else x ** (-b) * math.cos(PI * -b)
+        head = b / (b - 1.0) * _f21_1b(1.0 - b, 1.0 / x) / (-x)
+        return head + gamma(1.0 + b).real * gamma(1.0 - b).real * power
+    # Pfaff: F(1,b;1+b;x) = (1-x)^{-b} F(b,b;1+b;x/(x-1))
+    return (1.0 - x) ** (-b) * f21_general_series(b, b, 1.0 + b, x / (x - 1.0)).real
 
 
-def _f21_11_tail(e: float, z: complex, cut: CutPrescription) -> complex:
+def _f21_1b_cut(b: float, x: float, cut: CutPrescription) -> complex:
+    """F(1, b; 1+b; x) on the side ``cut`` of [1, inf): the principal value
+    plus the jump +-i pi b x^(-b) for x > 1 (DLMF 15.2.3)."""
+    return complex(_f21_1b(b, x), _jump(cut, PI * b * x ** (-b)) if x > 1.0 else 0.0)
+
+
+def _f21_11_tail(e: float, z: float, cut: CutPrescription) -> complex:
     """Algebraic tail Gamma(2-e) Gamma(e) z^(e-1) (1-z)^(-e) of the connection
     of F(1, 1; 2-e; z) through 1 - z; ``cut`` is the side of z."""
     return gamma(2.0 - e) * gamma(e) * cut_power(1.0 - z, -e, _flip(cut)) \
         * cut_power(z, e - 1.0, cut)
-
-
-def _f21_one_one(e: float, z: complex, cut: CutPrescription) -> complex:
-    """F(1, 1; 2-e; z) = F(1, 1-e; 2-e; z/(z-1)) / (1-z), 0 < e < 1 (Pfaff,
-    DLMF 15.8.1); z/(z-1) is on the cut where z is, on the other side."""
-    if z == 1:
-        raise PoleError("F(1,1;2-e;z) diverges at z=1")
-    return _f21_1b(1.0 - e, z / (z - 1.0), _flip(cut)) / (1.0 - z)
 
 
 def _check_eps(eps: float):
@@ -537,28 +495,29 @@ def _check_eps(eps: float):
 
 
 def f21_1e(z, eps: float, cut: CutPrescription = PV) -> complex:
-    """2F1(1, eps; eps+1; z) with the cut on [1, inf) resolved by ``cut``.
-
-    Defined at every real z except the pole z = 1.  Complex z converges
-    outside the lens 0.7 < |z| < 1.4, |1 - z| > 0.7, Re z >= 1/2: there the
-    annulus series raises :class:`NonConvergence` before it is summed.  The
-    same holds for :func:`f21_2e`, and for :func:`f21_11` with the lens taken
-    at z/(z-1).  The box routes pass real z only.
-    """
+    """2F1(1, eps; eps+1; x) at a real x, with the cut on [1, inf) resolved
+    by ``cut``: defined at every real x except the pole x = 1."""
     _check_eps(eps)
-    return _require_finite(_f21_1b(eps, _argument(z, "f21_1e argument z"), cut), "f21_1e")
+    return _require_finite(_f21_1b_cut(eps, _argument(z, "f21_1e argument z"), cut), "f21_1e")
 
 
 def f21_2e(z, eps: float, cut: CutPrescription = PV) -> complex:
-    """2F1(1, 1+eps; 2+eps; z) with the cut on [1, inf) resolved by ``cut``."""
+    """2F1(1, 1+eps; 2+eps; x) with the cut on [1, inf) resolved by ``cut``."""
     _check_eps(eps)
-    return _require_finite(_f21_1b(1.0 + eps, _argument(z, "f21_2e argument z"), cut), "f21_2e")
+    return _require_finite(_f21_1b_cut(1.0 + eps, _argument(z, "f21_2e argument z"), cut),
+                           "f21_2e")
 
 
 def f21_11(z, eps: float, cut: CutPrescription = PV) -> complex:
-    """2F1(1, 1; 2-eps; z) with the cut on [1, inf) resolved by ``cut``."""
+    """2F1(1, 1; 2-eps; x) with the cut on [1, inf) resolved by ``cut``:
+    F(1, 1-eps; 2-eps; x/(x-1)) / (1-x), 0 < eps < 1 (Pfaff, DLMF 15.8.1);
+    x/(x-1) is on the cut where x is, on the other side."""
     _check_eps(eps)
-    return _require_finite(_f21_one_one(eps, _argument(z, "f21_11 argument z"), cut), "f21_11")
+    x = _argument(z, "f21_11 argument z")
+    if x == 1:
+        raise PoleError("F(1,1;2-e;z) diverges at z=1")
+    return _require_finite(_f21_1b_cut(1.0 - eps, x / (x - 1.0), _flip(cut)) / (1.0 - x),
+                           "f21_11")
 
 
 def f21_11_split(t_over_s, eps: float, cut: CutPrescription = PV) -> tuple[complex, complex]:
@@ -576,6 +535,6 @@ def f21_11_split(t_over_s, eps: float, cut: CutPrescription = PV) -> tuple[compl
     r = _argument(t_over_s, "f21_11_split argument t_over_s")
     if r == 0:
         raise DomainError("t/s must be nonzero")
-    head = (1.0 - eps) / eps * r * _f21_1b(eps, 1.0 + r, cut)
+    head = (1.0 - eps) / eps * r * _f21_1b_cut(eps, 1.0 + r, cut)
     return (_require_finite(head, "continuation head"),
             _require_finite(_f21_11_tail(eps, -1.0 / r, cut), "continuation tail"))

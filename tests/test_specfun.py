@@ -1,6 +1,5 @@
 import cmath
 import math
-import time
 
 import mpmath
 import pytest
@@ -38,12 +37,12 @@ class TestGammaFamily:
         assert abs(sf.gamma(5.0) - 24.0) < 1e-12
 
     def test_reflection(self):
-        for z in (0.3, 0.77, 2.6, -0.45, 0.5 + 1.3j, -1.2 + 0.4j):
-            val = sf.gamma(z) * sf.gamma(1.0 - z) * cmath.sin(math.pi * z) / math.pi
+        for z in (0.3, 0.77, 2.6, -0.45):
+            val = sf.gamma(z) * sf.gamma(1.0 - z) * math.sin(math.pi * z) / math.pi
             assert abs(val - 1.0) < 1e-12, z
 
     def test_recurrence(self):
-        for z in (0.3, 1.9, 4.4, -0.6, 0.25 + 2j):
+        for z in (0.3, 1.9, 4.4, -0.6):
             assert abs(sf.gamma(z + 1) - z * sf.gamma(z)) < 1e-12 * abs(sf.gamma(z + 1))
             assert abs(sf.digamma(z + 1) - sf.digamma(z) - 1.0 / z) < 1e-12
 
@@ -177,12 +176,6 @@ class TestDilogarithm:
             assert val.imag == 0.0
             assert abs((val.real - ref) / ref) <= 1e-15
 
-    def test_complex_plane(self):
-        # against the defining series, well inside the disk
-        z = 0.2 + 0.55j
-        direct = sum(z ** n / n ** 2 for n in range(1, 200))
-        assert abs(sf.li2(z) - direct) < 1e-13
-
 
 class TestHypergeometric:
     def test_at_zero(self):
@@ -202,18 +195,6 @@ class TestHypergeometric:
         with pytest.raises(PoleError):
             sf.f21_general_series(1.0, 1.0, -2.0, 0.3)
 
-    @pytest.mark.parametrize("call", [lambda: sf.f21_2e(0.5 + 0.9j, 0.3),
-                                      lambda: sf.f21_1e(0.4999 + 0.9j, 0.3),
-                                      lambda: sf.f21_2e(0.4997 + 0.9j, 0.9)],
-                             ids=["f21_2e", "f21_1e", "f21_2e_below_half"])
-    def test_lens_refused_before_summing(self, call):
-        # the annulus Pfaff argument has modulus 1 - 1e-16 and 0.999906: the
-        # terms cannot fall below SERIES_RTOL within the cap, so none is summed
-        start = time.perf_counter()
-        with pytest.raises(NonConvergence, match="cannot converge in 100000 terms"):
-            call()
-        assert time.perf_counter() - start < 0.05
-
     @pytest.mark.parametrize("a, b, c, z", [(1e-20, 1.0, 2.0, 0.9999999),
                                             (-2.0, 1.0, 2.0, 0.99999999),
                                             (-2.059, 2.932, 2.346, -0.99995)])
@@ -223,24 +204,10 @@ class TestHypergeometric:
             ref = complex(mpmath.hyp2f1(a, b, c, z))
         assert abs(sf.f21_general_series(a, b, c, z) - ref) <= 1e-9 * abs(ref)
 
-    def test_series_that_stops_early_skips_the_refusal_check(self, monkeypatch):
-        # 2F1(-2, 1; 2; z) = 1 - z + z^2/3 stops within the loop's first
-        # terms, so the numpy check over the whole term cap never runs
-        checks = []
-        monkeypatch.setattr(sf, "_cannot_converge", lambda *args: checks.append(args))
-        z = 0.99999999
-        assert abs(sf.f21_general_series(-2.0, 1.0, 2.0, z) - (1.0 - z + z * z / 3.0)) <= 1e-16
-        assert checks == []
-
-    def test_series_that_cannot_converge_is_checked_once(self, monkeypatch):
-        # |z| = 0.9999 needs about 4e5 terms: refused after the short prefix
-        checks = []
-        real = sf._cannot_converge
-        monkeypatch.setattr(sf, "_cannot_converge",
-                            lambda *args: checks.append(args) or real(*args))
-        with pytest.raises(NonConvergence, match="cannot converge in 100000 terms"):
+    def test_series_that_cannot_converge_raises_at_the_cap(self):
+        # |z| = 0.9999 needs about 4e5 terms, more than the cap
+        with pytest.raises(NonConvergence, match="hit the 100000-term cap at [|]z[|]=0.999900"):
             sf.f21_general_series(1.0, 0.3, 1.3, 0.9999)
-        assert len(checks) == 1
 
     def test_euler_integral_agreement(self):
         # series evaluation against the Euler-integral quadrature
@@ -358,12 +325,13 @@ FAMILIES = [(sf.f21_1e, lambda e: (1, e, 1 + e)),
 class TestOneSidedAgainstMpmath:
     """Every continuation branch, one-sided, against mpmath's hyp2f1 just off
     the real axis at 40 digits: on the cut (the log-case series, the
-    inversion and, for f21_11, the connection through 1 - z), on the
-    negative axis (the annulus Pfaff series and the inversion) and off it."""
+    inversion and, for f21_11, the connection through 1 - z) and on the
+    negative axis (the Pfaff series and the inversion), with both sides of
+    each switch between branches: |x| = 0.7, |1 - x| = 0.7 and |x| = 1.4."""
 
     ON_AXIS = (1.05, 1.3, 1.6, 2.5, 9.0, -0.8, -5.0,
-               0.71, 0.95, 1.0 - 1e-9, 1.0 + 1e-9, 1.69, -0.71, -1.39)
-    OFF_AXIS = (1.3 + 0.2j, 2.5 - 0.7j, -3.0 + 0.1j)
+               0.71, 0.95, 1.0 - 1e-9, 1.0 + 1e-9, 1.69, -0.71, -1.39,
+               0.69, 0.7, 1.7, 1.71, -0.7, -1.4, -1.41)
 
     @staticmethod
     def _ref(params, e, z):
@@ -374,19 +342,29 @@ class TestOneSidedAgainstMpmath:
     @pytest.mark.parametrize("eps", [0.2, 0.45, 0.8])
     @pytest.mark.parametrize("f, params", FAMILIES, ids=["f21_1e", "f21_2e", "f21_11"])
     def test_boundary_values(self, f, params, eps):
+        # each side is the one real kernel value plus a purely imaginary jump
         for z in self.ON_AXIS:
+            pv = f(z, eps, PV)
+            assert pv.imag == 0.0
             for cut, side in ((ABOVE, 1e-35j), (BELOW, -1e-35j)):
                 ref = self._ref(params, eps, z + side)
                 val = f(z, eps, cut)
                 assert abs(val - ref) <= 1e-13 * abs(ref), (z, cut)
+                assert val.real == pv.real, (z, cut)
 
-    @pytest.mark.parametrize("eps", [0.2, 0.45, 0.8])
-    @pytest.mark.parametrize("f, params", FAMILIES, ids=["f21_1e", "f21_2e", "f21_11"])
-    def test_off_axis(self, f, params, eps):
-        for z in self.OFF_AXIS:
-            ref = self._ref(params, eps, z)
-            val = f(z, eps)
-            assert abs(val - ref) <= 1e-13 * abs(ref), z
+
+class TestRealArgumentsOnly:
+    """The evaluators take real arguments: a complex one fails in float()."""
+
+    @pytest.mark.parametrize("call", [lambda z: sf.f21_1e(z, 0.3), lambda z: sf.f21_2e(z, 0.3),
+                                      lambda z: sf.f21_11(z, 0.3),
+                                      lambda z: sf.f21_11_split(z, 0.3), sf.li2, sf.gamma,
+                                      sf.digamma],
+                             ids=["f21_1e", "f21_2e", "f21_11", "f21_11_split", "li2", "gamma",
+                                  "digamma"])
+    def test_complex_argument_is_refused(self, call):
+        with pytest.raises(TypeError):
+            call(0.3 + 0.2j)
 
 
 class TestNaNArgument:
@@ -405,4 +383,4 @@ class TestNaNArgument:
     def test_raises_naming_the_argument(self, name):
         with pytest.raises(NonConvergence) as info:
             self.CALLS[name](float("nan"))
-        assert str(info.value) == f"{name}=(nan+0j) is not a number"
+        assert str(info.value) == f"{name}=nan is not a number"
