@@ -158,21 +158,14 @@ def _tolerance(args, default: float) -> float:
 
 
 def _contours(cfg: RunConfig, k: Kinematics) -> tuple:
-    """The route's contours when a node count or a height is configured,
-    else none, so that the route selects its own.  Only the configured
-    field changes: a height given without a node count keeps the step.
+    """The one-mass route's pair when a node count or a height is configured,
+    else none, so that the route selects its own (see
+    :meth:`mb_engine.ContourSpec.configured`).
     """
     if cfg.quad_nodes is None and cfg.quad_height is None:
         return ()
-    if cfg.integral == "massless":
-        specs = (mb_engine.select_contour_massless(k),)
-    else:
-        specs = mb_engine.select_contour_onemass(k)
-    if cfg.quad_nodes is None:
-        return tuple(mb_engine.ContourSpec.from_step(c.abscissa, cfg.quad_height, c.step)
-                     for c in specs)
-    return tuple(mb_engine.ContourSpec(c.abscissa, c.height if cfg.quad_height is None
-                                       else cfg.quad_height, cfg.quad_nodes) for c in specs)
+    return tuple(c.configured(cfg.quad_nodes, cfg.quad_height)
+                 for c in mb_engine.select_contour_onemass(k))
 
 
 # (integral, method) -> route; the lambdas look the functions up at call time
@@ -180,7 +173,8 @@ _ROUTES = {
     ("massless", "closed"): lambda cfg, k: massless_box(k, cfg.cut),
     ("massless", "closed_alt"): lambda cfg, k: massless_box_alt(k, cfg.cut),
     ("massless", "feynman"): lambda cfg, k: oracles.feynman_1d_massless(k),
-    ("massless", "mb"): lambda cfg, k: mb_engine.mb_massless_eval(k, *_contours(cfg, k)),
+    ("massless", "mb"): lambda cfg, k: mb_engine.mb_massless_eval(
+        k, nodes=cfg.quad_nodes, height=cfg.quad_height),
     ("massless", "residue"): lambda cfg, k: mb_engine.residue_massless(k, cfg.cut),
     ("onemass", "closed"): lambda cfg, k: onemass_box(k, cfg.cut),
     ("onemass", "closed_alt"): lambda cfg, k: onemass_box_alt(k, cfg.cut),
@@ -350,8 +344,7 @@ def verify_massless(tol_residue: float = 1e-10, tol_oracle: float = 1e-8,
                abs(mbv.value - closed), mbv.diagnostics["error_estimate"])
         # the other line, across the pole at eps - 1 from the default: one
         # of the two subtracts that pole's residue
-        other = mb_engine.massless_line(k, e >= 0.5)
-        drift = abs(mb_engine.mb_massless_eval(k, other).value - mbv.value)
+        drift = abs(mb_engine.mb_massless_eval(k, e >= 0.5).value - mbv.value)
         _check(checks, f"abscissa-shift drift {tag}", drift / abs(closed), 1e-10)
     return _suite_report("massless", checks)
 

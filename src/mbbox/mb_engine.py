@@ -94,6 +94,15 @@ class ContourSpec:
                                     f"step, got height={height}, step={step}")
         return cls(abscissa, height, math.ceil(height / step) + 1)
 
+    def configured(self, nodes: int | None = None, height: float | None = None) -> "ContourSpec":
+        """This line with ``nodes`` and ``height`` where given; a height
+        without a node count keeps the step."""
+        if nodes is not None:
+            return ContourSpec(self.abscissa, self.height if height is None else height, nodes)
+        if height is not None:
+            return ContourSpec.from_step(self.abscissa, height, self.step)
+        return self
+
     @property
     def step(self) -> float:
         """Step of the doubled rule."""
@@ -135,20 +144,16 @@ def _massless_abscissa(eps: float, crossed: bool) -> float:
 
 
 def massless_line(k: Kinematics, crossed: bool) -> ContourSpec:
-    """One of the massless integrand's two lines, with the step of its band.
+    """One of the massless integrand's two lines, with the first step of its band.
 
     The double pole at eps - 1 splits the strip between the poles at -1 and
     0 into two bands, (-1, eps - 1) and (eps - 1, 0), and each line is its
     band's midline, a pole distance d from both edges (see
     :func:`_massless_gap`): the crossed line right of eps - 1, the
-    uncrossed one left of it.  The step is set for a pole at d/3, eps/6 or
-    (1 - eps)/6, though the rule at the true distance d already meets its
-    exp(-60): the margin is for the coarse rule, at twice the step, whose
-    node-doubling delta is held to ``MASSLESS_DELTA_RTOL``.  At |t/s| near
-    1e+-8 the phase cancels the value to about 1/100 of h sum |f|, and with
-    the step set for d that delta passed the 1e-9 refusal on 11 of 253
-    lines (150 seeded points, both lines); set for d/3 it stayed below
-    1.2e-13.
+    uncrossed one left of it.  The step is set for that true gap d; where
+    the phase cancels the value far below h sum |f| (|t/s| near 1e+-8) the
+    coarse rule may miss ``MASSLESS_DELTA_RTOL``, and
+    :func:`mb_massless_eval` then halves the step.
     The integrand decays like exp(-3 pi |Im w|), so the tail beyond height
     6 is below 1e-24.
     """
@@ -156,11 +161,12 @@ def massless_line(k: Kinematics, crossed: bool) -> ContourSpec:
     gap = _massless_gap(eps, crossed)
     spread = abs(math.log(k.s / k.t))
     return ContourSpec.from_step(_massless_abscissa(eps, crossed), 6.0,
-                                 _fine_step(gap / 3.0, 60.0, spread))
+                                 _fine_step(gap, 60.0, spread))
 
 
 def select_contour_massless(k: Kinematics) -> ContourSpec:
-    """The massless line of the wider band: crossed for eps < 1/2, else uncrossed.
+    """The first line of :func:`mb_massless_eval` (k): that of the wider
+    band, crossed for eps < 1/2, else uncrossed.
 
     For eps < 1/2 that is (eps - 1)/2, midway between the crossed double
     pole at eps - 1 and the pole at 0, so the pole gap no longer shrinks
@@ -209,7 +215,7 @@ def select_contour_onemass(k: Kinematics) -> tuple[ContourSpec, ContourSpec]:
 # at most that times h^2 sum |f|; the FFT adds about log2(length) * 2.2e-16 of it.
 _LN_GAMMA_ERR = 1e-14
 
-# The rounding of a massless point on either line (see :func:`_conjugate_line`):
+# The rounding of a massless point on either line (see :func:`_line_nodes`):
 # _MASSLESS_ULPS of the line integral's size plus the crossed residue's
 # size, for what every node shares (K, the unit scaling) and the residue,
 # and _MASSLESS_NODE_ULPS of h sum |f| / 2 pi, for each node's own rounding,
@@ -225,7 +231,7 @@ def mb_massless_integrand(w, k: Kinematics) -> complex:
 
     Takes the six gamma factors literally at a complex point w and checks
     it against the pole families.  :func:`mb_massless_eval` takes the real
-    modulus-times-phase form of :func:`_conjugate_line` instead, which the
+    modulus-times-phase form of :func:`_line_nodes` instead, which the
     tests hold to this form.
     """
     k.require_massless()
@@ -247,14 +253,15 @@ def _mirror_sum(x: np.ndarray, first: int = 0, stride: int = 1) -> float:
 
 
 def _contour_value(specs: tuple, fine: complex, coarse: complex, tail: float,
-                   rounding: float, rtol: float) -> BoxValue:
+                   rounding: float, rtol: float, passes: int = 1) -> BoxValue:
     """The doubled rule's sum as an ``mb`` BoxValue with its diagnostics.
 
     A node-doubling delta above ``rtol`` relative to the value raises
     :class:`NotConverged`.  Halving the step squares the rule's relative
     error, so the error estimate adds delta^2 / |value|, the truncation tail
     and the rounding of the sum.  ``specs`` holds the one massless line or
-    the (inner, outer) one-mass pair, reported as numbers or as pairs.
+    the (inner, outer) one-mass pair, reported as numbers or as pairs;
+    ``passes`` is 1 plus the number of times the step was halved.
     """
     delta = abs(fine - coarse)
     if delta > rtol * abs(fine):
@@ -266,6 +273,7 @@ def _contour_value(specs: tuple, fine: complex, coarse: complex, tail: float,
         lines = {name: pair[0] for name, pair in lines.items()}
     return BoxValue(complex(fine), "mb", {
         **lines,
+        "passes": passes,
         "step": specs[0].step,
         "tail_estimate": tail,
         "node_doubling_delta": delta,
@@ -316,8 +324,8 @@ def _pi_csc_abs2(d: float, y: np.ndarray) -> np.ndarray:
     return 4.0 * math.pi ** 2 * q / (4.0 * math.sin(math.pi * d) ** 2 * q + np.expm1(arg) ** 2)
 
 
-def _phase(k: Kinematics, step: float, j: np.ndarray) -> np.ndarray:
-    """exp(i y ln(t/s)) at the heights y = j step, good to about an ulp.
+def _phase(k: Kinematics, step: float, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of y ln(t/s) at the heights y = j step, good to about an ulp.
 
     step ln(t/s) is taken in the long double (on platforms where that is a
     double, rounded) and split as top + rest, top cut to 35 bits so that
@@ -325,18 +333,21 @@ def _phase(k: Kinematics, step: float, j: np.ndarray) -> np.ndarray:
     exp(i j top) (1 + i j rest), and (j rest)^2 < 1e-17.  exp(i fl(y fl(ln(t/s))))
     is off by up to |y ln(t/s)| ulps, 1.6e-14 at |y| = 5, |t/s| = 1e8, and
     fl(ln(t/s))'s share is common to every node, so it does not cancel.
+    Halving the step halves top and rest exactly, so a node keeps its phase
+    when the step is halved.
     """
     per_step = np.longdouble(step) * np.log(np.longdouble(k.t) / np.longdouble(k.s))
     split = 262145.0 * float(per_step)  # 2^18 + 1
     top = split - (split - float(per_step))
-    rest = float(per_step - np.longdouble(top))
-    return np.exp(1j * top * j) * (1.0 + 1j * rest * j)
+    rest = float(per_step - np.longdouble(top)) * j
+    cos, sin = np.cos(top * j), np.sin(top * j)
+    return cos - rest * sin, sin + rest * cos
 
 
-def _conjugate_line(k: Kinematics, step: float, j: np.ndarray, crossed: bool) -> np.ndarray:
-    """The massless integrand on one of its two lines (see
-    :func:`massless_line`) at heights y = j step, as a real modulus times a
-    phase (see :func:`_phase`).
+def _line_nodes(k: Kinematics, step: float, j: np.ndarray, crossed: bool
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(Re f, |f|) of the massless integrand f on one of its two lines (see
+    :func:`massless_line`) at heights y = j step, in real arithmetic.
 
     The line is given by its pole distance d (see :func:`_massless_gap`),
     not by its rounded abscissa: eps/2 is exact, and so is (1 - eps)/2
@@ -347,10 +358,12 @@ def _conjugate_line(k: Kinematics, step: float, j: np.ndarray, crossed: bool) ->
     crossed line c = -d, x = 1 - d and b + 1 = conj a, so the product is
     -|Gamma(a)|^2 |pi csc pi a|^2 / b; on the uncrossed line c = d - 1,
     x = d and b = conj a, so it is |Gamma(a)|^2 |pi csc pi a|^2.  Either
-    way sin^2 pi x = sin^2 pi d.  Hence
-    f = K |Gamma(x + iy)|^2 |pi csc pi(x + iy)|^2 e^(iy ln(t/s)), times
-    1/(d + iy) on the crossed line, with K = (-t)^c (-s)^(eps-2-c) / Gamma(2 eps)
-    one scalar: (st)^-d / (-s) crossed and (st)^d / (st) uncrossed, since
+    way sin^2 pi x = sin^2 pi d.  Hence f is the real modulus
+    m = K |Gamma(x + iy)|^2 |pi csc pi(x + iy)|^2 times the phase
+    e^(iy ln(t/s)) = cos + i sin (see :func:`_phase`), divided on the crossed
+    line by d + iy: there Re f = m (d cos + y sin) / (d^2 + y^2) and
+    |f| = m / |d + iy|.  K = (-t)^c (-s)^(eps-2-c) / Gamma(2 eps) is one
+    scalar: (st)^-d / (-s) crossed and (st)^d / (st) uncrossed, since
     eps = 1 - 2d or 2d, taken by ``pow`` and ``math.gamma``.
     """
     e = k.eps
@@ -358,20 +371,24 @@ def _conjugate_line(k: Kinematics, step: float, j: np.ndarray, crossed: bool) ->
     st = k.s * k.t
     x, scale = (1.0 - d, st ** -d / -k.s) if crossed else (d, st ** d / st)
     y = step * j
-    f = (scale / math.gamma(2.0 * e) * gamma_abs2_line(x, y) * _pi_csc_abs2(d, y)
-         * _phase(k, step, j))
-    return f / (d + 1j * y) if crossed else f
+    size = scale / math.gamma(2.0 * e) * gamma_abs2_line(x, y) * _pi_csc_abs2(d, y)
+    cos, sin = _phase(k, step, j)
+    if not crossed:
+        return size * cos, size
+    pole = d * d + y * y
+    return size * (d * cos + y * sin) / pole, size / np.sqrt(pole)
 
 
-def mb_massless_eval(k: Kinematics, spec: ContourSpec | None = None) -> BoxValue:
+def mb_massless_eval(k: Kinematics, crossed: bool | None = None, nodes: int | None = None,
+                     height: float | None = None) -> BoxValue:
     """Massless box by the trapezoid rule along one of its two lines.
 
-    The line is the crossed one at (eps - 1)/2 or the uncrossed one at
-    -1 + eps/2 (see :func:`massless_line`), told apart by exact equality of
-    ``spec.abscissa``; ``--nodes`` and ``--height`` keep it.  Any other
-    abscissa raises :class:`InfeasibleContour`.  Both lines are
+    ``crossed`` names the line: the crossed one at (eps - 1)/2 or the
+    uncrossed one at -1 + eps/2 (see :func:`massless_line`); without it the
+    line is :func:`select_contour_massless`'s.  Anything but a bool, such as
+    an abscissa, raises :class:`InfeasibleContour`.  Both lines are
     self-conjugate, so a node takes one |Gamma|^2 and one |csc|^2 in real
-    arithmetic (see :func:`_conjugate_line`).  In the Euclidean region
+    arithmetic (see :func:`_line_nodes`).  In the Euclidean region
     f(conj w) = conj f(w), so the rule sums only the nodes with Im w >= 0:
     the node at Im w = 0 once, the others as twice their real part, and
     the value is real.
@@ -381,32 +398,49 @@ def mb_massless_eval(k: Kinematics, spec: ContourSpec | None = None) -> BoxValue
     line the integrand is taken with |t| <= |s|, which keeps the residue
     from swamping the box; then it is scaled (see :attr:`Kinematics.unit`).
     The value is the doubled rule; the coarse rule is its even nodes.  The
-    rounding term is ``_MASSLESS_ULPS``'s, and the delta is held to
-    ``MASSLESS_DELTA_RTOL`` (see :func:`_contour_value`).  Without ``spec``
-    the line is :func:`select_contour_massless`'s.
+    first pass takes the step for the line's true pole gap (see
+    :func:`massless_line`), and while the node-doubling delta is above
+    ``MASSLESS_DELTA_RTOL`` of the value, the step is halved: the
+    doubled rule becomes the coarse one, and only the new nodes, halfway
+    between the old ones, are evaluated, up to ``MAX_NODES``.  ``nodes``
+    (``--nodes``) fixes the rule to one pass, which refuses such a delta
+    (see :func:`_contour_value`); ``height`` (``--height``) moves the top
+    of the line and, without ``nodes``, keeps the first step.  The rounding
+    term is ``_MASSLESS_ULPS``'s.
     """
     k.require_massless()
-    if spec is None:
-        spec = select_contour_massless(k)
-    crossed = spec.abscissa > k.eps - 1.0
-    if spec.abscissa != _massless_abscissa(k.eps, crossed):
-        raise InfeasibleContour(f"abscissa {spec.abscissa} is neither massless line for "
-                                f"eps={k.eps}: (eps - 1)/2 or -1 + eps/2")
+    if crossed is None:
+        crossed = k.eps < 0.5
+    elif not isinstance(crossed, (bool, np.bool_)):
+        raise InfeasibleContour(f"the massless line is crossed=True or crossed=False, "
+                                f"got {crossed!r}")
+    crossed = bool(crossed)
+    line = massless_line(k, crossed).configured(nodes, height)
     if crossed and abs(k.t) > abs(k.s):
         k = Kinematics(s=k.t, t=k.s, eps=k.eps)
     u, factor = k.unit
-    f = factor * _conjugate_line(u, spec.step, spec.upper_nodes(), crossed)
-    size = np.abs(f)
-    weight = spec.step / (2.0 * math.pi)
-    residue, residue_size = _crossed_residue(u, factor) if crossed else (0.0, 0.0)
-    line = weight * _mirror_sum(f.real)
-    fine = line - residue
-    coarse = 2.0 * weight * _mirror_sum(f.real, (spec.nodes - 1) % 2, 2) - residue
+    re, size = _line_nodes(u, line.step, line.upper_nodes(), crossed)
+    # sums of the doubled rule's Re f and |f| over the whole line, in units of factor
+    total, size_total = _mirror_sum(re), _mirror_sum(size)
+    coarse_total = 2.0 * _mirror_sum(re, (line.nodes - 1) % 2, 2)
     # beyond both ends the integrand decays like exp(-3 pi |Im w|)
-    tail = 2.0 * size[-1] / (2.0 * math.pi * 3.0 * math.pi)
-    rounding = 2.0 ** -53 * (_MASSLESS_ULPS * (abs(line) + residue_size)
-                             + _MASSLESS_NODE_ULPS * weight * _mirror_sum(size))
-    return _contour_value((spec,), fine, coarse, tail, rounding, MASSLESS_DELTA_RTOL)
+    tail = 2.0 * factor * size[-1] / (2.0 * math.pi * 3.0 * math.pi)
+    residue, residue_size = _crossed_residue(u, factor) if crossed else (0.0, 0.0)
+    weight = factor * line.step / (2.0 * math.pi)
+    fine, coarse = weight * total - residue, weight * coarse_total - residue
+    passes = 1
+    # a value that is not finite ends it: no delta is above a multiple of it
+    while nodes is None and abs(fine - coarse) > MASSLESS_DELTA_RTOL * abs(fine):
+        line = ContourSpec(line.abscissa, line.height, 2 * line.nodes - 1)
+        re, size = _line_nodes(u, line.step, line.upper_nodes()[1::2], crossed)
+        total += 2.0 * float(np.sum(re))
+        size_total += 2.0 * float(np.sum(size))
+        weight = factor * line.step / (2.0 * math.pi)
+        fine, coarse = weight * total - residue, fine
+        passes += 1
+    rounding = 2.0 ** -53 * (_MASSLESS_ULPS * (abs(weight * total) + residue_size)
+                             + _MASSLESS_NODE_ULPS * weight * size_total)
+    return _contour_value((line,), fine, coarse, tail, rounding, MASSLESS_DELTA_RTOL, passes)
 
 
 def mb_onemass_integrand(alpha, beta, k: Kinematics):

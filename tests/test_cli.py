@@ -339,17 +339,6 @@ class TestDefaultContour:
         assert abs(record["value"]["re"] - ref.real) <= 1e-13 * abs(ref)
 
     @pytest.mark.parametrize("nodes", [[], ["--nodes", "801"]])
-    def test_massless_mb_off_its_lines_exits_2(self, nodes, monkeypatch, capsys):
-        # massless mb runs on its crossed line (eps - 1)/2 or its uncrossed
-        # line -1 + eps/2 only; any other abscissa is bad input
-        monkeypatch.setattr(cli.mb_engine, "select_contour_massless",
-                            lambda k: ContourSpec(-0.85, 6.0, 801))
-        assert run_main(["eval", "--s=-1", "--t=-2", "--eps=0.7", "--method", "mb",
-                         *nodes]) == EXIT_INPUT_ERROR
-        assert capsys.readouterr().err.startswith(
-            "error: InfeasibleContour: abscissa -0.85 is neither massless line for eps=0.7")
-
-    @pytest.mark.parametrize("nodes", [[], ["--nodes", "801"]])
     def test_onemass_mb_off_its_pair_exits_2(self, nodes, monkeypatch, capsys):
         # one-mass mb runs on its default pair (-eps/3, -1 + 2 eps/3) only
         monkeypatch.setattr(cli.mb_engine, "select_contour_onemass",

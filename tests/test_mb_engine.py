@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -45,6 +46,18 @@ def full_line(spec):
     return spec.abscissa + 1j * spec.step * full_nodes(spec)
 
 
+def counting_lines(monkeypatch):
+    """The heights of every gamma_abs2_line and ln_gamma_line call that
+    mb_engine makes from now on, per function."""
+    sizes = {"ln_gamma_line": [], "gamma_abs2_line": []}
+    for name in sizes:
+        def counting(*args, real=getattr(sf, name), calls=sizes[name]):
+            calls.append(args[-1].size)  # the heights y
+            return real(*args)
+        monkeypatch.setattr(mb_engine, name, counting)
+    return sizes
+
+
 def mp_integrand(w, k):
     """The massless integrand's six gamma factors in mpmath, at the working precision."""
     s, t, e = mpmath.mpf(k.s), mpmath.mpf(k.t), mpmath.mpf(k.eps)
@@ -66,11 +79,11 @@ class TestContourSelection:
     @pytest.mark.parametrize("eps", [1e-6, 0.02, 0.3, 0.5, 0.7, 0.99])
     def test_massless_line_takes_its_band_step(self, eps):
         # the crossed line at (eps - 1)/2 and the uncrossed one at
-        # -1 + eps/2, each with the step of a pole at eps/6 or (1 - eps)/6,
-        # bit for bit
+        # -1 + eps/2, each with the step of its true pole gap (1 - eps)/2 or
+        # eps/2, bit for bit
         k = Kinematics(s=-1.0, t=-2.0, eps=eps)
-        for crossed, abscissa, pole in ((True, (eps - 1.0) / 2.0, (1.0 - eps) / 6.0),
-                                        (False, -1.0 + eps / 2.0, eps / 6.0)):
+        for crossed, abscissa, pole in ((True, (eps - 1.0) / 2.0, (1.0 - eps) / 2.0),
+                                        (False, -1.0 + eps / 2.0, eps / 2.0)):
             step = mb_engine._fine_step(pole, 60.0, math.log(2.0))
             assert massless_line(k, crossed) == ContourSpec.from_step(abscissa, 6.0, step)
 
@@ -123,29 +136,31 @@ class TestMasslessIntegrand:
     @pytest.mark.parametrize("crossed", [True, False])
     @pytest.mark.parametrize("eps", [1e-5, 0.02, 0.3, 0.4999, 0.5, 0.9, 0.999])
     def test_line_form_matches_mpmath(self, eps, crossed):
-        # node by node on the whole line at the heights j/2, exact in binary,
-        # negative ones included, against the six gamma factors at 30 digits
-        # on the exact line (eps - 1)/2 or -1 + eps/2 (the scalar form is
-        # 1.8e-11 off at eps = 1e-5 on the uncrossed line); the phase
-        # exp(i fl(y fl(ln(t/s)))) was 1.6e-14 off at |y| = 5, |t/s| = 1e8
+        # Re f and |f| node by node on the whole line at the heights j/2,
+        # exact in binary, negative ones included, against the six gamma
+        # factors at 30 digits on the exact line (eps - 1)/2 or -1 + eps/2
+        # (the scalar form is 1.8e-11 off at eps = 1e-5 on the uncrossed
+        # line); the phase exp(i fl(y fl(ln(t/s)))) was 1.6e-14 off at
+        # |y| = 5, |t/s| = 1e8
         j = np.arange(-12, 13)
         y = 0.5 * j
         for ratio in (1e-8, 1.0, 1e8):
             k = Kinematics(s=-1.5, t=-1.5 * ratio, eps=eps)
-            f = mb_engine._conjugate_line(k, 0.5, j, crossed)
+            re, size = mb_engine._line_nodes(k, 0.5, j, crossed)
             with mpmath.workdps(30):
                 e = mpmath.mpf(eps)
                 c = (e - 1) / 2 if crossed else e / 2 - 1
-                for yi, fi in zip(y, f):
-                    ref = mp_integrand(c + 1j * mpmath.mpf(yi), k)
-                    assert abs(fi - ref) <= 1e-14 * abs(ref), (ratio, yi)
+                for yi, ri, si in zip(y, re, size):
+                    ref = complex(mp_integrand(c + 1j * mpmath.mpf(yi), k))
+                    assert abs(ri - ref.real) <= 1e-14 * abs(ref), (ratio, yi)
+                    assert abs(si - abs(ref)) <= 1e-14 * abs(ref), (ratio, yi)
 
     def test_grid_finite_far_up_the_line(self):
         for eps in (0.3, 0.7):
             for crossed in (True, False):
-                f = mb_engine._conjugate_line(Kinematics(s=-1.0, t=-2.0, eps=eps),
-                                              100.0, np.array([-4, 3]), crossed)
-                assert np.all(f == 0.0)
+                re, size = mb_engine._line_nodes(Kinematics(s=-1.0, t=-2.0, eps=eps),
+                                                 100.0, np.array([-4, 3]), crossed)
+                assert np.all(re == 0.0) and np.all(size == 0.0)
 
 
 class TestMasslessQuadrature:
@@ -173,12 +188,12 @@ class TestMasslessQuadrature:
         # nodes - 1 even puts Im w = 0 on the coarse rule, odd leaves it off
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
         spec = ContourSpec(massless_line(k, crossed).abscissa, 6.0, nodes)
-        full = mb_engine._conjugate_line(k, spec.step, full_nodes(spec), crossed)
-        upper = mb_engine._conjugate_line(k, spec.step, spec.upper_nodes(), crossed)
+        full, full_size = mb_engine._line_nodes(k, spec.step, full_nodes(spec), crossed)
+        upper, size = mb_engine._line_nodes(k, spec.step, spec.upper_nodes(), crossed)
         first = (nodes - 1) % 2
-        for half, whole in ((mb_engine._mirror_sum(upper.real), np.sum(full)),
-                            (mb_engine._mirror_sum(upper.real, first, 2), np.sum(full[::2])),
-                            (mb_engine._mirror_sum(np.abs(upper)), np.sum(np.abs(full)))):
+        for half, whole in ((mb_engine._mirror_sum(upper), np.sum(full)),
+                            (mb_engine._mirror_sum(upper, first, 2), np.sum(full[::2])),
+                            (mb_engine._mirror_sum(size), np.sum(full_size))):
             assert abs(half - whole) < 1e-13 * abs(whole)
 
     @pytest.mark.parametrize("crossed", [True, False])
@@ -187,12 +202,12 @@ class TestMasslessQuadrature:
         # at s = -1 with |t| <= |s| the point is its own unit point on both lines
         k = Kinematics(s=-1.0, t=-0.5, eps=0.3)
         spec = ContourSpec(massless_line(k, crossed).abscissa, 8.0, nodes)
-        full = mb_engine._conjugate_line(k, spec.step, full_nodes(spec), crossed)
+        full = mb_engine._line_nodes(k, spec.step, full_nodes(spec), crossed)[0]
         residue = mb_engine._crossed_residue(k, 1.0)[0] if crossed else 0.0
         weight = spec.step / (2.0 * math.pi)
         fine = weight * np.sum(full) - residue
         coarse = 2.0 * weight * np.sum(full[::2]) - residue
-        v = mb_massless_eval(k, spec)
+        v = mb_massless_eval(k, crossed, nodes=nodes, height=8.0)
         assert abs(v.value - fine) < 1e-14 * abs(fine)
         assert abs(v.diagnostics["node_doubling_delta"] - abs(fine - coarse)) < 1e-14 * abs(fine)
 
@@ -201,18 +216,55 @@ class TestMasslessQuadrature:
     def test_one_abs_gamma_line_per_point(self, eps, crossed, monkeypatch):
         # both lines are self-conjugate, also with other nodes and height:
         # one gamma_abs2_line call of ``nodes`` heights and no log-gamma line
-        sizes = {"ln_gamma_line": [], "gamma_abs2_line": []}
-        for name in sizes:
-            def counting(*args, real=getattr(sf, name), calls=sizes[name]):
-                calls.append(args[-1].size)  # the heights y
-                return real(*args)
-            monkeypatch.setattr(mb_engine, name, counting)
+        sizes = counting_lines(monkeypatch)
         k = Kinematics(s=-1.0, t=-2.0, eps=eps)
-        line = massless_line(k, crossed)
-        for spec in (line, ContourSpec(line.abscissa, 4.0, 301)):
-            mb_massless_eval(k, spec)
-            assert sizes == {"ln_gamma_line": [], "gamma_abs2_line": [spec.nodes]}
+        for options in ({}, {"nodes": 301, "height": 4.0}):
+            v = mb_massless_eval(k, crossed, **options)
+            assert v.diagnostics["passes"] == 1
+            assert sizes == {"ln_gamma_line": [], "gamma_abs2_line": [v.diagnostics["nodes"]]}
             sizes["gamma_abs2_line"].clear()
+
+    @pytest.mark.parametrize("ratio", [1e-8, 1e8])
+    @pytest.mark.parametrize("eps", [0.6, 0.9])
+    def test_refined_point_against_mpmath(self, eps, ratio, monkeypatch):
+        # at |t/s| = 1e+-8 the default line's first step misses the delta:
+        # the second pass halves it, evaluates the n - 1 new nodes only, and
+        # is within 1e-13 of mpmath, its estimate at least its error
+        sizes = counting_lines(monkeypatch)
+        k = Kinematics(s=-1.0, t=-ratio, eps=eps)
+        first = select_contour_massless(k).nodes
+        v = mb_massless_eval(k)
+        assert v.diagnostics["passes"] == 2
+        assert v.diagnostics["nodes"] == 2 * first - 1
+        assert v.diagnostics["step"] == select_contour_massless(k).step / 2.0
+        assert sizes["gamma_abs2_line"] == [first, first - 1]
+        error = mp_error(v.value.real, -1.0, -ratio, eps, dps=40)
+        assert error <= 1e-13 * abs(v.value)
+        assert error <= v.diagnostics["error_estimate"]
+
+    def test_explicit_nodes_take_one_pass(self):
+        # the same point with the first pass's node count given explicitly
+        # is not refined: it refuses the delta; with the second pass's count
+        # it is the refined value, up to the order of the sums
+        k = Kinematics(s=-1.0, t=-1e-8, eps=0.9)
+        first = select_contour_massless(k).nodes
+        with pytest.raises(NotConverged, match="node-doubling delta"):
+            mb_massless_eval(k, nodes=first)
+        single = mb_massless_eval(k, nodes=2 * first - 1)
+        refined = mb_massless_eval(k)
+        assert single.diagnostics["passes"] == 1
+        assert abs(single.value - refined.value) <= 1e-14 * abs(refined.value)
+
+    def test_non_finite_value_is_not_refined(self, monkeypatch):
+        # at s = t = -1e-200 the box is out of the double range: one pass,
+        # and a value that the CLI refuses as NonConvergence at the scale
+        sizes = counting_lines(monkeypatch)
+        k = Kinematics(s=-1e-200, t=-1e-200, eps=0.3)
+        with np.errstate(all="ignore"):
+            v = mb_massless_eval(k)
+        assert not cmath.isfinite(v.value)
+        assert v.diagnostics["passes"] == 1
+        assert sizes["gamma_abs2_line"] == [select_contour_massless(k).nodes]
 
     @pytest.mark.parametrize("eps", [0.02, 0.3, 0.7, 0.97])
     def test_abscissa_shift_invariance(self, eps):
@@ -220,41 +272,42 @@ class TestMasslessQuadrature:
         # crossed one subtracts its residue
         for s, t in ((-1.0, -2.0), (-2.0, -1.0)):
             k = Kinematics(s=s, t=t, eps=eps)
-            crossed = mb_massless_eval(k, massless_line(k, True)).value
-            uncrossed = mb_massless_eval(k, massless_line(k, False)).value
+            crossed = mb_massless_eval(k, True).value
+            uncrossed = mb_massless_eval(k, False).value
             assert abs(crossed - uncrossed) < 1e-10 * abs(uncrossed), (s, t)
 
     @pytest.mark.parametrize("eps", [1e-6, 0.2, 0.3, 0.5, 0.99])
     def test_infeasible_abscissa_rejected(self, eps):
-        # only the two lines are taken, told apart by exact equality: not the
-        # pole eps - 1, the edges 0 and -1, a point past them, nor a line
-        # next to either
+        # the line is named by a flag: an abscissa in its place, as a float
+        # or as a line, is refused, also that of either line itself, and so
+        # is the pole eps - 1, the edges 0 and -1, a point past them, and a
+        # line next to either
         k = Kinematics(s=-1.0, t=-2.0, eps=eps)
         lines = [massless_line(k, crossed).abscissa for crossed in (True, False)]
-        others = [eps - 1.0, 0.0, -1.0, 0.5, -0.8, -0.2] + [
+        others = [eps - 1.0, 0.0, -1.0, 0.5, -0.8, -0.2] + lines + [
             math.nextafter(c, side) for c in lines for side in (-1.0, 0.0)]
         for c in others:
-            with pytest.raises(InfeasibleContour):
-                mb_massless_eval(k, ContourSpec(c, 6.0, 4096))
+            for given in (c, ContourSpec(c, 6.0, 4096)):
+                with pytest.raises(InfeasibleContour, match="crossed=True or crossed=False"):
+                    mb_massless_eval(k, given)
 
     def test_trapezoid_rule(self):
         # an explicit line, well away from the default height and step
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
-        v = mb_massless_eval(k, ContourSpec(massless_line(k, False).abscissa, 8.0, 2001))
+        v = mb_massless_eval(k, False, nodes=2001, height=8.0)
         c = massless_box(k).value
         assert abs(v.value - c) < 1e-12 * abs(c)
         assert v.diagnostics["step"] == 8.0 / 2000
 
     def test_not_converged_reported(self):
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
-        under_resolved = ContourSpec(massless_line(k, False).abscissa, 6.0, 40)
         with pytest.raises(NotConverged):
-            mb_massless_eval(k, under_resolved)
+            mb_massless_eval(k, False, nodes=40)
 
     def test_node_cap_checked_before_allocation(self):
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
         with pytest.raises(NotConverged):
-            mb_massless_eval(k, ContourSpec(massless_line(k, False).abscissa, 6.0, 10 ** 12))
+            mb_massless_eval(k, False, nodes=10 ** 12)
         # the one-mass rule still sets its step by a pole gap of eps/3
         k = onemass_point(1e-6)
         assert select_contour_onemass(k)[0].nodes > 1000 * MAX_NODES
@@ -311,7 +364,7 @@ class TestMasslessQuadrature:
             k = Kinematics(s=s, t=t, eps=eps)
             for crossed in (True, False):
                 try:
-                    v = mb_massless_eval(k, massless_line(k, crossed))
+                    v = mb_massless_eval(k, crossed)
                 except NotConverged:
                     continue
                 error = mp_error(v.value.real, s, t, eps, dps=40)
@@ -330,6 +383,7 @@ class TestOneMassQuadrature:
         c = onemass_box(k).value
         assert abs(v.value - c) < 1e-11 * abs(c)
         assert abs(v.value - c) <= v.diagnostics["error_estimate"]
+        assert v.diagnostics["passes"] == 1
 
     @pytest.mark.parametrize("s,t,m2,eps", [(-1.0, -2.0, -0.5, 0.02), (-1.0, -2.0, -0.5, 0.2),
                                             (-1.0, -2.0, -0.5, 0.6), (-1.0, -10.0, -3.0, 0.7),

@@ -130,6 +130,27 @@ class TestGammaFamily:
                     ref = mpmath.loggamma(mpmath.mpc(x, yi))
                     assert float(abs(m - ref.real) + abs(p - ref.imag)) <= bound, (x, yi)
 
+    @pytest.mark.parametrize("n", [2, 31, 160, 1369])
+    def test_lanczos_block_sums_as_the_loop(self, n):
+        # the (14, n) block takes the terms in the order of a loop over
+        # k = 14 .. 1, bit for bit, at the massless and one-mass lengths
+        import numpy as np
+
+        def loop(x, y, y2):
+            re_s, sum_im = np.full(y.shape, sf._LANCZOS_COEF[0]), np.zeros(y.shape)
+            for k in range(len(sf._LANCZOS_COEF) - 1, 0, -1):
+                xk = x - 1.0 + k
+                term = sf._LANCZOS_COEF[k] / (xk * xk + y2)
+                re_s += xk * term
+                sum_im += term
+            return re_s, -y * sum_im
+
+        rng = np.random.default_rng(n)
+        for x in rng.uniform(0.25, 2.0, 8):
+            y = rng.uniform(-14.0, 14.0, n)
+            for block, ref in zip(sf._lanczos_sums(x, y, y * y), loop(x, y, y * y)):
+                assert np.array_equal(block, ref), x
+
 
 class TestDilogarithm:
     def test_trivia(self):
@@ -204,10 +225,25 @@ class TestHypergeometric:
             ref = complex(mpmath.hyp2f1(a, b, c, z))
         assert abs(sf.f21_general_series(a, b, c, z) - ref) <= 1e-9 * abs(ref)
 
-    def test_series_that_cannot_converge_raises_at_the_cap(self):
-        # |z| = 0.9999 needs about 4e5 terms, more than the cap
+    def test_series_that_cannot_converge_raises_at_the_cap(self, monkeypatch):
+        # |z| = 0.9999 needs about 4e5 terms, more than the cap: refused
+        # before the loop, from the size of the term at the cap; the loop's
+        # own refusal stays for a series that the check lets through
+        with pytest.raises(NonConvergence, match="cannot reach 1e-16 within the 100000-term cap"):
+            sf.f21_general_series(1.0, 0.3, 1.3, 0.9999)
+        monkeypatch.setattr(sf, "_cap_falls_short", lambda *args: False)
         with pytest.raises(NonConvergence, match="hit the 100000-term cap at [|]z[|]=0.999900"):
             sf.f21_general_series(1.0, 0.3, 1.3, 0.9999)
+
+    @pytest.mark.parametrize("z", [0.999, 0.99965, -0.999])
+    def test_series_that_the_cap_reaches_is_summed(self, z):
+        # |z|^cap alone is above 1e-16 at 0.99965, but the 1/n of the terms
+        # takes them below it: summed, as at 0.999 (the tolerance of the
+        # near-unit sums above: 9e4 terms carry rounding)
+        assert not sf._cap_falls_short(1.0, 0.3, 1.3, z)
+        with mpmath.workdps(30):
+            ref = float(mpmath.hyp2f1(1, 0.3, 1.3, z))
+        assert abs(sf.f21_general_series(1.0, 0.3, 1.3, z) - ref) <= 1e-9 * abs(ref)
 
     def test_euler_integral_agreement(self):
         # series evaluation against the Euler-integral quadrature
