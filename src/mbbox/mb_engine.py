@@ -191,7 +191,8 @@ def select_contour_onemass(k: Kinematics) -> tuple[ContourSpec, ContourSpec]:
     makes all three eps/3 (see :func:`_onemass_abscissae`); the other four
     are 2 eps/3 or 1 - 2 eps/3.  Both lines share one step, set by that
     pole gap of eps/3.  On this pair the three log-gamma lines coincide, and
-    so do the two cosecant lines (see :func:`_onemass_grids`).  Four or six
+    so do the two cosecant lines, each of L = max(na, nb) heights for na
+    and nb nodes on the lines (see :func:`_onemass_grids`).  Four or six
     gamma factors fall along alpha, beta and alpha = -beta, so beyond height
     7 |f| is below exp(-2 pi 7) = e^-44 of its peak.
     """
@@ -209,10 +210,11 @@ def select_contour_onemass(k: Kinematics) -> tuple[ContourSpec, ContourSpec]:
 # Worst absolute error of a log-gamma on the one-mass lines against mpmath:
 # ln|Gamma| plus arg Gamma of specfun.ln_gamma_line is within 4.1e-15 for
 # |Im| <= 3 (past that |f| is below about e^-19 of its peak) and 1.5e-14 up to
-# the sigma line's top at 14; :func:`_pi_csc_line` within 1.3e-15 and 7.6e-15.
+# 14, twice the sigma line's top; :func:`_pi_csc_line` within 1.3e-15 and 7.6e-15.
 # The estimate counts it once per gamma factor of the scalar integrand, seven
 # a node, for three log-gammas and two cosecants: the rounding of h^2 sum f is
-# at most that times h^2 sum |f|; the FFT adds about log2(length) * 2.2e-16 of it.
+# at most that times h^2 sum |f|; the spectra add about log2(N) * 2.2e-16 of
+# it, for the FFT length N, about 3n for n nodes a line.
 _LN_GAMMA_ERR = 1e-14
 
 # The rounding of a massless point on either line (see :func:`_line_nodes`):
@@ -253,7 +255,7 @@ def _mirror_sum(x: np.ndarray, first: int = 0, stride: int = 1) -> float:
 
 
 def _contour_value(specs: tuple, fine: complex, coarse: complex, tail: float,
-                   rounding: float, rtol: float, passes: int = 1) -> BoxValue:
+                   rounding: float, rtol: float, passes: int = 1, **counters) -> BoxValue:
     """The doubled rule's sum as an ``mb`` BoxValue with its diagnostics.
 
     A node-doubling delta above ``rtol`` relative to the value raises
@@ -261,7 +263,8 @@ def _contour_value(specs: tuple, fine: complex, coarse: complex, tail: float,
     error, so the error estimate adds delta^2 / |value|, the truncation tail
     and the rounding of the sum.  ``specs`` holds the one massless line or
     the (inner, outer) one-mass pair, reported as numbers or as pairs;
-    ``passes`` is 1 plus the number of times the step was halved.
+    ``passes`` is 1 plus the number of times the step was halved, and the
+    work ``counters`` follow it.
     """
     delta = abs(fine - coarse)
     if delta > rtol * abs(fine):
@@ -274,6 +277,7 @@ def _contour_value(specs: tuple, fine: complex, coarse: complex, tail: float,
     return BoxValue(complex(fine), "mb", {
         **lines,
         "passes": passes,
+        **counters,
         "step": specs[0].step,
         "tail_estimate": tail,
         "node_doubling_delta": delta,
@@ -457,21 +461,6 @@ def mb_onemass_integrand(alpha, beta, k: Kinematics):
         - ln_gamma(2.0 * e).real)
 
 
-def _correlate(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """out[i] = sum_j a[j] c[i + j], by FFT, in real arithmetic for real rows.
-
-    The circular correlation on a power-of-two length of at least c's
-    length wraps around only into the entries it drops.
-    """
-    na, nc = len(a), len(c)
-    size = 1 << (nc - 1).bit_length()
-    if np.iscomplexobj(c):
-        out = np.fft.ifft(np.fft.fft(a[::-1], size) * np.fft.fft(c, size))
-    else:
-        out = np.fft.irfft(np.fft.rfft(a[::-1], size) * np.fft.rfft(c, size), size)
-    return out[na - 1:nc]
-
-
 def _pi_csc_line(u: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(ln|pi csc pi(u + iy)|, arg pi csc pi(u + iy)) at heights y, 0 < u < 1.
 
@@ -489,8 +478,9 @@ def _pi_csc_line(u: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _onemass_grids(k: Kinematics, h: float, na: int, nb: int
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A(alpha), B(beta) and C(sigma) of the default pair at the unit point,
-    at the heights j h >= 0, na, nb and na + nb - 1 of them: their product
-    at sigma = alpha + beta is the integrand over (-msq)^a0
+    at the heights j h >= 0, na, nb and L = max(na, nb) of them (the
+    hexagon of :func:`_mb_onemass_sums`): their product at
+    sigma = alpha + beta is the integrand over (-msq)^a0
     (-t)^(eps - 2 - a0 - b0) / Gamma(2 eps), since (-s)^beta = 1.
 
     With Gamma(conj z) = conj Gamma(z), Gamma(-alpha), Gamma(eps - 1 - beta)
@@ -500,7 +490,7 @@ def _onemass_grids(k: Kinematics, h: float, na: int, nb: int
     off the line at 2 eps/3, each grid as one exp(modulus + i phase).
     """
     third = k.eps / 3.0
-    y = h * np.arange(na + nb - 1)
+    y = h * np.arange(max(na, nb))
     ln_msq, ln_t = math.log(-k.msq), math.log(-k.t)
     lg, arg = ln_gamma_line(third, y)
     csc, csc_arg = _pi_csc_line(2.0 * third, y)
@@ -511,49 +501,61 @@ def _onemass_grids(k: Kinematics, h: float, na: int, nb: int
     return a, b, c
 
 
-def _mirrored(upper: np.ndarray) -> np.ndarray:
-    """The whole line of a grid with f(conj w) = conj f(w), from its upper
-    half: upper[j] at Im w = j h becomes entry j of the result's Im >= 0 side."""
-    return np.concatenate([upper[:0:-1].conj(), upper])
+def _fft_length(n: int) -> int:
+    """Least even length >= n of the form 2^i, 3 2^i or 5 2^i, which numpy's
+    FFT takes faster than the next power of two."""
+    return min(m << max(1, (-(-n // m) - 1).bit_length()) for m in (1, 3, 5))
 
 
 def _mb_onemass_sums(k: Kinematics, ca: ContourSpec, cb: ContourSpec
-                     ) -> tuple[float, float, tuple[float, float]]:
+                     ) -> tuple[float, float, tuple[float, float, int]]:
     """Real parts of the doubled and coarse trapezoid sums of the double
-    contour, then the doubled sum of |f| and the tail estimate.
+    contour, then the doubled sum of |f|, the tail estimate and the FFT length.
 
-    Three gamma factors depend on alpha + beta only, so on grids with one
-    step h the double sum is sum_i B_i sum_j A_j C_{i+j}, with A in alpha
-    (inner), B in beta (outer) and C on the grid of alpha + beta.  That is
-    one correlation: O(n) gamma evaluations and an O(n log n) FFT.  A, B
-    and C are conjugate-symmetric about Im 0, so they are built on their
-    upper halves (see :func:`_onemass_grids`) and mirrored.  The coarse
-    rule correlates every other node; |f| = |A| |B| |C| is smooth, so
-    h^2 sum |f| is 4 times the coarse rule's, by a real correlation.  The
-    tail estimate sums |f| at the top corner and at the top centre of both
-    edges, all of them grid nodes.
+    Three gamma factors depend on sigma = alpha + beta only, so on grids
+    with one step h the double sum is sum A_p B_q C'_r over p + q + r = 0,
+    with A in alpha (inner), B in beta (outer) and C'_r = C_{-r} = conj C_r
+    in sigma: the mean over N frequencies, N too long to wrap around, of the
+    product of the three spectra.  A, B and C are conjugate-symmetric about
+    Im 0, so each spectrum is real, one ``hfft`` of its upper half (see
+    :func:`_onemass_grids`).  The sum runs over the hexagon |alpha|, |beta|,
+    |sigma| <= H: the corners of the square that it drops, alpha and beta of
+    one sign with |sigma| > H, lie below e^(-5 pi H/2) of the peak, under
+    the edge nodes that the tail counts.  The coarse rule keeps each line's
+    nodes of its top node's parity, whose spectrum is (X_k + s X_{k+N/2})/2,
+    s = +1 when they include Im 0 and -1 when not; C's parity is the sum of
+    A's and B's, so the coarse sum needs the first N/2 frequencies.  |f| is
+    smooth, so h^2 sum |f| is 4 times the sum over the even nodes, at length
+    N/2.  The tail estimate sums |f| at the top centre of the alpha and beta
+    edges and at the middle of the sigma edge, all of them grid nodes.
     """
     u, factor = k.unit
     e, third = u.eps, u.eps / 3.0
     h = ca.step
     na, nb = len(ca.upper_nodes()), len(cb.upper_nodes())  # within the node cap
-    a, b, c = (_mirrored(g) for g in _onemass_grids(u, h, na, nb))
+    a, b, c = _onemass_grids(u, h, na, nb)
+    top = len(c) - 1
+    n = _fft_length(na + nb + top - 1)
     # (-msq)^a0 (-t)^(eps - 2 - a0 - b0) = (-t)^eps / (-t) (msq t)^(-eps/3) by pow: an
     # exp of summed logs would put ulps of ln(-t) on every node alike
     kinematic = (-u.t) ** e / -u.t * (-u.msq) ** -third * (-u.t) ** -third
     scale = factor * kinematic / math.gamma(2.0 * e) / (4.0 * math.pi ** 2)
-    weight = h * h * scale
-    # the box is real in the Euclidean region: the imaginary parts are rounding
-    fine = weight * float((b @ _correlate(a, c)).real)
-    a2, b2, c2 = a[::2], b[::2], c[::2]
-    coarse = 4.0 * weight * float((b2 @ _correlate(a2, c2)).real)
-    abs_sum = 4.0 * weight * float(np.abs(b2) @ _correlate(np.abs(a2), np.abs(c2)))
-    # alpha and beta at the top of their lines or at Im 0
-    ia, ib = len(a) - 1, len(b) - 1
-    ja, jb = ca.nodes - 1, cb.nodes - 1
-    tail = scale * float(abs(a[ia] * b[ib] * c[ia + ib]) + abs(a[ia] * b[jb] * c[ia + jb])
-                         + abs(a[ja] * b[ib] * c[ja + ib]))
-    return fine, coarse, (abs_sum, tail)
+    weight = h * h * scale / n
+    # the products cancel, so they are summed pairwise, by sum(): a dot
+    # product's running sum cost 0.2 digits of the median at eps < 0.01
+    spectra = np.array([np.fft.hfft(g, n) for g in (a, b, c.conj())])
+    fine = weight * float(spectra.prod(axis=0).sum())
+    # the coarse nodes include Im 0 when a line has an odd node count
+    sa, sb = (1 if m % 2 else -1 for m in (na, nb))
+    half = spectra[:, :n // 2] + np.array([[sa], [sb], [sa * sb]]) * spectra[:, n // 2:]
+    coarse = weight * float(half.prod(axis=0).sum())
+    even = np.array([np.fft.hfft(np.abs(g[::2]), n // 2) for g in (a, b, c)])
+    abs_sum = 8.0 * weight * float(even.prod(axis=0).sum())
+    # alpha at its top and beta at Im 0, the reverse, and sigma's top nearest (H/2, H/2)
+    ia = min(na - 1, max(top + 1 - nb, top // 2))
+    tail = scale * float(abs(a[-1] * b[0] * c[na - 1]) + abs(a[0] * b[-1] * c[nb - 1])
+                         + abs(a[ia] * b[top - ia] * c[top]))
+    return fine, coarse, (abs_sum, tail, n)
 
 
 def mb_onemass_eval(k: Kinematics, ca: ContourSpec | None = None,
@@ -564,24 +566,37 @@ def mb_onemass_eval(k: Kinematics, ca: ContourSpec | None = None,
     and then the pair is :func:`select_contour_onemass`'s; abscissae other
     than that default pair's raise :class:`InfeasibleContour`.  The grids
     read every factor off one log-gamma and one cosecant half-line of
-    2n - 1 points for n nodes a line (see :func:`_mb_onemass_sums`).  The
-    rounding term counts the seven gamma factors of the scalar integrand per
-    node and h^2 sum |f| / 4 pi^2, and the delta is held to
-    ``ONEMASS_DELTA_RTOL`` (see :func:`_contour_value`).
+    max(na, nb) points (see :func:`_mb_onemass_sums`).  The rounding term
+    counts the seven gamma factors of the scalar integrand per node and
+    h^2 sum |f| / 4 pi^2.  On the default pair, while the node-doubling
+    delta is above ``ONEMASS_DELTA_RTOL`` of the value, both lines go to
+    2n - 1 nodes and the sums are redone, up to ``MAX_NODES``; a given pair
+    keeps one pass, which refuses such a delta (see :func:`_contour_value`).
+    ``gamma_points`` sums the log-gamma lines' heights over the passes.
     """
     k.require_onemass()
     if (ca is None) != (cb is None):
         raise InfeasibleContour("give both contours or neither")
-    if ca is None:
+    refine = ca is None
+    if refine:
         ca, cb = select_contour_onemass(k)
     if (ca.abscissa, cb.abscissa) != _onemass_abscissae(k.eps):
         raise InfeasibleContour(f"abscissae ({ca.abscissa}, {cb.abscissa}) are not the one-mass "
                                 f"pair for eps={k.eps}: (-eps/3, -1 + 2 eps/3)")
     if not math.isclose(ca.step, cb.step, rel_tol=1e-12):
         raise InfeasibleContour(f"contour steps differ: {ca.step} and {cb.step}")
-    fine, coarse, (abs_sum, tail) = _mb_onemass_sums(k, ca, cb)
+    passes = gamma_points = 0
+    while True:
+        fine, coarse, (abs_sum, tail, fft_length) = _mb_onemass_sums(k, ca, cb)
+        passes += 1
+        gamma_points += max(ca.nodes, cb.nodes)
+        # a value that is not finite ends it: no delta is above a multiple of it
+        if not (refine and abs(fine - coarse) > ONEMASS_DELTA_RTOL * abs(fine)):
+            break
+        ca, cb = (ContourSpec(c.abscissa, c.height, 2 * c.nodes - 1) for c in (ca, cb))
     rounding = 7.0 * _LN_GAMMA_ERR * abs_sum
-    return _contour_value((ca, cb), fine, coarse, tail, rounding, ONEMASS_DELTA_RTOL)
+    return _contour_value((ca, cb), fine, coarse, tail, rounding, ONEMASS_DELTA_RTOL, passes,
+                          gamma_points=gamma_points, fft_length=fft_length)
 
 
 # ---------------------------------------------------------------------------

@@ -41,11 +41,6 @@ def full_nodes(spec):
     return np.arange(1 - spec.nodes, spec.nodes)
 
 
-def full_line(spec):
-    """w on the doubled rule over the whole line (see :func:`full_nodes`)."""
-    return spec.abscissa + 1j * spec.step * full_nodes(spec)
-
-
 def counting_lines(monkeypatch):
     """The heights of every gamma_abs2_line and ln_gamma_line call that
     mb_engine makes from now on, per function."""
@@ -407,6 +402,28 @@ class TestOneMassQuadrature:
         error = mp_error(v.value.real, -1.0, -2.0, eps, -0.5, dps=40)
         assert error <= v.diagnostics["error_estimate"]
 
+    @pytest.mark.parametrize("s,t,m2,eps", [(-1.0, -2.6e6, -6.5e-7, 0.9982),
+                                            (-1.0, -0.28, -1.24e7, 0.999999),
+                                            (-1.0, -1.18e7, -3.2e-3, 0.9555)])
+    def test_refines_where_the_delta_asks(self, s, t, m2, eps, monkeypatch):
+        # where the phase cancels the value far below h^2 sum |f| the first
+        # pair misses ONEMASS_DELTA_RTOL: the default rule doubles the nodes
+        # of both lines and redoes the sums, and gamma_points counts every
+        # pass's log-gamma line; the given pair keeps one pass and refuses
+        k = Kinematics(s=s, t=t, eps=eps, msq=m2)
+        sizes = counting_lines(monkeypatch)["ln_gamma_line"]
+        v = mb_onemass_eval(k)
+        first, _ = select_contour_onemass(k)
+        d = v.diagnostics
+        assert d["passes"] == len(sizes) >= 2
+        assert d["nodes"][0] == (first.nodes - 1) * 2 ** (d["passes"] - 1) + 1
+        assert d["gamma_points"] == sum(sizes)
+        error = mp_error(v.value.real, s, t, eps, m2, dps=40)
+        assert error <= 1e-12 * abs(v.value)
+        assert error <= d["error_estimate"]
+        with pytest.raises(NotConverged, match="node-doubling delta"):
+            mb_onemass_eval(k, *select_contour_onemass(k))
+
     @pytest.mark.parametrize("s,t,m2,eps", [(-1.0, -1.0, -0.5, 0.4), (-1.0, -2.0, -0.5, 0.3)])
     def test_value_exactly_real(self, s, t, m2, eps):
         assert mb_onemass_eval(Kinematics(s=s, t=t, eps=eps, msq=m2)).value.imag == 0.0
@@ -417,9 +434,32 @@ class TestOneMassQuadrature:
         c = onemass_box(k).value
         assert abs(v.value - c) < 1e-11 * abs(c)
 
+    @staticmethod
+    def hexagon_sums(k, ca, cb):
+        """h^2 / 4 pi^2 times the scalar integrand summed over the doubled
+        and the coarse rule's nodes of the hexagon |alpha|, |beta|,
+        |alpha + beta| <= H, with H the higher line's top, then 4 times its
+        modulus summed over the even nodes: the coarse nodes of a line are
+        those of its top node's parity."""
+        top = max(ca.nodes, cb.nodes) - 1
+        fine = coarse = 0j
+        size = 0.0
+        for p in full_nodes(ca):
+            for q in full_nodes(cb):
+                if abs(p + q) <= top:
+                    f = mb_onemass_integrand(ca.abscissa + 1j * ca.step * p,
+                                             cb.abscissa + 1j * cb.step * q, k)
+                    fine += f
+                    if (p - ca.nodes + 1) % 2 == (q - cb.nodes + 1) % 2 == 0:
+                        coarse += f
+                    if p % 2 == q % 2 == 0:
+                        size += abs(f)
+        weight = ca.step * cb.step / (4.0 * math.pi ** 2)
+        return weight * fine, 4.0 * weight * coarse, 4.0 * weight * size
+
     def test_fft_correlation_matches_direct_double_sum(self):
-        # the factorised FFT sum against the scalar integrand summed over
-        # every node pair of the same doubled grids: the default pair at
+        # the spectral sum against the scalar integrand summed over every node
+        # pair of the same doubled grids in the hexagon: the default pair at
         # s != -1 (the unit scaling), with 79 x 65 nodes of one step, so the
         # inner line is the longer one and its coarse nodes skip Im 0
         k = Kinematics(s=-2.0, t=-0.5, eps=0.6, msq=-1.0)
@@ -427,33 +467,54 @@ class TestOneMassQuadrature:
         ca, cb = ContourSpec(a0, 4.875, 40), ContourSpec(b0, 4.0, 33)
         assert ca.step == cb.step == 0.125
         fine, coarse, _ = mb_engine._mb_onemass_sums(k, ca, cb)
-        h = ca.step
-        alpha = full_line(ca)
-        beta = full_line(cb)
-        direct = sum(mb_onemass_integrand(a, b, k) for a in alpha for b in beta)
-        direct *= h * h / (4.0 * math.pi ** 2)
+        direct, direct_coarse, _ = self.hexagon_sums(k, ca, cb)
         assert abs(fine - direct) < 1e-13 * abs(direct)
-        direct_coarse = sum(mb_onemass_integrand(a, b, k)
-                            for a in alpha[::2] for b in beta[::2])
-        direct_coarse *= 4.0 * h * h / (4.0 * math.pi ** 2)
         assert abs(coarse - direct_coarse) < 1e-13 * abs(direct_coarse)
 
-    def test_fft_correlation_matches_direct_double_sum_on_the_default_pair(self):
-        # the shared-line path: at eps = 0.3 the default pair is (-0.1, -0.8),
-        # where one log-gamma and one cosecant half-line give every factor
+    @pytest.mark.parametrize("na, nb", [(41, 33), (33, 40), (44, 43), (34, 40)])
+    def test_fft_correlation_matches_direct_double_sum_on_the_default_pair(self, na, nb):
+        # the shared-line path at height about 4, where the corners the
+        # hexagon drops matter at 1e-13: at eps = 0.3 the default pair is
+        # (-0.1, -0.8), where one log-gamma and one cosecant half-line give
+        # every factor; odd and even node counts on each line, so the coarse
+        # nodes of either line include Im 0 or skip it, each line the longer;
+        # at 44 x 43 nodes the least length that does not wrap around, 129,
+        # is just above a power of two
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3, msq=-0.5)
         a0, b0 = (c.abscissa for c in select_contour_onemass(k))
         assert abs(a0 + 0.1) < 1e-15 and abs(b0 + 0.8) < 1e-15
-        ca, cb = ContourSpec(a0, 4.0, 33), ContourSpec(b0, 4.0, 33)
-        fine, coarse, _ = mb_engine._mb_onemass_sums(k, ca, cb)
-        alpha = full_line(ca)
-        beta = full_line(cb)
-        weight = ca.step ** 2 / (4.0 * math.pi ** 2)
-        direct = weight * sum(mb_onemass_integrand(a, b, k) for a in alpha for b in beta)
+        ca, cb = ContourSpec(a0, (na - 1) / 8.0, na), ContourSpec(b0, (nb - 1) / 8.0, nb)
+        fine, coarse, (size, _, length) = mb_engine._mb_onemass_sums(k, ca, cb)
+        direct, direct_coarse, direct_size = self.hexagon_sums(k, ca, cb)
         assert abs(fine - direct) < 1e-13 * abs(direct)
-        direct_coarse = 4.0 * weight * sum(mb_onemass_integrand(a, b, k)
-                                           for a in alpha[::2] for b in beta[::2])
         assert abs(coarse - direct_coarse) < 1e-13 * abs(direct_coarse)
+        assert abs(size - direct_size) < 1e-13 * direct_size
+        # the least even 2^i, 3 2^i or 5 2^i that does not wrap around
+        assert length == min(m << i for m in (1, 3, 5) for i in range(1, 12)
+                             if m << i >= na + nb + max(na, nb) - 2)
+
+    @pytest.mark.parametrize("s,t,m2,eps", [(-1.0, -2.0, -0.5, 0.3), (-1.0, -100.0, -0.01, 0.95)])
+    def test_hexagon_within_the_tail_of_the_square(self, s, t, m2, eps):
+        # at the default height the corners of the square that the hexagon
+        # drops, alpha and beta of one sign with |alpha + beta| > H, sum to
+        # less than the reported tail, also in modulus; they are summed off
+        # the same grids, with C up to 2H, and scaled by the scalar integrand
+        k = Kinematics(s=s, t=t, eps=eps, msq=m2)
+        ca, cb = select_contour_onemass(k)
+        na, nb = ca.nodes, cb.nodes
+        a, b, _ = mb_engine._onemass_grids(k, ca.step, na, nb)
+        c = mb_engine._onemass_grids(k, ca.step, na + nb - 1, nb)[2]
+        weight = (ca.step ** 2 / (4.0 * math.pi ** 2)
+                  * mb_onemass_integrand(ca.abscissa, cb.abscissa, k) / (a[0] * b[0] * c[0]))
+        whole = [np.concatenate([g[:0:-1].conj(), g]) for g in (a, b, c)]
+        sigma = full_nodes(ca)[:, None] + full_nodes(cb)[None, :]
+        f = weight * whole[0][:, None] * whole[1][None, :] * whole[2][sigma + na + nb - 2]
+        inside = abs(sigma) < max(na, nb)
+        fine, _, _ = mb_engine._mb_onemass_sums(k, ca, cb)
+        assert abs(fine - f[inside].sum().real) < 1e-13 * abs(fine)
+        corners = f[~inside]
+        assert abs(corners.sum()) <= np.abs(corners).sum() <= mb_onemass_eval(k).diagnostics[
+            "tail_estimate"]
 
     @staticmethod
     def three_factor_products(k, alpha, beta, sigma):
@@ -467,21 +528,24 @@ class TestOneMassQuadrature:
         return ref_a, ref_b, ref_c
 
     def test_shared_line_grids_match_three_factor_products(self):
-        # the default pair at the heights j h of the sums' upper halves
+        # the default pair at the heights j h of the sums' upper halves, the
+        # sigma line as high as the higher of the two
         k = Kinematics(s=-3.0, t=-2.0, eps=0.3, msq=-0.5).unit[0]
         ca, cb = select_contour_onemass(k)
-        heights = ca.step * np.arange(ca.nodes + cb.nodes - 1)
+        heights = ca.step * np.arange(max(ca.nodes, cb.nodes))
         alpha = ca.abscissa + 1j * heights[:ca.nodes]
         beta = cb.abscissa + 1j * heights[:cb.nodes]
         sigma = ca.abscissa + cb.abscissa + 1j * heights
         grids = mb_engine._onemass_grids(k, ca.step, ca.nodes, cb.nodes)
+        assert [len(g) for g in grids] == [ca.nodes, cb.nodes, len(heights)]
         refs = self.three_factor_products(k, alpha[::5], beta[::5], sigma[::5])
         for grid, ref in zip(grids, refs):
             assert np.all(abs(grid[::5] - ref) < 1e-13 * np.abs(ref))
 
     def test_one_log_gamma_half_line_on_the_default_pair(self, monkeypatch):
-        # one log-gamma and one cosecant line of 2n - 1 points, also with
-        # other nodes and height, and no complex Lanczos sum
+        # one log-gamma and one cosecant line of L = max(na, nb) points, also
+        # with other nodes and height, and no complex Lanczos sum;
+        # gamma_points counts them
         points = {"ln_gamma_line": [], "_pi_csc_line": []}
         for name in points:
             def counting(x, y, real=getattr(mb_engine, name), sizes=points[name]):
@@ -492,22 +556,25 @@ class TestOneMassQuadrature:
         assert not hasattr(mb_engine, "ln_gamma_grid")
         k = Kinematics(s=-1.0, t=-2.0, eps=0.4, msq=-0.5)
         ca, cb = select_contour_onemass(k)
-        for pair in ((ca, cb), tuple(ContourSpec(c.abscissa, 4.0, 301) for c in (ca, cb))):
-            mb_onemass_eval(k, *pair)
-            n = pair[0].nodes
-            assert points == {"ln_gamma_line": [2 * n - 1], "_pi_csc_line": [2 * n - 1]}
+        for pair in ((ca, cb), tuple(ContourSpec(c.abscissa, 4.0, 301) for c in (ca, cb)),
+                     (ContourSpec(ca.abscissa, 4.0, 201), ContourSpec(cb.abscissa, 6.0, 301))):
+            v = mb_onemass_eval(k, *pair)
+            n = max(c.nodes for c in pair)
+            assert points == {"ln_gamma_line": [n], "_pi_csc_line": [n]}
+            assert v.diagnostics["gamma_points"] == n
             for sizes in points.values():
                 sizes.clear()
 
     def test_reflection_grids_match_three_factor_products(self):
-        # the mirrored grids over the whole lines, Im < 0 included
+        # the grids' conjugates are the products on the lower halves, Im < 0,
+        # which the real spectra take for granted
         k = Kinematics(s=-3.0, t=-2.0, eps=0.3, msq=-0.5).unit[0]
         ca, cb = select_contour_onemass(k)
-        grids = [mb_engine._mirrored(g)[::7]
-                 for g in mb_engine._onemass_grids(k, ca.step, ca.nodes, cb.nodes)]
-        sigma = ca.abscissa + cb.abscissa + 1j * ca.step * np.arange(
-            2 - ca.nodes - cb.nodes, ca.nodes + cb.nodes - 1)
-        refs = self.three_factor_products(k, full_line(ca)[::7], full_line(cb)[::7], sigma[::7])
+        grids = [g[::7].conj() for g in mb_engine._onemass_grids(k, ca.step, ca.nodes, cb.nodes)]
+        lower = -ca.step * np.arange(max(ca.nodes, cb.nodes))[::7]
+        refs = self.three_factor_products(k, ca.abscissa + 1j * lower[:len(grids[0])],
+                                          cb.abscissa + 1j * lower[:len(grids[1])],
+                                          ca.abscissa + cb.abscissa + 1j * lower)
         for grid, ref in zip(grids, refs):
             assert np.all(abs(grid - ref) < 1e-13 * np.abs(ref))
 
@@ -526,11 +593,15 @@ class TestOneMassQuadrature:
 
     @pytest.mark.parametrize("s,t,m2,eps", [(-1.0, -2.0, -0.5, 0.3), (-1.0, -100.0, -0.01, 0.95)])
     def test_tail_read_off_the_grids(self, s, t, m2, eps):
-        # |f| at the top corner and the top centre of both edges
+        # |f| at the top centre of the alpha and beta edges and at the middle
+        # (H/2, H/2) of the sigma edge, or the node nearest it
         k = Kinematics(s=s, t=t, eps=eps, msq=m2)
         ca, cb = select_contour_onemass(k)
         top_a, top_b = ca.abscissa + 1j * ca.height, cb.abscissa + 1j * cb.height
-        ref = (abs(mb_onemass_integrand(top_a, top_b, k))
+        half = (ca.nodes - 1) // 2
+        cut = (ca.abscissa + 1j * half * ca.step,
+               cb.abscissa + 1j * (cb.nodes - 1 - half) * cb.step)
+        ref = (abs(mb_onemass_integrand(*cut, k))
                + abs(mb_onemass_integrand(top_a, cb.abscissa, k))
                + abs(mb_onemass_integrand(ca.abscissa, top_b, k))) / (4.0 * math.pi ** 2)
         tail = mb_onemass_eval(k, ca, cb).diagnostics["tail_estimate"]
