@@ -11,11 +11,10 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 numerical failure.  Reports are JSON on stdout (or ``--out``),
 with full-precision repr floats and no locale formatting.
 
-Environment overrides: ``MBBOX_TOL`` (the tolerance of ``verify`` and
-``sweep``), ``MBBOX_QUAD_NODES`` and ``MBBOX_QUAD_HEIGHT`` (the contour of
-``eval --method mb``, the only reader of ``--nodes`` and ``--height``;
-``sweep`` always runs the default contours).  Explicit flags win over the
-environment, and a command does not parse a variable it does not read.
+Environment override: ``MBBOX_TOL``, the tolerance of ``verify`` and
+``sweep``; ``--tol`` wins over it, and no other command parses it.  Each
+``mb`` point runs the one self-refining contour rule of its route; no
+option or variable sets its nodes or height.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ _METHODS = ("closed", "closed_alt", "mb", "residue", "feynman")
 # the methods that read a cut prescription; mb and feynman give the PV value only
 _CUT_METHODS = ("closed", "closed_alt", "residue")
 _INTEGRALS = ("massless", "onemass")
-_NUMBER_OPTIONS = ("--s", "--t", "--msq", "--eps", "--height")
+_NUMBER_OPTIONS = ("--s", "--t", "--msq", "--eps")
 
 
 @dataclass
@@ -86,8 +85,6 @@ class RunConfig:
     msq: float | None = None
     method: str = "closed"
     cut: CutPrescription = PV
-    quad_nodes: int | None = None
-    quad_height: float | None = None
 
     def kinematics(self) -> Kinematics:
         _check_integral(self.integral, self.msq, "")
@@ -137,35 +134,18 @@ def _jsonable(obj):
     return obj
 
 
-def _env_default(name, cast, fallback):
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise DegenerateKinematics(f"bad {name}={raw!r}")
-
-
 def _tolerance(args, default: float) -> float:
     """``--tol``, else ``MBBOX_TOL``, else ``default``: a finite number >= 0."""
     name, value = "--tol", args.tol
     if value is None:
-        name, value = "MBBOX_TOL", _env_default("MBBOX_TOL", float, default)
+        name, raw = "MBBOX_TOL", os.environ.get("MBBOX_TOL")
+        try:
+            value = default if raw is None else float(raw)
+        except ValueError:
+            raise DegenerateKinematics(f"bad MBBOX_TOL={raw!r}")
     if not 0.0 <= value < math.inf:
         raise DegenerateKinematics(f"{name}={value!r} is not a finite number >= 0")
     return value
-
-
-def _contours(cfg: RunConfig, k: Kinematics) -> tuple:
-    """The one-mass route's pair when a node count or a height is configured,
-    else none, so that the route selects its own (see
-    :meth:`mb_engine.ContourSpec.configured`).
-    """
-    if cfg.quad_nodes is None and cfg.quad_height is None:
-        return ()
-    return tuple(c.configured(cfg.quad_nodes, cfg.quad_height)
-                 for c in mb_engine.select_contour_onemass(k))
 
 
 # (integral, method) -> route; the lambdas look the functions up at call time
@@ -173,13 +153,12 @@ _ROUTES = {
     ("massless", "closed"): lambda cfg, k: massless_box(k, cfg.cut),
     ("massless", "closed_alt"): lambda cfg, k: massless_box_alt(k, cfg.cut),
     ("massless", "feynman"): lambda cfg, k: oracles.feynman_1d_massless(k),
-    ("massless", "mb"): lambda cfg, k: mb_engine.mb_massless_eval(
-        k, nodes=cfg.quad_nodes, height=cfg.quad_height),
+    ("massless", "mb"): lambda cfg, k: mb_engine.mb_massless_eval(k),
     ("massless", "residue"): lambda cfg, k: mb_engine.residue_massless(k, cfg.cut),
     ("onemass", "closed"): lambda cfg, k: onemass_box(k, cfg.cut),
     ("onemass", "closed_alt"): lambda cfg, k: onemass_box_alt(k, cfg.cut),
     ("onemass", "feynman"): lambda cfg, k: oracles.feynman_1d_onemass(k),
-    ("onemass", "mb"): lambda cfg, k: mb_engine.mb_onemass_eval(k, *_contours(cfg, k)),
+    ("onemass", "mb"): lambda cfg, k: mb_engine.mb_onemass_eval(k),
     ("onemass", "residue"): lambda cfg, k: mb_engine.residue_onemass(k, cfg.cut),
 }
 
@@ -211,10 +190,6 @@ def _evaluate(cfg: RunConfig, k: Kinematics):
         raise DegenerateKinematics(f"--cut {cfg.cut.value} is not read by method {cfg.method}, "
                                    "which gives the principal value only; use "
                                    f"{', '.join(_CUT_METHODS)}")
-    for option, value in (("--nodes", cfg.quad_nodes), ("--height", cfg.quad_height)):
-        if value is not None and cfg.method != "mb":
-            raise DegenerateKinematics(f"{option} is not read by method {cfg.method}; "
-                                       "only mb has a contour")
     return _numerical(f"method {cfg.method}", k, lambda: route(cfg, k), lambda r: (r.value,))
 
 
@@ -518,8 +493,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_kinematics(p_eval)
     p_eval.add_argument("--method", choices=_METHODS, default="closed")
     p_eval.add_argument("--cut", choices=sorted(_CUTS), default="pv")
-    p_eval.add_argument("--nodes", type=int, default=None)
-    p_eval.add_argument("--height", type=float, default=None)
     p_eval.add_argument("--json", action="store_true",
                         help="emit the full JSON record (default: value only)")
     p_eval.add_argument("--out", default=None)
@@ -579,13 +552,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(_join_numbers(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "eval":
-            nodes, height = args.nodes, args.height
-            if args.method == "mb":  # the one method with a contour reads the environment
-                nodes = _env_default("MBBOX_QUAD_NODES", int, None) if nodes is None else nodes
-                height = _env_default("MBBOX_QUAD_HEIGHT", float, None) if height is None else height
             cfg = RunConfig(integral=args.integral, s=args.s, t=args.t,
                             eps=args.eps, msq=args.msq, method=args.method,
-                            cut=_CUTS[args.cut], quad_nodes=nodes, quad_height=height)
+                            cut=_CUTS[args.cut])
             report = cmd_eval(cfg)
             if args.json or args.out:
                 _emit(report, args)

@@ -4,7 +4,8 @@ Two independent routes live here:
 
 * direct numerical quadrature of the contour representations (one contour
   variable for the massless box, an iterated pair for the one-mass box),
-  by one trapezoid rule on fixed vertical lines.  The one-mass pair
+  by one trapezoid rule on vertical lines that halves its step until the
+  node-doubling delta is small.  The one-mass pair
   separates the left and right pole families.  The massless box has two
   self-conjugate lines, one on each side of the right double pole at
   eps - 1: the crossed line at (eps - 1)/2, whose value is the line
@@ -63,7 +64,7 @@ __all__ = [
 MAX_NODES = 1 << 17
 
 # Largest node-doubling delta, relative to the value, that each contour
-# route accepts; above it the evaluation raises NotConverged.
+# route accepts; above it the route halves its step, up to MAX_NODES.
 MASSLESS_DELTA_RTOL = 1e-9
 ONEMASS_DELTA_RTOL = 1e-5
 
@@ -80,28 +81,16 @@ class ContourSpec:
     height: float
     nodes: int
 
-    def __post_init__(self):
-        if not 0.0 < self.height < math.inf:
-            raise InfeasibleContour(f"need a finite and positive height, got height={self.height}")
-        if self.nodes < 32:
-            raise InfeasibleContour(f"need at least 32 nodes, got {self.nodes}")
-
     @classmethod
     def from_step(cls, abscissa: float, height: float, step: float) -> "ContourSpec":
-        """The line whose doubled rule has a step of at most ``step``."""
-        if not (step > 0.0 and 0.0 < height < math.inf):
-            raise InfeasibleContour(f"need a finite and positive height and a positive "
-                                    f"step, got height={height}, step={step}")
-        return cls(abscissa, height, math.ceil(height / step) + 1)
+        """The line whose doubled rule has a step of at most ``step``.
 
-    def configured(self, nodes: int | None = None, height: float | None = None) -> "ContourSpec":
-        """This line with ``nodes`` and ``height`` where given; a height
-        without a node count keeps the step."""
-        if nodes is not None:
-            return ContourSpec(self.abscissa, self.height if height is None else height, nodes)
-        if height is not None:
-            return ContourSpec.from_step(self.abscissa, height, self.step)
-        return self
+        A kinematic spread that overflows, such as msq/t past the double
+        range, gives a step of 0, which raises :class:`InfeasibleContour`.
+        """
+        if not step > 0.0:
+            raise InfeasibleContour(f"need a positive step, got step={step}")
+        return cls(abscissa, height, math.ceil(height / step) + 1)
 
     @property
     def step(self) -> float:
@@ -111,9 +100,14 @@ class ContourSpec:
     def upper_nodes(self) -> np.ndarray:
         """Indices j of the doubled rule's Im w = j h >= 0: entry j is coarse
         when j = nodes - 1 (mod 2)."""
-        if self.nodes > MAX_NODES:
-            raise NotConverged(f"{self.nodes} coarse nodes exceed the cap of {MAX_NODES}")
-        return np.arange(self.nodes)
+        return np.arange(_within_cap(self.nodes))
+
+
+def _within_cap(nodes: int) -> int:
+    """``nodes``, which :class:`NotConverged` refuses above ``MAX_NODES``."""
+    if nodes > MAX_NODES:
+        raise NotConverged(f"{nodes} coarse nodes exceed the cap of {MAX_NODES}")
+    return nodes
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +144,10 @@ def massless_line(k: Kinematics, crossed: bool) -> ContourSpec:
     0 into two bands, (-1, eps - 1) and (eps - 1, 0), and each line is its
     band's midline, a pole distance d from both edges (see
     :func:`_massless_gap`): the crossed line right of eps - 1, the
-    uncrossed one left of it.  The step is set for that true gap d; where
-    the phase cancels the value far below h sum |f| (|t/s| near 1e+-8) the
-    coarse rule may miss ``MASSLESS_DELTA_RTOL``, and
-    :func:`mb_massless_eval` then halves the step.
+    uncrossed one left of it.  The step is that of the first pass of
+    :func:`mb_massless_eval`, set for that true gap d; where the phase
+    cancels the value far below h sum |f| (|t/s| near 1e+-8) the coarse
+    rule misses ``MASSLESS_DELTA_RTOL``, and the later passes halve it.
     The integrand decays like exp(-3 pi |Im w|), so the tail beyond height
     6 is below 1e-24.
     """
@@ -166,14 +160,16 @@ def massless_line(k: Kinematics, crossed: bool) -> ContourSpec:
 
 def select_contour_massless(k: Kinematics) -> ContourSpec:
     """The first line of :func:`mb_massless_eval` (k): that of the wider
-    band, crossed for eps < 1/2, else uncrossed.
+    band (see :func:`_crossed_by_default`)."""
+    return massless_line(k, _crossed_by_default(k.eps))
 
-    For eps < 1/2 that is (eps - 1)/2, midway between the crossed double
-    pole at eps - 1 and the pole at 0, so the pole gap no longer shrinks
-    with eps; otherwise -1 + eps/2, midway between -1 and eps - 1 (see
-    :func:`massless_line`).
-    """
-    return massless_line(k, k.eps < 0.5)
+
+def _crossed_by_default(eps: float) -> bool:
+    """Whether the wider band is the crossed one: for eps < 1/2 its line is
+    (eps - 1)/2, midway between the crossed double pole at eps - 1 and the
+    pole at 0, so the pole gap no longer shrinks with eps; otherwise it is
+    -1 + eps/2, midway between -1 and eps - 1 (see :func:`massless_line`)."""
+    return eps < 0.5
 
 
 def _onemass_abscissae(eps: float) -> tuple[float, float]:
@@ -255,20 +251,19 @@ def _mirror_sum(x: np.ndarray, first: int = 0, stride: int = 1) -> float:
 
 
 def _contour_value(specs: tuple, fine: complex, coarse: complex, tail: float,
-                   rounding: float, rtol: float, passes: int = 1, **counters) -> BoxValue:
-    """The doubled rule's sum as an ``mb`` BoxValue with its diagnostics.
+                   rounding: float, passes: int, **counters) -> BoxValue:
+    """The last pass's doubled rule as an ``mb`` BoxValue with its diagnostics.
 
-    A node-doubling delta above ``rtol`` relative to the value raises
-    :class:`NotConverged`.  Halving the step squares the rule's relative
-    error, so the error estimate adds delta^2 / |value|, the truncation tail
-    and the rounding of the sum.  ``specs`` holds the one massless line or
-    the (inner, outer) one-mass pair, reported as numbers or as pairs;
+    The routes refine until the node-doubling delta is within their
+    tolerance of the value or the value is not finite, so the delta is not
+    checked here.  Halving the step squares the rule's relative error, so
+    the error estimate adds delta^2 / |value|, the truncation tail and the
+    rounding of the sum.  ``specs`` holds the one massless line or the
+    (inner, outer) one-mass pair, reported as numbers or as pairs;
     ``passes`` is 1 plus the number of times the step was halved, and the
     work ``counters`` follow it.
     """
     delta = abs(fine - coarse)
-    if delta > rtol * abs(fine):
-        raise NotConverged(f"node-doubling delta {delta:.3e} above {rtol:.1e} * |value|")
     doubled = delta * (delta / abs(fine)) if delta else 0.0
     lines = {name: tuple(getattr(c, name) for c in specs)
              for name in ("nodes", "height", "abscissa")}
@@ -383,8 +378,7 @@ def _line_nodes(k: Kinematics, step: float, j: np.ndarray, crossed: bool
     return size * (d * cos + y * sin) / pole, size / np.sqrt(pole)
 
 
-def mb_massless_eval(k: Kinematics, crossed: bool | None = None, nodes: int | None = None,
-                     height: float | None = None) -> BoxValue:
+def mb_massless_eval(k: Kinematics, crossed: bool | None = None) -> BoxValue:
     """Massless box by the trapezoid rule along one of its two lines.
 
     ``crossed`` names the line: the crossed one at (eps - 1)/2 or the
@@ -406,20 +400,17 @@ def mb_massless_eval(k: Kinematics, crossed: bool | None = None, nodes: int | No
     :func:`massless_line`), and while the node-doubling delta is above
     ``MASSLESS_DELTA_RTOL`` of the value, the step is halved: the
     doubled rule becomes the coarse one, and only the new nodes, halfway
-    between the old ones, are evaluated, up to ``MAX_NODES``.  ``nodes``
-    (``--nodes``) fixes the rule to one pass, which refuses such a delta
-    (see :func:`_contour_value`); ``height`` (``--height``) moves the top
-    of the line and, without ``nodes``, keeps the first step.  The rounding
-    term is ``_MASSLESS_ULPS``'s.
+    between the old ones, up to ``MAX_NODES``, past which it raises
+    :class:`NotConverged`.  The rounding term is ``_MASSLESS_ULPS``'s.
     """
     k.require_massless()
     if crossed is None:
-        crossed = k.eps < 0.5
+        crossed = _crossed_by_default(k.eps)
     elif not isinstance(crossed, (bool, np.bool_)):
         raise InfeasibleContour(f"the massless line is crossed=True or crossed=False, "
                                 f"got {crossed!r}")
     crossed = bool(crossed)
-    line = massless_line(k, crossed).configured(nodes, height)
+    line = massless_line(k, crossed)
     if crossed and abs(k.t) > abs(k.s):
         k = Kinematics(s=k.t, t=k.s, eps=k.eps)
     u, factor = k.unit
@@ -434,7 +425,7 @@ def mb_massless_eval(k: Kinematics, crossed: bool | None = None, nodes: int | No
     fine, coarse = weight * total - residue, weight * coarse_total - residue
     passes = 1
     # a value that is not finite ends it: no delta is above a multiple of it
-    while nodes is None and abs(fine - coarse) > MASSLESS_DELTA_RTOL * abs(fine):
+    while abs(fine - coarse) > MASSLESS_DELTA_RTOL * abs(fine):
         line = ContourSpec(line.abscissa, line.height, 2 * line.nodes - 1)
         re, size = _line_nodes(u, line.step, line.upper_nodes()[1::2], crossed)
         total += 2.0 * float(np.sum(re))
@@ -444,7 +435,7 @@ def mb_massless_eval(k: Kinematics, crossed: bool | None = None, nodes: int | No
         passes += 1
     rounding = 2.0 ** -53 * (_MASSLESS_ULPS * (abs(weight * total) + residue_size)
                              + _MASSLESS_NODE_ULPS * weight * size_total)
-    return _contour_value((line,), fine, coarse, tail, rounding, MASSLESS_DELTA_RTOL, passes)
+    return _contour_value((line,), fine, coarse, tail, rounding, passes)
 
 
 def mb_onemass_integrand(alpha, beta, k: Kinematics):
@@ -531,8 +522,8 @@ def _mb_onemass_sums(k: Kinematics, ca: ContourSpec, cb: ContourSpec
     """
     u, factor = k.unit
     e, third = u.eps, u.eps / 3.0
-    h = ca.step
-    na, nb = len(ca.upper_nodes()), len(cb.upper_nodes())  # within the node cap
+    h, na, nb = ca.step, ca.nodes, cb.nodes
+    _within_cap(max(na, nb))
     a, b, c = _onemass_grids(u, h, na, nb)
     top = len(c) - 1
     n = _fft_length(na + nb + top - 1)
@@ -558,44 +549,32 @@ def _mb_onemass_sums(k: Kinematics, ca: ContourSpec, cb: ContourSpec
     return fine, coarse, (abs_sum, tail, n)
 
 
-def mb_onemass_eval(k: Kinematics, ca: ContourSpec | None = None,
-                    cb: ContourSpec | None = None) -> BoxValue:
+def mb_onemass_eval(k: Kinematics) -> BoxValue:
     """One-mass box by the trapezoid rule on both contours (inner alpha, outer beta).
 
-    The two lines are given together, and share one step, or not at all,
-    and then the pair is :func:`select_contour_onemass`'s; abscissae other
-    than that default pair's raise :class:`InfeasibleContour`.  The grids
-    read every factor off one log-gamma and one cosecant half-line of
-    max(na, nb) points (see :func:`_mb_onemass_sums`).  The rounding term
-    counts the seven gamma factors of the scalar integrand per node and
-    h^2 sum |f| / 4 pi^2.  On the default pair, while the node-doubling
-    delta is above ``ONEMASS_DELTA_RTOL`` of the value, both lines go to
-    2n - 1 nodes and the sums are redone, up to ``MAX_NODES``; a given pair
-    keeps one pass, which refuses such a delta (see :func:`_contour_value`).
-    ``gamma_points`` sums the log-gamma lines' heights over the passes.
+    The pair is :func:`select_contour_onemass`'s, whose lines share one
+    step.  The grids read every factor off one log-gamma and one cosecant
+    half-line of max(na, nb) points (see :func:`_mb_onemass_sums`).  The
+    rounding term counts the seven gamma factors of the scalar integrand
+    per node and h^2 sum |f| / 4 pi^2.  While the node-doubling delta is
+    above ``ONEMASS_DELTA_RTOL`` of the value, both lines go to 2n - 1
+    nodes and the sums are redone, up to ``MAX_NODES``, past which it
+    raises :class:`NotConverged`.  ``gamma_points`` sums the log-gamma
+    lines' heights over the passes.
     """
     k.require_onemass()
-    if (ca is None) != (cb is None):
-        raise InfeasibleContour("give both contours or neither")
-    refine = ca is None
-    if refine:
-        ca, cb = select_contour_onemass(k)
-    if (ca.abscissa, cb.abscissa) != _onemass_abscissae(k.eps):
-        raise InfeasibleContour(f"abscissae ({ca.abscissa}, {cb.abscissa}) are not the one-mass "
-                                f"pair for eps={k.eps}: (-eps/3, -1 + 2 eps/3)")
-    if not math.isclose(ca.step, cb.step, rel_tol=1e-12):
-        raise InfeasibleContour(f"contour steps differ: {ca.step} and {cb.step}")
+    ca, cb = select_contour_onemass(k)
     passes = gamma_points = 0
     while True:
         fine, coarse, (abs_sum, tail, fft_length) = _mb_onemass_sums(k, ca, cb)
         passes += 1
         gamma_points += max(ca.nodes, cb.nodes)
         # a value that is not finite ends it: no delta is above a multiple of it
-        if not (refine and abs(fine - coarse) > ONEMASS_DELTA_RTOL * abs(fine)):
+        if not abs(fine - coarse) > ONEMASS_DELTA_RTOL * abs(fine):
             break
         ca, cb = (ContourSpec(c.abscissa, c.height, 2 * c.nodes - 1) for c in (ca, cb))
     rounding = 7.0 * _LN_GAMMA_ERR * abs_sum
-    return _contour_value((ca, cb), fine, coarse, tail, rounding, ONEMASS_DELTA_RTOL, passes,
+    return _contour_value((ca, cb), fine, coarse, tail, rounding, passes,
                           gamma_points=gamma_points, fft_length=fft_length)
 
 

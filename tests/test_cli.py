@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -116,17 +117,29 @@ class TestEval:
         assert f"--cut {cut} is not read by method {method}" in err
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("method", ["closed", "closed_alt", "residue", "feynman"])
+    @pytest.mark.parametrize("method", ["closed", "closed_alt", "residue", "feynman", "mb"])
     @pytest.mark.parametrize("option", [["--nodes", "5"], ["--height=-1"], ["--height", "3"]],
                              ids=["nodes", "negative-height", "height"])
     def test_contour_option_refused_where_unread(self, method, option, capsys):
-        code = run_main(["eval", "--s", "-1", "--t", "-2", "--eps", "0.3",
-                         "--method", method, *option])
-        assert code == EXIT_INPUT_ERROR
+        # no method reads a node count or a height, mb included: each mb
+        # point runs its route's one self-refining rule
+        with pytest.raises(SystemExit) as exc:
+            run_main(["eval", "--s", "-1", "--t", "-2", "--eps", "0.3",
+                      "--method", method, *option])
+        assert exc.value.code == EXIT_INPUT_ERROR
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"{option[0].split('=')[0]} is not read by method {method}" in err
-        assert err.count("\n") == 1
+        assert f"unrecognized arguments: {' '.join(option)}" in err
+
+    def test_eval_option_set(self, capsys):
+        # the whole option set of eval: a contour knob that came back, or
+        # any other new option, changes this test
+        with pytest.raises(SystemExit) as exc:
+            run_main(["eval", "--help"])
+        assert exc.value.code == EXIT_OK
+        options = re.findall(r"(?<![\w-])(--?[a-z]+)", capsys.readouterr().out)
+        assert sorted(set(options)) == ["--cut", "--eps", "--help", "--integral", "--json",
+                                        "--method", "--msq", "--out", "--s", "--t", "-h"]
 
     @pytest.mark.parametrize("integral, method", sorted(cli._ROUTES))
     def test_principal_value_cut_works_everywhere(self, integral, method, capsys):
@@ -146,14 +159,21 @@ class TestEval:
                          "--msq", "-3", "--eps", "0.3"])
         assert code == EXIT_INPUT_ERROR
 
-    def test_not_converged_exit_code(self):
-        code = run_main(["eval", "--s", "-1", "--t", "-2", "--eps", "0.3",
-                         "--method", "mb", "--nodes", "40", "--height", "5"])
-        assert code == EXIT_NOT_CONVERGED
+    def test_not_converged_exit_code(self, capsys):
+        # the one-mass rule at eps = 1e-6 needs more contour nodes than the cap
         code = run_main(["eval", "--integral", "onemass", "--s", "-1", "--t", "-2",
-                         "--msq", "-0.5", "--eps", "0.3",
-                         "--method", "mb", "--nodes", "64"])
+                         "--msq", "-0.5", "--eps", "1e-6", "--method", "mb"])
         assert code == EXIT_NOT_CONVERGED
+        assert "NotConverged" in capsys.readouterr().err
+
+    def test_overflowing_phase_spread_exits_2(self, capsys):
+        # msq/t = 1e400 overflows the one-mass pair's phase spread, so its
+        # step is 0: no contour is formed
+        code = run_main(["eval", "--integral", "onemass", "--s=-1", "--t=-1e-200",
+                         "--msq=-1e200", "--eps", "0.3", "--method", "mb"])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            "error: InfeasibleContour: need a positive step, got step=0.0\n")
 
     @pytest.mark.parametrize("method", ["closed", "closed_alt", "feynman", "residue"])
     def test_non_finite_msq_rejected(self, method, capsys):
@@ -168,20 +188,6 @@ class TestEval:
         assert code == EXIT_INPUT_ERROR
         assert "t=-inf is not finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("args, env", [
-        (["--height", "nan"], None), (["--height", "inf"], None),
-        ([], "nan"), (["--nodes", "100", "--height", "nan"], None),
-        (["--integral", "onemass", "--msq", "-0.5", "--height", "inf"], None)])
-    def test_non_finite_height_rejected(self, args, env, monkeypatch, capsys):
-        if env is not None:
-            monkeypatch.setenv("MBBOX_QUAD_HEIGHT", env)
-        code = run_main(["eval", "--s", "-1", "--t", "-2", "--eps", "0.3",
-                         "--method", "mb", *args])
-        assert code == EXIT_INPUT_ERROR
-        err = capsys.readouterr().err
-        assert "InfeasibleContour: need a finite and positive height" in err
-        assert f"height={float(env or args[-1])}" in err
-
     @pytest.mark.parametrize("command", ["eval", "expand"])
     def test_msq_needs_onemass(self, command, capsys):
         code = run_main([command, "--s", "-1", "--t", "-2", "--msq", "-0.5",
@@ -190,10 +196,8 @@ class TestEval:
         assert "integral='massless' with msq=-0.5" in capsys.readouterr().err
 
     def test_negative_exponent_as_separate_argument(self, capsys):
-        spaced = ["eval", "--s", "-1e-3", "--t", "-2E0", "--eps", "3e-1",
-                  "--method", "mb", "--height", "2.5e1"]
-        joined = ["eval", "--s=-1e-3", "--t=-2E0", "--eps=3e-1",
-                  "--method", "mb", "--height=2.5e1"]
+        spaced = ["eval", "--s", "-1e-3", "--t", "-2.5e1", "--eps", "3e-1", "--method", "mb"]
+        joined = ["eval", "--s=-1e-3", "--t=-2.5e1", "--eps=3e-1", "--method", "mb"]
         assert run_main(spaced) == EXIT_OK
         out = capsys.readouterr().out
         assert run_main(joined) == EXIT_OK
@@ -295,8 +299,7 @@ PUBLIC_ROUTES = {
 
 
 class TestDefaultContour:
-    """With no option, eval and sweep run the route that its public function
-    runs: the same value and diagnostics, bit for bit.  For mb that is the
+    """eval and sweep run the route that its public function runs: the same value and diagnostics, bit for bit.  For mb that is the
     rule mb_massless_eval(k) and mb_onemass_eval(k) select.  The sweep runs
     every method of the point on one Kinematics, which they share."""
 
@@ -326,27 +329,22 @@ class TestDefaultContour:
             assert {"value": swept["values"][method],
                     "diagnostics": swept["diagnostics"][method]} == ref, method
 
-    def test_node_override_subtracts_the_crossed_residue(self, capsys):
+    def test_node_override_subtracts_the_crossed_residue(self, monkeypatch, capsys):
         # the default line at eps = 0.3 has crossed the pole at eps - 1, and
-        # so has the overriding one, which keeps the default abscissa
+        # so has a line of 4001 nodes given by hand at the default abscissa:
+        # both subtract the residue and agree
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
+        default = select_contour_massless(k)
         ref = mb_massless_eval(k).value
+        monkeypatch.setattr(cli.mb_engine, "massless_line",
+                            lambda k, crossed: ContourSpec(default.abscissa, 6.0, 4001))
         assert run_main(["eval", "--s=-1", "--t=-2", "--eps=0.3", "--method", "mb",
-                         "--nodes", "4001", "--json"]) == EXIT_OK
+                         "--json"]) == EXIT_OK
         record = json.loads(capsys.readouterr().out)["records"][0]
         assert record["diagnostics"]["nodes"] == 4001
-        assert record["diagnostics"]["abscissa"] == select_contour_massless(k).abscissa
+        assert record["diagnostics"]["passes"] == 1
+        assert record["diagnostics"]["abscissa"] == default.abscissa
         assert abs(record["value"]["re"] - ref.real) <= 1e-13 * abs(ref)
-
-    @pytest.mark.parametrize("nodes", [[], ["--nodes", "801"]])
-    def test_onemass_mb_off_its_pair_exits_2(self, nodes, monkeypatch, capsys):
-        # one-mass mb runs on its default pair (-eps/3, -1 + 2 eps/3) only
-        monkeypatch.setattr(cli.mb_engine, "select_contour_onemass",
-                            lambda k: (ContourSpec(-0.075, 7.0, 801), ContourSpec(-0.85, 7.0, 801)))
-        assert run_main(["eval", "--integral", "onemass", "--s=-1", "--t=-2", "--msq=-0.5",
-                         "--eps=0.3", "--method", "mb", *nodes]) == EXIT_INPUT_ERROR
-        assert capsys.readouterr().err.startswith(
-            "error: InfeasibleContour: abscissae (-0.075, -0.85) are not the one-mass pair")
 
 
 class TestOutOfRange:
@@ -754,46 +752,24 @@ class TestReportRoundTrip:
 
 
 class TestEnvironmentOverrides:
-    def test_env_nodes_applied(self, monkeypatch, capsys):
-        monkeypatch.setenv("MBBOX_QUAD_NODES", "4096")
-        code = run_main(["eval", "--s", "-1", "--t", "-2", "--eps", "0.3",
-                         "--method", "mb", "--json"])
-        assert code == EXIT_OK
-        rec = json.loads(capsys.readouterr().out)["records"][0]
-        assert rec["diagnostics"]["nodes"] == 4096
-
-    def test_flag_beats_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("MBBOX_QUAD_NODES", "4096")
-        code = run_main(["eval", "--s", "-1", "--t", "-2", "--eps", "0.3",
-                         "--method", "mb", "--nodes", "6000", "--json"])
-        assert code == EXIT_OK
-        rec = json.loads(capsys.readouterr().out)["records"][0]
-        assert rec["diagnostics"]["nodes"] == 6000
-
-    def test_height_alone_keeps_default_step(self, capsys):
-        code = run_main(["eval", "--s", "-1", "--t", "-2", "--eps", "0.3",
-                         "--method", "mb", "--height", "3", "--json"])
-        assert code == EXIT_OK
-        diag = json.loads(capsys.readouterr().out)["records"][0]["diagnostics"]
-        default = select_contour_massless(Kinematics(s=-1.0, t=-2.0, eps=0.3))
-        assert diag["height"] == 3.0
-        assert default.step * 0.99 < diag["step"] <= default.step
-
     def test_bad_env_value(self, monkeypatch, capsys):
+        monkeypatch.setenv("MBBOX_TOL", "frogs")
+        assert run_main(["verify", "--suite", "identities"]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: DegenerateKinematics: bad MBBOX_TOL='frogs'\n"
+
+    def test_retired_contour_variables_ignored_by_mb(self, monkeypatch, capsys):
+        # MBBOX_QUAD_NODES and MBBOX_QUAD_HEIGHT once set the mb contour; no
+        # command reads them now
+        argv = ["eval", "--s", "-1", "--t", "-2", "--eps", "0.3", "--method", "mb", "--json"]
+        assert run_main(argv) == EXIT_OK
+        out = capsys.readouterr().out
         monkeypatch.setenv("MBBOX_QUAD_NODES", "frogs")
-        code = run_main(["eval", "--s", "-1", "--t", "-2", "--eps", "0.3",
-                         "--method", "mb"])
-        assert code == EXIT_INPUT_ERROR
-        assert "bad MBBOX_QUAD_NODES='frogs'" in capsys.readouterr().err
+        monkeypatch.setenv("MBBOX_QUAD_HEIGHT", "-1")
+        assert run_main(argv) == EXIT_OK
+        assert capsys.readouterr() == (out, "")
 
-    def test_bad_env_height(self, monkeypatch, capsys):
-        monkeypatch.setenv("MBBOX_QUAD_HEIGHT", "x")
-        code = run_main(["eval", "--s", "-1", "--t", "-2", "--eps", "0.3",
-                         "--method", "mb"])
-        assert code == EXIT_INPUT_ERROR
-        assert "bad MBBOX_QUAD_HEIGHT='x'" in capsys.readouterr().err
-
-    # MBBOX_TOL is read by verify and sweep, the contour variables by eval --method mb
+    # MBBOX_TOL is read by verify and sweep; no command reads the retired
+    # contour variables
     UNREAD = {"verify": ["verify", "--suite", "identities"],
               "expand": ["expand", "--s", "-1", "--t", "-2", "--eps", "0.3"],
               "eval-closed": ["eval", "--s", "-1", "--t", "-2", "--eps", "0.3"]}
