@@ -34,14 +34,11 @@ from .errors import (
     PoleError,
 )
 from .mb_engine import (
-    ContourSpec,
     mb_massless_eval,
     mb_massless_integrand,
     mb_onemass_eval,
     residue_massless,
     residue_onemass,
-    select_contour_massless,
-    select_contour_onemass,
 )
 from .oracles import (
     beta_oracle,

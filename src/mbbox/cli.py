@@ -11,10 +11,10 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 numerical failure.  Reports are JSON on stdout (or ``--out``),
 with full-precision repr floats and no locale formatting.
 
-Environment override: ``MBBOX_TOL``, the tolerance of ``verify`` and
-``sweep``; ``--tol`` wins over it, and no other command parses it.  Each
-``mb`` point runs the one self-refining contour rule of its route; no
-option or variable sets its nodes or height.
+``--tol`` sets the tolerance of ``verify`` and ``sweep``, and no
+environment variable is read.  Each ``mb`` point runs the one
+self-refining contour rule of its route; no option sets its nodes or
+height.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import cmath
 import itertools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -135,16 +134,10 @@ def _jsonable(obj):
 
 
 def _tolerance(args, default: float) -> float:
-    """``--tol``, else ``MBBOX_TOL``, else ``default``: a finite number >= 0."""
-    name, value = "--tol", args.tol
-    if value is None:
-        name, raw = "MBBOX_TOL", os.environ.get("MBBOX_TOL")
-        try:
-            value = default if raw is None else float(raw)
-        except ValueError:
-            raise DegenerateKinematics(f"bad MBBOX_TOL={raw!r}")
+    """``--tol``, else ``default``: a finite number >= 0."""
+    value = default if args.tol is None else args.tol
     if not 0.0 <= value < math.inf:
-        raise DegenerateKinematics(f"{name}={value!r} is not a finite number >= 0")
+        raise DegenerateKinematics(f"--tol={value!r} is not a finite number >= 0")
     return value
 
 
@@ -294,8 +287,7 @@ def verify_identities(tol: float = 1e-11) -> Report:
     return _suite_report("identities", checks)
 
 
-def verify_massless(tol_residue: float = 1e-10, tol_oracle: float = 1e-8,
-                    tol_spurious: float = 1e-11, tol_pole: float = 1e-12) -> Report:
+def verify_massless() -> Report:
     """Four-way agreement plus cancellation checks on the massless grid."""
     checks: list = []
     for (s, t, e) in MASSLESS_GRID:
@@ -304,17 +296,17 @@ def verify_massless(tol_residue: float = 1e-10, tol_oracle: float = 1e-8,
         closed = massless_box(k).value
         res = mb_engine.residue_massless(k)
         _check(checks, f"residue vs closed {tag}",
-               abs(res.value - closed) / abs(closed), tol_residue)
+               abs(res.value - closed) / abs(closed), 1e-10)
         _check(checks, f"spurious cancellation {tag}",
-               abs(res.diagnostics["spurious_sum"]) / abs(closed), tol_spurious)
+               abs(res.diagnostics["spurious_sum"]) / abs(closed), 1e-11)
         _check(checks, f"regulator pole cancellation {tag}",
-               abs(res.diagnostics["delta_pole_coefficient"]) / abs(closed), tol_pole)
+               abs(res.diagnostics["delta_pole_coefficient"]) / abs(closed), 1e-12)
         feyn = oracles.feynman_1d_massless(k).value
         _check(checks, f"feynman vs closed {tag}",
-               abs(feyn - closed) / abs(closed), tol_oracle)
+               abs(feyn - closed) / abs(closed), 1e-8)
         mbv = mb_engine.mb_massless_eval(k)
         _check(checks, f"mb vs closed {tag}",
-               abs(mbv.value - closed) / abs(closed), tol_oracle)
+               abs(mbv.value - closed) / abs(closed), 1e-8)
         _check(checks, f"mb error within estimate {tag}",
                abs(mbv.value - closed), mbv.diagnostics["error_estimate"])
         # the other line, across the pole at eps - 1 from the default: one
@@ -324,8 +316,7 @@ def verify_massless(tol_residue: float = 1e-10, tol_oracle: float = 1e-8,
     return _suite_report("massless", checks)
 
 
-def verify_onemass(tol_residue: float = 1e-10, tol_spurious: float = 1e-11,
-                   tol_mb: float = 1e-11) -> Report:
+def verify_onemass() -> Report:
     """Residue/closed/contour agreement on the one-mass grid, plus the massless limit."""
     checks: list = []
     for (s, t, m2, e) in ONEMASS_GRID:
@@ -334,12 +325,12 @@ def verify_onemass(tol_residue: float = 1e-10, tol_spurious: float = 1e-11,
         closed = onemass_box(k).value
         res = mb_engine.residue_onemass(k)
         _check(checks, f"residue vs closed {tag}",
-               abs(res.value - closed) / abs(closed), tol_residue)
+               abs(res.value - closed) / abs(closed), 1e-10)
         _check(checks, f"spurious cancellation {tag}",
-               abs(res.diagnostics["spurious_sum"]) / abs(closed), tol_spurious)
+               abs(res.diagnostics["spurious_sum"]) / abs(closed), 1e-11)
         mbv = mb_engine.mb_onemass_eval(k)
         _check(checks, f"double-contour vs closed {tag}",
-               abs(mbv.value - closed) / abs(closed), tol_mb)
+               abs(mbv.value - closed) / abs(closed), 1e-11)
         _check(checks, f"mb error within estimate {tag}",
                abs(mbv.value - closed), mbv.diagnostics["error_estimate"])
     for (s, t, e) in ((-1.0, -2.0, 0.3), (-0.5, -3.0, 0.45)):

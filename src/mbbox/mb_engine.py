@@ -4,14 +4,15 @@ Two independent routes live here:
 
 * direct numerical quadrature of the contour representations (one contour
   variable for the massless box, an iterated pair for the one-mass box),
-  by one trapezoid rule on vertical lines that halves its step until the
-  node-doubling delta is small.  The one-mass pair
-  separates the left and right pole families.  The massless box has two
-  self-conjugate lines, one on each side of the right double pole at
-  eps - 1: the crossed line at (eps - 1)/2, whose value is the line
-  integral minus that pole's residue (the default for eps < 1/2), and the
-  uncrossed line at -1 + eps/2 (the default from 1/2 on); each checks the
-  other;
+  by one trapezoid rule on vertical lines of fixed height whose state is
+  one coarse node count: the first from the line's pole gap (see
+  :func:`_first_nodes`), then 2n - 1 while the node-doubling delta asks.
+  The one-mass pair separates the left and right pole families and
+  shares one node count.  The massless box has two self-conjugate lines,
+  one on each side of the right double pole at eps - 1: the crossed line
+  at (eps - 1)/2, whose value is the line integral minus that pole's
+  residue (the default for eps < 1/2), and the uncrossed line at
+  -1 + eps/2 (the default from 1/2 on); each checks the other;
 * reconstruction from the resummed residue families.  An auxiliary
   regulator delta splits the massless double poles; the delta^-1 and
   delta^0 coefficients of the split families are read off Gamma and psi
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,10 +47,6 @@ from .specfun import (
 )
 
 __all__ = [
-    "ContourSpec",
-    "massless_line",
-    "select_contour_massless",
-    "select_contour_onemass",
     "mb_massless_integrand",
     "mb_massless_eval",
     "mb_onemass_integrand",
@@ -68,39 +64,12 @@ MAX_NODES = 1 << 17
 MASSLESS_DELTA_RTOL = 1e-9
 ONEMASS_DELTA_RTOL = 1e-5
 
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """A truncated vertical line with a uniform trapezoid rule in Im w.
-
-    ``nodes`` coarse nodes span Im w in [-height, height].  The doubled
-    rule halves the coarse step and keeps every coarse node.
-    """
-
-    abscissa: float
-    height: float
-    nodes: int
-
-    @classmethod
-    def from_step(cls, abscissa: float, height: float, step: float) -> "ContourSpec":
-        """The line whose doubled rule has a step of at most ``step``.
-
-        A kinematic spread that overflows, such as msq/t past the double
-        range, gives a step of 0, which raises :class:`InfeasibleContour`.
-        """
-        if not step > 0.0:
-            raise InfeasibleContour(f"need a positive step, got step={step}")
-        return cls(abscissa, height, math.ceil(height / step) + 1)
-
-    @property
-    def step(self) -> float:
-        """Step of the doubled rule."""
-        return self.height / (self.nodes - 1)
-
-    def upper_nodes(self) -> np.ndarray:
-        """Indices j of the doubled rule's Im w = j h >= 0: entry j is coarse
-        when j = nodes - 1 (mod 2)."""
-        return np.arange(_within_cap(self.nodes))
+# Top of each route's lines, Im w in [-height, height].  The massless
+# integrand decays like exp(-3 pi |Im w|), so its tail beyond 6 is below
+# 1e-24; along the one-mass alpha, beta and alpha = -beta four or six gamma
+# factors fall, so beyond 7 |f| is below exp(-2 pi 7) = e^-44 of its peak.
+MASSLESS_HEIGHT = 6.0
+ONEMASS_HEIGHT = 7.0
 
 
 def _within_cap(nodes: int) -> int:
@@ -114,89 +83,48 @@ def _within_cap(nodes: int) -> int:
 # contour selection
 # ---------------------------------------------------------------------------
 
-def _fine_step(d: float, decay: float, spread: float) -> float:
-    """Trapezoid step whose error is about exp(-decay) at pole distance d.
+def _first_nodes(height: float, d: float, decay: float, spread: float) -> int:
+    """Coarse nodes of a line up to ``height`` whose doubled rule's step,
+    height / (nodes - 1), is at most 2 pi d / (decay + d spread): its error
+    is about exp(-decay) at pole distance d.
 
     The rule's error falls like exp(-2 pi d / h) for an integrand analytic
     in the strip |Re(w - c)| < d (Trefethen & Weideman, SIAM Review 56,
     2014).  The kinematic phase exp(i y L) grows to exp(d L) at the strip's
-    edge; ``spread`` is that L.
+    edge; ``spread`` is that L.  A spread that overflows, such as msq/t
+    past the double range, gives a step of 0, which no node count refines
+    and which raises :class:`NotConverged`.
     """
-    return 2.0 * math.pi * d / (decay + d * spread)
+    step = 2.0 * math.pi * d / (decay + d * spread)
+    if not step > 0.0:
+        raise NotConverged(f"need a positive step, got step={step}")
+    return math.ceil(height / step) + 1
 
 
 def _massless_gap(eps: float, crossed: bool) -> float:
-    """Pole distance d of a massless line: (1 - eps)/2 on the crossed line,
-    eps/2 on the uncrossed one."""
+    """Pole distance d of a massless line: (1 - eps)/2 on the crossed line
+    at -d = (eps - 1)/2, eps/2 on the uncrossed one at -1 + d = -1 + eps/2.
+
+    The double pole at eps - 1 splits the strip between the poles at -1
+    and 0 into two bands, (-1, eps - 1) and (eps - 1, 0), and each line is
+    its band's midline, d from both edges: the crossed line right of
+    eps - 1, the uncrossed one left of it.
+    """
     return (1.0 - eps) / 2.0 if crossed else eps / 2.0
 
 
-def _massless_abscissa(eps: float, crossed: bool) -> float:
-    """The crossed line's -d = (eps - 1)/2, or the uncrossed line's -1 + d = -1 + eps/2."""
-    d = _massless_gap(eps, crossed)
-    return -d if crossed else -1.0 + d
-
-
-def massless_line(k: Kinematics, crossed: bool) -> ContourSpec:
-    """One of the massless integrand's two lines, with the first step of its band.
-
-    The double pole at eps - 1 splits the strip between the poles at -1 and
-    0 into two bands, (-1, eps - 1) and (eps - 1, 0), and each line is its
-    band's midline, a pole distance d from both edges (see
-    :func:`_massless_gap`): the crossed line right of eps - 1, the
-    uncrossed one left of it.  The step is that of the first pass of
-    :func:`mb_massless_eval`, set for that true gap d; where the phase
-    cancels the value far below h sum |f| (|t/s| near 1e+-8) the coarse
-    rule misses ``MASSLESS_DELTA_RTOL``, and the later passes halve it.
-    The integrand decays like exp(-3 pi |Im w|), so the tail beyond height
-    6 is below 1e-24.
-    """
-    eps = k.eps
-    gap = _massless_gap(eps, crossed)
-    spread = abs(math.log(k.s / k.t))
-    return ContourSpec.from_step(_massless_abscissa(eps, crossed), 6.0,
-                                 _fine_step(gap, 60.0, spread))
-
-
-def select_contour_massless(k: Kinematics) -> ContourSpec:
-    """The first line of :func:`mb_massless_eval` (k): that of the wider
-    band (see :func:`_crossed_by_default`)."""
-    return massless_line(k, _crossed_by_default(k.eps))
-
-
-def _crossed_by_default(eps: float) -> bool:
-    """Whether the wider band is the crossed one: for eps < 1/2 its line is
-    (eps - 1)/2, midway between the crossed double pole at eps - 1 and the
-    pole at 0, so the pole gap no longer shrinks with eps; otherwise it is
-    -1 + eps/2, midway between -1 and eps - 1 (see :func:`massless_line`)."""
-    return eps < 0.5
-
-
 def _onemass_abscissae(eps: float) -> tuple[float, float]:
-    """(a0, b0) = (-eps/3, -1 + 2 eps/3), the pair whose smallest pole gap is largest."""
-    third = eps / 3.0
-    return -third, -1.0 + 2.0 * third
-
-
-def select_contour_onemass(k: Kinematics) -> tuple[ContourSpec, ContourSpec]:
-    """Feasible pair of vertical lines for the iterated two-variable representation.
+    """(a0, b0) = (-eps/3, -1 + 2 eps/3), the pair whose smallest pole gap is largest.
 
     The seven gamma-factor arguments keep a positive real part on the
     contours.  Three of them, -a0, 1 + a0 + b0 and eps - 1 - b0, sum to
-    eps, so the smallest is at most eps/3, and a0 = -eps/3, b0 = -1 + 2 eps/3
-    makes all three eps/3 (see :func:`_onemass_abscissae`); the other four
-    are 2 eps/3 or 1 - 2 eps/3.  Both lines share one step, set by that
-    pole gap of eps/3.  On this pair the three log-gamma lines coincide, and
-    so do the two cosecant lines, each of L = max(na, nb) heights for na
-    and nb nodes on the lines (see :func:`_onemass_grids`).  Four or six
-    gamma factors fall along alpha, beta and alpha = -beta, so beyond height
-    7 |f| is below exp(-2 pi 7) = e^-44 of its peak.
+    eps, so the smallest is at most eps/3, and this pair makes all three
+    eps/3; the other four are 2 eps/3 or 1 - 2 eps/3.  On this pair the
+    three log-gamma lines coincide, and so do the two cosecant lines (see
+    :func:`_onemass_grids`).
     """
-    eps = k.eps
-    a0, b0 = _onemass_abscissae(eps)
-    spread = abs(math.log(k.s / k.t)) + abs(math.log(k.msq / k.t))
-    step = _fine_step(-a0, 40.0, spread)
-    return (ContourSpec.from_step(a0, 7.0, step), ContourSpec.from_step(b0, 7.0, step))
+    third = eps / 3.0
+    return -third, -1.0 + 2.0 * third
 
 
 # ---------------------------------------------------------------------------
@@ -250,30 +178,25 @@ def _mirror_sum(x: np.ndarray, first: int = 0, stride: int = 1) -> float:
     return total - float(x[0]) if first == 0 else total
 
 
-def _contour_value(specs: tuple, fine: complex, coarse: complex, tail: float,
-                   rounding: float, passes: int, **counters) -> BoxValue:
-    """The last pass's doubled rule as an ``mb`` BoxValue with its diagnostics.
+def _contour_value(step: float, fine: complex, coarse: complex, tail: float,
+                   rounding: float, **fields) -> BoxValue:
+    """The last pass's doubled rule of step ``step`` as an ``mb`` BoxValue
+    with its diagnostics.
 
     The routes refine until the node-doubling delta is within their
     tolerance of the value or the value is not finite, so the delta is not
     checked here.  Halving the step squares the rule's relative error, so
     the error estimate adds delta^2 / |value|, the truncation tail and the
-    rounding of the sum.  ``specs`` holds the one massless line or the
-    (inner, outer) one-mass pair, reported as numbers or as pairs;
-    ``passes`` is 1 plus the number of times the step was halved, and the
-    work ``counters`` follow it.
+    rounding of the sum.  ``fields`` lead the diagnostics in their order:
+    ``nodes``, ``height`` and ``abscissa`` of the one massless line, or as
+    (inner, outer) pairs of the one-mass lines, then ``passes``, 1 plus the
+    number of times the step was halved, then the route's work counters.
     """
     delta = abs(fine - coarse)
     doubled = delta * (delta / abs(fine)) if delta else 0.0
-    lines = {name: tuple(getattr(c, name) for c in specs)
-             for name in ("nodes", "height", "abscissa")}
-    if len(specs) == 1:
-        lines = {name: pair[0] for name, pair in lines.items()}
     return BoxValue(complex(fine), "mb", {
-        **lines,
-        "passes": passes,
-        **counters,
-        "step": specs[0].step,
+        **fields,
+        "step": step,
         "tail_estimate": tail,
         "node_doubling_delta": delta,
         "rounding_estimate": rounding,
@@ -345,8 +268,8 @@ def _phase(k: Kinematics, step: float, j: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _line_nodes(k: Kinematics, step: float, j: np.ndarray, crossed: bool
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(Re f, |f|) of the massless integrand f on one of its two lines (see
-    :func:`massless_line`) at heights y = j step, in real arithmetic.
+    """(Re f, |f|) of the massless integrand f on one of its two lines at
+    heights y = j step, in real arithmetic.
 
     The line is given by its pole distance d (see :func:`_massless_gap`),
     not by its rounded abscissa: eps/2 is exact, and so is (1 - eps)/2
@@ -382,9 +305,10 @@ def mb_massless_eval(k: Kinematics, crossed: bool | None = None) -> BoxValue:
     """Massless box by the trapezoid rule along one of its two lines.
 
     ``crossed`` names the line: the crossed one at (eps - 1)/2 or the
-    uncrossed one at -1 + eps/2 (see :func:`massless_line`); without it the
-    line is :func:`select_contour_massless`'s.  Anything but a bool, such as
-    an abscissa, raises :class:`InfeasibleContour`.  Both lines are
+    uncrossed one at -1 + eps/2 (see :func:`_massless_gap`); without it the
+    line is that of the wider band, crossed for eps < 1/2, so the pole gap
+    is at least 1/4 at every eps.  Anything but a bool, such as an
+    abscissa, raises :class:`InfeasibleContour`.  Both lines are
     self-conjugate, so a node takes one |Gamma|^2 and one |csc|^2 in real
     arithmetic (see :func:`_line_nodes`).  In the Euclidean region
     f(conj w) = conj f(w), so the rule sums only the nodes with Im w >= 0:
@@ -396,46 +320,53 @@ def mb_massless_eval(k: Kinematics, crossed: bool | None = None) -> BoxValue:
     line the integrand is taken with |t| <= |s|, which keeps the residue
     from swamping the box; then it is scaled (see :attr:`Kinematics.unit`).
     The value is the doubled rule; the coarse rule is its even nodes.  The
-    first pass takes the step for the line's true pole gap (see
-    :func:`massless_line`), and while the node-doubling delta is above
-    ``MASSLESS_DELTA_RTOL`` of the value, the step is halved: the
-    doubled rule becomes the coarse one, and only the new nodes, halfway
-    between the old ones, up to ``MAX_NODES``, past which it raises
+    first pass takes the node count for the line's true pole gap d and an
+    exp(-60) target (see :func:`_first_nodes`); where the phase cancels the
+    value far below h sum |f| (|t/s| near 1e+-8) that coarse rule misses
+    ``MASSLESS_DELTA_RTOL``, and while the node-doubling delta is above it
+    of the value, n nodes become 2n - 1: the doubled rule becomes the
+    coarse one, and only the new nodes, halfway between the old ones, are
+    evaluated, up to ``MAX_NODES``, past which it raises
     :class:`NotConverged`.  The rounding term is ``_MASSLESS_ULPS``'s.
     """
     k.require_massless()
     if crossed is None:
-        crossed = _crossed_by_default(k.eps)
+        crossed = k.eps < 0.5
     elif not isinstance(crossed, (bool, np.bool_)):
         raise InfeasibleContour(f"the massless line is crossed=True or crossed=False, "
                                 f"got {crossed!r}")
     crossed = bool(crossed)
-    line = massless_line(k, crossed)
+    gap = _massless_gap(k.eps, crossed)
+    nodes = _first_nodes(MASSLESS_HEIGHT, gap, 60.0, abs(math.log(k.s / k.t)))
     if crossed and abs(k.t) > abs(k.s):
         k = Kinematics(s=k.t, t=k.s, eps=k.eps)
     u, factor = k.unit
-    re, size = _line_nodes(u, line.step, line.upper_nodes(), crossed)
+    step = MASSLESS_HEIGHT / (nodes - 1)
+    re, size = _line_nodes(u, step, np.arange(_within_cap(nodes)), crossed)
     # sums of the doubled rule's Re f and |f| over the whole line, in units of factor
     total, size_total = _mirror_sum(re), _mirror_sum(size)
-    coarse_total = 2.0 * _mirror_sum(re, (line.nodes - 1) % 2, 2)
+    coarse_total = 2.0 * _mirror_sum(re, (nodes - 1) % 2, 2)
     # beyond both ends the integrand decays like exp(-3 pi |Im w|)
     tail = 2.0 * factor * size[-1] / (2.0 * math.pi * 3.0 * math.pi)
     residue, residue_size = _crossed_residue(u, factor) if crossed else (0.0, 0.0)
-    weight = factor * line.step / (2.0 * math.pi)
+    weight = factor * step / (2.0 * math.pi)
     fine, coarse = weight * total - residue, weight * coarse_total - residue
     passes = 1
     # a value that is not finite ends it: no delta is above a multiple of it
     while abs(fine - coarse) > MASSLESS_DELTA_RTOL * abs(fine):
-        line = ContourSpec(line.abscissa, line.height, 2 * line.nodes - 1)
-        re, size = _line_nodes(u, line.step, line.upper_nodes()[1::2], crossed)
+        nodes = 2 * nodes - 1
+        step = MASSLESS_HEIGHT / (nodes - 1)
+        re, size = _line_nodes(u, step, np.arange(1, _within_cap(nodes), 2), crossed)
         total += 2.0 * float(np.sum(re))
         size_total += 2.0 * float(np.sum(size))
-        weight = factor * line.step / (2.0 * math.pi)
+        weight = factor * step / (2.0 * math.pi)
         fine, coarse = weight * total - residue, fine
         passes += 1
     rounding = 2.0 ** -53 * (_MASSLESS_ULPS * (abs(weight * total) + residue_size)
                              + _MASSLESS_NODE_ULPS * weight * size_total)
-    return _contour_value((line,), fine, coarse, tail, rounding, passes)
+    return _contour_value(step, fine, coarse, tail, rounding, nodes=nodes,
+                          height=MASSLESS_HEIGHT, abscissa=-gap if crossed else -1.0 + gap,
+                          passes=passes)
 
 
 def mb_onemass_integrand(alpha, beta, k: Kinematics):
@@ -466,11 +397,10 @@ def _pi_csc_line(u: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return modulus, -np.arctan2(cos * np.tanh(math.pi * y), sin)
 
 
-def _onemass_grids(k: Kinematics, h: float, na: int, nb: int
+def _onemass_grids(k: Kinematics, h: float, n: int
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A(alpha), B(beta) and C(sigma) of the default pair at the unit point,
-    at the heights j h >= 0, na, nb and L = max(na, nb) of them (the
-    hexagon of :func:`_mb_onemass_sums`): their product at
+    at the n heights j h >= 0 of each line: their product at
     sigma = alpha + beta is the integrand over (-msq)^a0
     (-t)^(eps - 2 - a0 - b0) / Gamma(2 eps), since (-s)^beta = 1.
 
@@ -481,13 +411,13 @@ def _onemass_grids(k: Kinematics, h: float, na: int, nb: int
     off the line at 2 eps/3, each grid as one exp(modulus + i phase).
     """
     third = k.eps / 3.0
-    y = h * np.arange(max(na, nb))
+    y = h * np.arange(n)
     ln_msq, ln_t = math.log(-k.msq), math.log(-k.t)
     lg, arg = ln_gamma_line(third, y)
     csc, csc_arg = _pi_csc_line(2.0 * third, y)
     modulus, phase = lg + csc, arg - csc_arg
-    a = np.exp(lg[:na] + 1j * (y[:na] * ln_msq - arg[:na]))
-    b = np.exp(modulus[:nb] - 1j * phase[:nb])
+    a = np.exp(lg + 1j * (y * ln_msq - arg))
+    b = np.exp(modulus - 1j * phase)
     c = np.exp(modulus + 1j * (phase - y * ln_t))
     return a, b, c
 
@@ -498,10 +428,11 @@ def _fft_length(n: int) -> int:
     return min(m << max(1, (-(-n // m) - 1).bit_length()) for m in (1, 3, 5))
 
 
-def _mb_onemass_sums(k: Kinematics, ca: ContourSpec, cb: ContourSpec
+def _mb_onemass_sums(k: Kinematics, h: float, n: int
                      ) -> tuple[float, float, tuple[float, float, int]]:
     """Real parts of the doubled and coarse trapezoid sums of the double
-    contour, then the doubled sum of |f|, the tail estimate and the FFT length.
+    contour on n nodes of step h a line, then the doubled sum of |f|, the
+    tail estimate and the FFT length.
 
     Three gamma factors depend on sigma = alpha + beta only, so on grids
     with one step h the double sum is sum A_p B_q C'_r over p + q + r = 0,
@@ -514,68 +445,71 @@ def _mb_onemass_sums(k: Kinematics, ca: ContourSpec, cb: ContourSpec
     one sign with |sigma| > H, lie below e^(-5 pi H/2) of the peak, under
     the edge nodes that the tail counts.  The coarse rule keeps each line's
     nodes of its top node's parity, whose spectrum is (X_k + s X_{k+N/2})/2,
-    s = +1 when they include Im 0 and -1 when not; C's parity is the sum of
-    A's and B's, so the coarse sum needs the first N/2 frequencies.  |f| is
-    smooth, so h^2 sum |f| is 4 times the sum over the even nodes, at length
-    N/2.  The tail estimate sums |f| at the top centre of the alpha and beta
-    edges and at the middle of the sigma edge, all of them grid nodes.
+    s = +1 when they include Im 0 (n odd) and -1 when not; C's parity is
+    the sum of A's and B's, even, so the coarse sum needs the first N/2
+    frequencies.  |f| is smooth, so h^2 sum |f| is 4 times the sum over the
+    even nodes, at length N/2.  The tail estimate sums |f| at the top
+    centre of the alpha and beta edges and at the middle of the sigma edge,
+    all of them grid nodes.
     """
     u, factor = k.unit
     e, third = u.eps, u.eps / 3.0
-    h, na, nb = ca.step, ca.nodes, cb.nodes
-    _within_cap(max(na, nb))
-    a, b, c = _onemass_grids(u, h, na, nb)
-    top = len(c) - 1
-    n = _fft_length(na + nb + top - 1)
+    a, b, c = _onemass_grids(u, h, _within_cap(n))
+    top = n - 1
+    length = _fft_length(3 * n - 2)
     # (-msq)^a0 (-t)^(eps - 2 - a0 - b0) = (-t)^eps / (-t) (msq t)^(-eps/3) by pow: an
     # exp of summed logs would put ulps of ln(-t) on every node alike
     kinematic = (-u.t) ** e / -u.t * (-u.msq) ** -third * (-u.t) ** -third
     scale = factor * kinematic / math.gamma(2.0 * e) / (4.0 * math.pi ** 2)
-    weight = h * h * scale / n
+    weight = h * h * scale / length
     # the products cancel, so they are summed pairwise, by sum(): a dot
     # product's running sum cost 0.2 digits of the median at eps < 0.01
-    spectra = np.array([np.fft.hfft(g, n) for g in (a, b, c.conj())])
+    spectra = np.array([np.fft.hfft(g, length) for g in (a, b, c.conj())])
     fine = weight * float(spectra.prod(axis=0).sum())
-    # the coarse nodes include Im 0 when a line has an odd node count
-    sa, sb = (1 if m % 2 else -1 for m in (na, nb))
-    half = spectra[:, :n // 2] + np.array([[sa], [sb], [sa * sb]]) * spectra[:, n // 2:]
+    sign = 1 if n % 2 else -1
+    half = spectra[:, :length // 2] + np.array([[sign], [sign], [1]]) * spectra[:, length // 2:]
     coarse = weight * float(half.prod(axis=0).sum())
-    even = np.array([np.fft.hfft(np.abs(g[::2]), n // 2) for g in (a, b, c)])
+    even = np.array([np.fft.hfft(np.abs(g[::2]), length // 2) for g in (a, b, c)])
     abs_sum = 8.0 * weight * float(even.prod(axis=0).sum())
     # alpha at its top and beta at Im 0, the reverse, and sigma's top nearest (H/2, H/2)
-    ia = min(na - 1, max(top + 1 - nb, top // 2))
-    tail = scale * float(abs(a[-1] * b[0] * c[na - 1]) + abs(a[0] * b[-1] * c[nb - 1])
-                         + abs(a[ia] * b[top - ia] * c[top]))
-    return fine, coarse, (abs_sum, tail, n)
+    mid = top // 2
+    tail = scale * float(abs(a[-1] * b[0] * c[top]) + abs(a[0] * b[-1] * c[top])
+                         + abs(a[mid] * b[top - mid] * c[top]))
+    return fine, coarse, (abs_sum, tail, length)
 
 
 def mb_onemass_eval(k: Kinematics) -> BoxValue:
     """One-mass box by the trapezoid rule on both contours (inner alpha, outer beta).
 
-    The pair is :func:`select_contour_onemass`'s, whose lines share one
-    step.  The grids read every factor off one log-gamma and one cosecant
-    half-line of max(na, nb) points (see :func:`_mb_onemass_sums`).  The
-    rounding term counts the seven gamma factors of the scalar integrand
-    per node and h^2 sum |f| / 4 pi^2.  While the node-doubling delta is
-    above ``ONEMASS_DELTA_RTOL`` of the value, both lines go to 2n - 1
-    nodes and the sums are redone, up to ``MAX_NODES``, past which it
-    raises :class:`NotConverged`.  ``gamma_points`` sums the log-gamma
-    lines' heights over the passes.
+    The lines are :func:`_onemass_abscissae`'s, with one step and one node
+    count, the first for their pole gap of eps/3 and an exp(-40) target
+    (see :func:`_first_nodes`).  The grids read every factor off one
+    log-gamma and one cosecant half-line of n points (see
+    :func:`_mb_onemass_sums`).  The rounding term counts the seven gamma
+    factors of the scalar integrand per node and h^2 sum |f| / 4 pi^2.
+    While the node-doubling delta is above ``ONEMASS_DELTA_RTOL`` of the
+    value, both lines go to 2n - 1 nodes and the sums are redone, up to
+    ``MAX_NODES``, past which it raises :class:`NotConverged`.
+    ``gamma_points`` sums the log-gamma lines' heights over the passes.
     """
     k.require_onemass()
-    ca, cb = select_contour_onemass(k)
+    a0, b0 = _onemass_abscissae(k.eps)
+    spread = abs(math.log(k.s / k.t)) + abs(math.log(k.msq / k.t))
+    nodes = _first_nodes(ONEMASS_HEIGHT, -a0, 40.0, spread)
     passes = gamma_points = 0
     while True:
-        fine, coarse, (abs_sum, tail, fft_length) = _mb_onemass_sums(k, ca, cb)
+        step = ONEMASS_HEIGHT / (nodes - 1)
+        fine, coarse, (abs_sum, tail, fft_length) = _mb_onemass_sums(k, step, nodes)
         passes += 1
-        gamma_points += max(ca.nodes, cb.nodes)
+        gamma_points += nodes
         # a value that is not finite ends it: no delta is above a multiple of it
         if not abs(fine - coarse) > ONEMASS_DELTA_RTOL * abs(fine):
             break
-        ca, cb = (ContourSpec(c.abscissa, c.height, 2 * c.nodes - 1) for c in (ca, cb))
+        nodes = 2 * nodes - 1
     rounding = 7.0 * _LN_GAMMA_ERR * abs_sum
-    return _contour_value((ca, cb), fine, coarse, tail, rounding, passes,
-                          gamma_points=gamma_points, fft_length=fft_length)
+    return _contour_value(step, fine, coarse, tail, rounding, nodes=(nodes, nodes),
+                          height=(ONEMASS_HEIGHT, ONEMASS_HEIGHT), abscissa=(a0, b0),
+                          passes=passes, gamma_points=gamma_points, fft_length=fft_length)
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,10 @@ from mbbox.closed_form import (
 )
 from mbbox.errors import NonConvergence
 from mbbox.mb_engine import (
-    ContourSpec,
     mb_massless_eval,
     mb_onemass_eval,
     residue_massless,
     residue_onemass,
-    select_contour_massless,
 )
 from mbbox.oracles import feynman_1d_massless, feynman_1d_onemass
 
@@ -166,14 +164,26 @@ class TestEval:
         assert code == EXIT_NOT_CONVERGED
         assert "NotConverged" in capsys.readouterr().err
 
-    def test_overflowing_phase_spread_exits_2(self, capsys):
+    def test_overflowing_phase_spread_exits_3(self, tmp_path, capsys):
         # msq/t = 1e400 overflows the one-mass pair's phase spread, so its
-        # step is 0: no contour is formed
+        # step is 0, which no node count refines: a numerical failure at a
+        # point that Kinematics accepts, and in a sweep a failed point
+        # beside the others
+        point = {"integral": "onemass", "s": -1.0, "t": -1e-200, "msq": -1e200, "eps": 0.3}
         code = run_main(["eval", "--integral", "onemass", "--s=-1", "--t=-1e-200",
                          "--msq=-1e200", "--eps", "0.3", "--method", "mb"])
-        assert code == EXIT_INPUT_ERROR
+        assert code == EXIT_NOT_CONVERGED
         assert capsys.readouterr().err == (
-            "error: InfeasibleContour: need a positive step, got step=0.0\n")
+            "error: NotConverged: need a positive step, got step=0.0\n")
+        grid_file, out_file = tmp_path / "grid.json", tmp_path / "report.json"
+        grid_file.write_text(json.dumps([{**point, "methods": ["closed", "mb"]},
+                                         {"s": -1.0, "t": -2.0, "eps": 0.3, "methods": ["mb"]}]))
+        assert run_main(["sweep", str(grid_file), "--out", str(out_file)]) == EXIT_NOT_CONVERGED
+        assert capsys.readouterr().err == ""
+        failed, kept = Report.from_json(out_file.read_text()).records
+        assert failed["status"] == "failed"
+        assert failed["reason"] == "NotConverged: need a positive step, got step=0.0"
+        assert kept["status"] == "ok" and kept["pass"]
 
     @pytest.mark.parametrize("method", ["closed", "closed_alt", "feynman", "residue"])
     def test_non_finite_msq_rejected(self, method, capsys):
@@ -331,20 +341,17 @@ class TestDefaultContour:
 
     def test_node_override_subtracts_the_crossed_residue(self, monkeypatch, capsys):
         # the default line at eps = 0.3 has crossed the pole at eps - 1, and
-        # so has a line of 4001 nodes given by hand at the default abscissa:
-        # both subtract the residue and agree
-        k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
-        default = select_contour_massless(k)
-        ref = mb_massless_eval(k).value
-        monkeypatch.setattr(cli.mb_engine, "massless_line",
-                            lambda k, crossed: ContourSpec(default.abscissa, 6.0, 4001))
+        # so has a first pass of 4001 nodes given by hand on that line: both
+        # subtract the residue and agree
+        ref = mb_massless_eval(Kinematics(s=-1.0, t=-2.0, eps=0.3))
+        monkeypatch.setattr(cli.mb_engine, "_first_nodes", lambda *args: 4001)
         assert run_main(["eval", "--s=-1", "--t=-2", "--eps=0.3", "--method", "mb",
                          "--json"]) == EXIT_OK
         record = json.loads(capsys.readouterr().out)["records"][0]
         assert record["diagnostics"]["nodes"] == 4001
         assert record["diagnostics"]["passes"] == 1
-        assert record["diagnostics"]["abscissa"] == default.abscissa
-        assert abs(record["value"]["re"] - ref.real) <= 1e-13 * abs(ref)
+        assert record["diagnostics"]["abscissa"] == ref.diagnostics["abscissa"] == -0.35
+        assert abs(record["value"]["re"] - ref.value.real) <= 1e-13 * abs(ref.value)
 
 
 class TestOutOfRange:
@@ -496,13 +503,11 @@ class TestVerify:
         assert summary["failures"] == 0
         assert summary["checks"] >= 35
 
-    def test_zero_tol_is_kept(self, monkeypatch, capsys):
-        # every identity deviates by more than zero, so both forms fail
+    def test_zero_tol_is_kept(self, capsys):
+        # every identity deviates by more than zero
         assert run_main(["verify", "--suite", "identities", "--tol", "0"]) \
             == EXIT_VERIFY_FAILED
         assert json.loads(capsys.readouterr().out)["summary"]["failures"] > 0
-        monkeypatch.setenv("MBBOX_TOL", "0")
-        assert run_main(["verify", "--suite", "identities"]) == EXIT_VERIFY_FAILED
 
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_bad_tol_rejected(self, tol, capsys):
@@ -603,19 +608,15 @@ class TestSweep:
         run_main(["sweep", str(grid_file), "--out", str(out_file), "--tol", "0"])
         assert Report.from_json(out_file.read_text()).summary["tol"] == 0.0
 
-    @pytest.mark.parametrize("args, env, name", [(["--tol", "nan"], None, "--tol=nan"),
-                                                 ([], "inf", "MBBOX_TOL=inf")],
-                             ids=["flag", "environment"])
-    def test_bad_tol_rejected(self, args, env, name, tmp_path, monkeypatch, capsys):
-        if env is not None:
-            monkeypatch.setenv("MBBOX_TOL", env)
+    @pytest.mark.parametrize("tol", ["nan"], ids=["flag"])
+    def test_bad_tol_rejected(self, tol, tmp_path, capsys):
         grid_file = tmp_path / "grid.json"
         grid_file.write_text(json.dumps([{"s": -1.0, "t": -2.0, "eps": 0.3}]))
         out_file = tmp_path / "report.json"
-        code = run_main(["sweep", str(grid_file), "--out", str(out_file), *args])
+        code = run_main(["sweep", str(grid_file), "--out", str(out_file), "--tol", tol])
         assert code == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
-        assert f"{name} is not a finite number >= 0" in err
+        assert f"--tol={tol} is not a finite number >= 0" in err
         assert "Traceback" not in err
         assert not out_file.exists()
 
@@ -752,37 +753,31 @@ class TestReportRoundTrip:
 
 
 class TestEnvironmentOverrides:
-    def test_bad_env_value(self, monkeypatch, capsys):
-        monkeypatch.setenv("MBBOX_TOL", "frogs")
-        assert run_main(["verify", "--suite", "identities"]) == EXIT_INPUT_ERROR
-        assert capsys.readouterr().err == "error: DegenerateKinematics: bad MBBOX_TOL='frogs'\n"
-
-    def test_retired_contour_variables_ignored_by_mb(self, monkeypatch, capsys):
-        # MBBOX_QUAD_NODES and MBBOX_QUAD_HEIGHT once set the mb contour; no
-        # command reads them now
-        argv = ["eval", "--s", "-1", "--t", "-2", "--eps", "0.3", "--method", "mb", "--json"]
-        assert run_main(argv) == EXIT_OK
-        out = capsys.readouterr().out
-        monkeypatch.setenv("MBBOX_QUAD_NODES", "frogs")
-        monkeypatch.setenv("MBBOX_QUAD_HEIGHT", "-1")
-        assert run_main(argv) == EXIT_OK
-        assert capsys.readouterr() == (out, "")
-
-    # MBBOX_TOL is read by verify and sweep; no command reads the retired
-    # contour variables
+    # no command reads an environment variable: MBBOX_TOL once set the
+    # tolerance of verify and sweep, MBBOX_QUAD_NODES and MBBOX_QUAD_HEIGHT
+    # the mb contour
     UNREAD = {"verify": ["verify", "--suite", "identities"],
+              "sweep": ["sweep", "GRID"],
               "expand": ["expand", "--s", "-1", "--t", "-2", "--eps", "0.3"],
-              "eval-closed": ["eval", "--s", "-1", "--t", "-2", "--eps", "0.3"]}
+              "eval-closed": ["eval", "--s", "-1", "--t", "-2", "--eps", "0.3"],
+              "eval-mb": ["eval", "--s", "-1", "--t", "-2", "--eps", "0.3", "--method", "mb",
+                          "--json"]}
 
     @pytest.mark.parametrize("command, name", [
         (command, name) for command in UNREAD
-        for name in ("MBBOX_TOL", "MBBOX_QUAD_NODES", "MBBOX_QUAD_HEIGHT")
-        if (command, name) != ("verify", "MBBOX_TOL")])
-    def test_bad_value_ignored_where_unread(self, command, name, monkeypatch, capsys):
-        monkeypatch.setenv(name, "frogs")
-        argv = self.UNREAD[command]
+        for name in ("MBBOX_TOL", "MBBOX_QUAD_NODES", "MBBOX_QUAD_HEIGHT")])
+    def test_bad_value_ignored_where_unread(self, command, name, tmp_path, monkeypatch,
+                                            capsys):
+        # the same output with a bad value as without
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps([{"s": -1.0, "t": -2.0, "eps": 0.3,
+                                          "methods": ["closed", "mb"]}]))
+        argv = [str(grid_file) if arg == "GRID" else arg for arg in self.UNREAD[command]]
         assert run_main(argv) == EXIT_OK
-        assert capsys.readouterr().err == ""
+        out = capsys.readouterr().out
+        monkeypatch.setenv(name, "frogs")
+        assert run_main(argv) == EXIT_OK
+        assert capsys.readouterr() == (out, "")
 
     @pytest.mark.parametrize("method", ["closed", "closed_alt", "residue", "feynman"])
     def test_env_contour_not_refused_for_other_methods(self, method, monkeypatch, capsys):

@@ -13,16 +13,12 @@ from mbbox.closed_form import Kinematics, massless_box, onemass_box
 from mbbox.errors import InfeasibleContour, NotConverged, PoleError
 from mbbox.mb_engine import (
     MAX_NODES,
-    ContourSpec,
-    massless_line,
     mb_massless_eval,
     mb_massless_integrand,
     mb_onemass_eval,
     mb_onemass_integrand,
     residue_massless,
     residue_onemass,
-    select_contour_massless,
-    select_contour_onemass,
 )
 
 
@@ -35,10 +31,10 @@ def onemass_point(eps):
     return Kinematics(s=-1.0, t=-2.0, eps=eps, msq=-0.5)
 
 
-def full_nodes(spec):
-    """Indices j of Im w = j h on the doubled rule over the whole line; its
-    even entries are the coarse nodes."""
-    return np.arange(1 - spec.nodes, spec.nodes)
+def full_nodes(nodes):
+    """Indices j of Im w = j h on the doubled rule of ``nodes`` coarse nodes
+    over the whole line; its even entries are the coarse nodes."""
+    return np.arange(1 - nodes, nodes)
 
 
 def counting_lines(monkeypatch):
@@ -54,11 +50,18 @@ def counting_lines(monkeypatch):
 
 
 def given_line(monkeypatch, height, nodes):
-    """Make mb_massless_eval start from a line of ``nodes`` coarse nodes up
-    to ``height`` at its own abscissa, in place of its first line."""
-    real = mb_engine.massless_line
-    monkeypatch.setattr(mb_engine, "massless_line", lambda k, crossed: ContourSpec(
-        real(k, crossed).abscissa, height, nodes))
+    """Make both mb routes start from lines of ``nodes`` coarse nodes up to
+    ``height`` at their own abscissae, in place of their first lines."""
+    monkeypatch.setattr(mb_engine, "MASSLESS_HEIGHT", height)
+    monkeypatch.setattr(mb_engine, "ONEMASS_HEIGHT", height)
+    monkeypatch.setattr(mb_engine, "_first_nodes", lambda *args: nodes)
+
+
+def first_massless_nodes(k, crossed):
+    """Coarse nodes of the massless route's first pass at k on that line."""
+    return mb_engine._first_nodes(mb_engine.MASSLESS_HEIGHT,
+                                  mb_engine._massless_gap(k.eps, crossed), 60.0,
+                                  abs(math.log(k.s / k.t)))
 
 
 def mp_integrand(w, k):
@@ -74,31 +77,45 @@ class TestContourSelection:
         # from 1/2 on midway between -1 and eps - 1
         for eps, c in ((1e-6, -0.4999995), (0.4, -0.3), (0.499, -0.2505),
                        (0.5, -0.75), (0.99, -0.505)):
-            spec = select_contour_massless(massless_point(eps))
-            assert abs(spec.abscissa - c) < 1e-15, eps
-            assert spec == massless_line(massless_point(eps), eps < 0.5)
-            assert (spec.abscissa > eps - 1.0) == (eps < 0.5)
+            v = mb_massless_eval(massless_point(eps))
+            assert abs(v.diagnostics["abscissa"] - c) < 1e-15, eps
+            assert v.diagnostics == mb_massless_eval(massless_point(eps), eps < 0.5).diagnostics
+            assert (c > eps - 1.0) == (eps < 0.5)
 
     @pytest.mark.parametrize("eps", [1e-6, 0.02, 0.3, 0.5, 0.7, 0.99])
-    def test_massless_line_takes_its_band_step(self, eps):
+    def test_massless_line_takes_its_band_step(self, eps, monkeypatch):
         # the crossed line at (eps - 1)/2 and the uncrossed one at
-        # -1 + eps/2, each with the step of its true pole gap (1 - eps)/2 or
-        # eps/2, bit for bit
+        # -1 + eps/2, bit for bit, each up to height 6 with the first node
+        # count of its true pole gap (1 - eps)/2 or eps/2; the uncrossed
+        # line at eps = 1e-6 needs more than the cap
+        sizes = counting_lines(monkeypatch)["gamma_abs2_line"]
         k = Kinematics(s=-1.0, t=-2.0, eps=eps)
         for crossed, abscissa, pole in ((True, (eps - 1.0) / 2.0, (1.0 - eps) / 2.0),
                                         (False, -1.0 + eps / 2.0, eps / 2.0)):
-            step = mb_engine._fine_step(pole, 60.0, math.log(2.0))
-            assert massless_line(k, crossed) == ContourSpec.from_step(abscissa, 6.0, step)
+            first = mb_engine._first_nodes(6.0, pole, 60.0, math.log(2.0))
+            step = 2.0 * math.pi * pole / (60.0 + pole * math.log(2.0))
+            assert first == math.ceil(6.0 / step) + 1
+            if first > MAX_NODES:
+                with pytest.raises(NotConverged):
+                    mb_massless_eval(k, crossed)
+                continue
+            sizes.clear()
+            d = mb_massless_eval(k, crossed).diagnostics
+            assert sizes[0] == first
+            assert (d["abscissa"], d["height"]) == (abscissa, 6.0)
+            assert d["nodes"] == (first - 1) * 2 ** (d["passes"] - 1) + 1
+            assert d["step"] == 6.0 / (d["nodes"] - 1)
 
     def test_onemass_example(self):
-        ca, cb = select_contour_onemass(onemass_point(0.4))
-        assert abs(cb.abscissa - (-1.0 + 0.8 / 3.0)) < 1e-15
-        assert abs(ca.abscissa + 0.4 / 3.0) < 1e-15
+        d = mb_onemass_eval(onemass_point(0.4)).diagnostics
+        a0, b0 = d["abscissa"]
+        assert abs(b0 - (-1.0 + 0.8 / 3.0)) < 1e-15
+        assert abs(a0 + 0.4 / 3.0) < 1e-15
+        assert d["height"] == (7.0, 7.0) and d["nodes"][0] == d["nodes"][1]
 
     @pytest.mark.parametrize("eps", [1e-6, 0.003, 0.2, 0.5, 0.8, 0.999999])
     def test_onemass_gamma_arguments_positive(self, eps):
-        ca, cb = select_contour_onemass(onemass_point(eps))
-        a0, b0 = ca.abscissa, cb.abscissa
+        a0, b0 = mb_engine._onemass_abscissae(eps)
         args = (-a0, -b0, 2.0 - eps + a0 + b0, eps - 1.0 - a0 - b0,
                 1.0 + b0, eps - 1.0 - b0, 1.0 + a0 + b0)
         assert min(args) > 0.0
@@ -114,7 +131,7 @@ class TestMasslessIntegrand:
 
     def test_decay_along_contour(self):
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
-        c = select_contour_massless(k).abscissa
+        c = mb_massless_eval(k).diagnostics["abscissa"]
         ratio = abs(mb_massless_integrand(c + 30j, k)) / abs(mb_massless_integrand(c + 0j, k))
         assert ratio < 1e-12
 
@@ -177,9 +194,9 @@ class TestMasslessQuadrature:
     def test_half_line_sums_match_full_line(self, nodes, crossed):
         # nodes - 1 even puts Im w = 0 on the coarse rule, odd leaves it off
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
-        spec = ContourSpec(massless_line(k, crossed).abscissa, 6.0, nodes)
-        full, full_size = mb_engine._line_nodes(k, spec.step, full_nodes(spec), crossed)
-        upper, size = mb_engine._line_nodes(k, spec.step, spec.upper_nodes(), crossed)
+        step = 6.0 / (nodes - 1)
+        full, full_size = mb_engine._line_nodes(k, step, full_nodes(nodes), crossed)
+        upper, size = mb_engine._line_nodes(k, step, np.arange(nodes), crossed)
         first = (nodes - 1) % 2
         for half, whole in ((mb_engine._mirror_sum(upper), np.sum(full)),
                             (mb_engine._mirror_sum(upper, first, 2), np.sum(full[::2])),
@@ -192,10 +209,10 @@ class TestMasslessQuadrature:
         # at s = -1 with |t| <= |s| the point is its own unit point on both
         # lines; the route runs one pass on a line given by hand
         k = Kinematics(s=-1.0, t=-0.5, eps=0.3)
-        spec = ContourSpec(massless_line(k, crossed).abscissa, 8.0, nodes)
-        full = mb_engine._line_nodes(k, spec.step, full_nodes(spec), crossed)[0]
+        step = 8.0 / (nodes - 1)
+        full = mb_engine._line_nodes(k, step, full_nodes(nodes), crossed)[0]
         residue = mb_engine._crossed_residue(k, 1.0)[0] if crossed else 0.0
-        weight = spec.step / (2.0 * math.pi)
+        weight = step / (2.0 * math.pi)
         fine = weight * np.sum(full) - residue
         coarse = 2.0 * weight * np.sum(full[::2]) - residue
         given_line(monkeypatch, 8.0, nodes)
@@ -228,11 +245,11 @@ class TestMasslessQuadrature:
         # is within 1e-13 of mpmath, its estimate at least its error
         sizes = counting_lines(monkeypatch)
         k = Kinematics(s=-1.0, t=-ratio, eps=eps)
-        first = select_contour_massless(k).nodes
+        first = first_massless_nodes(k, eps < 0.5)
         v = mb_massless_eval(k)
         assert v.diagnostics["passes"] == 2
         assert v.diagnostics["nodes"] == 2 * first - 1
-        assert v.diagnostics["step"] == select_contour_massless(k).step / 2.0
+        assert v.diagnostics["step"] == 6.0 / (first - 1) / 2.0
         assert sizes["gamma_abs2_line"] == [first, first - 1]
         error = mp_error(v.value.real, -1.0, -ratio, eps, dps=40)
         assert error <= 1e-13 * abs(v.value)
@@ -247,7 +264,7 @@ class TestMasslessQuadrature:
             v = mb_massless_eval(k)
         assert not cmath.isfinite(v.value)
         assert v.diagnostics["passes"] == 1
-        assert sizes["gamma_abs2_line"] == [select_contour_massless(k).nodes]
+        assert sizes["gamma_abs2_line"] == [first_massless_nodes(k, True)]
 
     @pytest.mark.parametrize("eps", [0.02, 0.3, 0.7, 0.97])
     def test_abscissa_shift_invariance(self, eps):
@@ -261,29 +278,26 @@ class TestMasslessQuadrature:
 
     @pytest.mark.parametrize("eps", [1e-6, 0.2, 0.3, 0.5, 0.99])
     def test_infeasible_abscissa_rejected(self, eps):
-        # the line is named by a flag: an abscissa in its place, as a float
-        # or as a line, is refused, also that of either line itself, and so
-        # is the pole eps - 1, the edges 0 and -1, a point past them, and a
-        # line next to either
+        # the line is named by a flag: an abscissa in its place is refused,
+        # also that of either line itself, and so is the pole eps - 1, the
+        # edges 0 and -1, a point past them, and a line next to either
         k = Kinematics(s=-1.0, t=-2.0, eps=eps)
-        lines = [massless_line(k, crossed).abscissa for crossed in (True, False)]
+        lines = [(eps - 1.0) / 2.0, -1.0 + eps / 2.0]
         others = [eps - 1.0, 0.0, -1.0, 0.5, -0.8, -0.2] + lines + [
             math.nextafter(c, side) for c in lines for side in (-1.0, 0.0)]
         for c in others:
-            for given in (c, ContourSpec(c, 6.0, 4096)):
-                with pytest.raises(InfeasibleContour, match="crossed=True or crossed=False"):
-                    mb_massless_eval(k, given)
+            with pytest.raises(InfeasibleContour, match="crossed=True or crossed=False"):
+                mb_massless_eval(k, c)
 
     def test_trapezoid_rule(self):
         # the doubled rule on a line given by hand, well away from the
         # default height and step: h / 2 pi times the sum of Re f over the
         # whole uncrossed line, which subtracts no residue
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3)
-        spec = ContourSpec(massless_line(k, False).abscissa, 8.0, 2001)
-        assert spec.step == 8.0 / 2000
-        re = mb_engine._line_nodes(k, spec.step, full_nodes(spec), False)[0]
+        step = 8.0 / 2000
+        re = mb_engine._line_nodes(k, step, full_nodes(2001), False)[0]
         c = massless_box(k).value
-        assert abs(spec.step / (2.0 * math.pi) * np.sum(re) - c) < 1e-12 * abs(c)
+        assert abs(step / (2.0 * math.pi) * np.sum(re) - c) < 1e-12 * abs(c)
 
     def test_not_converged_reported(self):
         # the uncrossed line at eps = 1e-6 is 5e-7 from its poles: its first
@@ -292,14 +306,19 @@ class TestMasslessQuadrature:
         with pytest.raises(NotConverged):
             mb_massless_eval(k, False)
 
-    def test_node_cap_checked_before_allocation(self):
-        with pytest.raises(NotConverged, match="exceed the cap"):
-            ContourSpec(-0.35, 6.0, 10 ** 12).upper_nodes()
-        # the one-mass rule still sets its step by a pole gap of eps/3
-        k = onemass_point(1e-6)
-        assert select_contour_onemass(k)[0].nodes > 1000 * MAX_NODES
+    def test_node_cap_checked_before_allocation(self, monkeypatch):
+        # lines of 10^12 nodes are refused before any node array is built
+        with monkeypatch.context() as patch:
+            patch.setattr(mb_engine, "_first_nodes", lambda *args: 10 ** 12)
+            for route, k in ((mb_massless_eval, massless_point(0.3)),
+                             (mb_onemass_eval, onemass_point(0.3))):
+                with pytest.raises(NotConverged, match="exceed the cap"):
+                    route(k)
+        # the one-mass rule still sets its step by a pole gap of eps/3; at
+        # (s, t, msq) = (-1, -2, -0.5) the spread is ln 2 + ln 4
+        assert mb_engine._first_nodes(7.0, 1e-6 / 3.0, 40.0, math.log(8.0)) > 1000 * MAX_NODES
         with pytest.raises(NotConverged):
-            mb_onemass_eval(k)
+            mb_onemass_eval(onemass_point(1e-6))
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-4, 0.003, 0.3, 0.499])
     def test_small_eps_against_mpmath(self, eps):
@@ -405,10 +424,10 @@ class TestOneMassQuadrature:
         k = Kinematics(s=s, t=t, eps=eps, msq=m2)
         sizes = counting_lines(monkeypatch)["ln_gamma_line"]
         v = mb_onemass_eval(k)
-        first, _ = select_contour_onemass(k)
         d = v.diagnostics
         assert d["passes"] == len(sizes) >= 2
-        assert d["nodes"][0] == (first.nodes - 1) * 2 ** (d["passes"] - 1) + 1
+        assert sizes == [(sizes[0] - 1) * 2 ** i + 1 for i in range(d["passes"])]
+        assert d["nodes"] == (sizes[-1], sizes[-1])
         assert d["gamma_points"] == sum(sizes)
         error = mp_error(v.value.real, s, t, eps, m2, dps=40)
         assert error <= 1e-12 * abs(v.value)
@@ -425,63 +444,59 @@ class TestOneMassQuadrature:
         assert abs(v.value - c) < 1e-11 * abs(c)
 
     @staticmethod
-    def hexagon_sums(k, ca, cb):
+    def hexagon_sums(k, h, n):
         """h^2 / 4 pi^2 times the scalar integrand summed over the doubled
         and the coarse rule's nodes of the hexagon |alpha|, |beta|,
-        |alpha + beta| <= H, with H the higher line's top, then 4 times its
-        modulus summed over the even nodes: the coarse nodes of a line are
-        those of its top node's parity."""
-        top = max(ca.nodes, cb.nodes) - 1
+        |alpha + beta| <= H on the default pair with n nodes of step h a
+        line, then 4 times its modulus summed over the even nodes: the
+        coarse nodes of a line are those of its top node's parity."""
+        a0, b0 = mb_engine._onemass_abscissae(k.eps)
+        top = n - 1
         fine = coarse = 0j
         size = 0.0
-        for p in full_nodes(ca):
-            for q in full_nodes(cb):
+        for p in full_nodes(n):
+            for q in full_nodes(n):
                 if abs(p + q) <= top:
-                    f = mb_onemass_integrand(ca.abscissa + 1j * ca.step * p,
-                                             cb.abscissa + 1j * cb.step * q, k)
+                    f = mb_onemass_integrand(a0 + 1j * h * p, b0 + 1j * h * q, k)
                     fine += f
-                    if (p - ca.nodes + 1) % 2 == (q - cb.nodes + 1) % 2 == 0:
+                    if (p - top) % 2 == (q - top) % 2 == 0:
                         coarse += f
                     if p % 2 == q % 2 == 0:
                         size += abs(f)
-        weight = ca.step * cb.step / (4.0 * math.pi ** 2)
+        weight = h * h / (4.0 * math.pi ** 2)
         return weight * fine, 4.0 * weight * coarse, 4.0 * weight * size
 
     def test_fft_correlation_matches_direct_double_sum(self):
         # the spectral sum against the scalar integrand summed over every node
         # pair of the same doubled grids in the hexagon: the default pair at
-        # s != -1 (the unit scaling), with 79 x 65 nodes of one step, so the
-        # inner line is the longer one and its coarse nodes skip Im 0
+        # s != -1 (the unit scaling), with 40 nodes of step 1/8 a line, whose
+        # coarse nodes skip Im 0
         k = Kinematics(s=-2.0, t=-0.5, eps=0.6, msq=-1.0)
-        a0, b0 = (c.abscissa for c in select_contour_onemass(k))
-        ca, cb = ContourSpec(a0, 4.875, 40), ContourSpec(b0, 4.0, 33)
-        assert ca.step == cb.step == 0.125
-        fine, coarse, _ = mb_engine._mb_onemass_sums(k, ca, cb)
-        direct, direct_coarse, _ = self.hexagon_sums(k, ca, cb)
+        fine, coarse, _ = mb_engine._mb_onemass_sums(k, 0.125, 40)
+        direct, direct_coarse, _ = self.hexagon_sums(k, 0.125, 40)
         assert abs(fine - direct) < 1e-13 * abs(direct)
         assert abs(coarse - direct_coarse) < 1e-13 * abs(direct_coarse)
 
-    @pytest.mark.parametrize("na, nb", [(41, 33), (33, 40), (44, 43), (34, 40)])
-    def test_fft_correlation_matches_direct_double_sum_on_the_default_pair(self, na, nb):
-        # the shared-line path at height about 4, where the corners the
+    @pytest.mark.parametrize("n", [41, 44])
+    def test_fft_correlation_matches_direct_double_sum_on_the_default_pair(self, n):
+        # the shared-line path at height about 5, where the corners the
         # hexagon drops matter at 1e-13: at eps = 0.3 the default pair is
         # (-0.1, -0.8), where one log-gamma and one cosecant half-line give
-        # every factor; odd and even node counts on each line, so the coarse
-        # nodes of either line include Im 0 or skip it, each line the longer;
-        # at 44 x 43 nodes the least length that does not wrap around, 129,
-        # is just above a power of two
+        # every factor; an odd and an even node count, so the coarse nodes
+        # include Im 0 or skip it and both parity signs of the coarse
+        # spectra are taken; at 44 nodes the least length that does not
+        # wrap around, 130, is just above a power of two
         k = Kinematics(s=-1.0, t=-2.0, eps=0.3, msq=-0.5)
-        a0, b0 = (c.abscissa for c in select_contour_onemass(k))
+        a0, b0 = mb_engine._onemass_abscissae(k.eps)
         assert abs(a0 + 0.1) < 1e-15 and abs(b0 + 0.8) < 1e-15
-        ca, cb = ContourSpec(a0, (na - 1) / 8.0, na), ContourSpec(b0, (nb - 1) / 8.0, nb)
-        fine, coarse, (size, _, length) = mb_engine._mb_onemass_sums(k, ca, cb)
-        direct, direct_coarse, direct_size = self.hexagon_sums(k, ca, cb)
+        fine, coarse, (size, _, length) = mb_engine._mb_onemass_sums(k, 0.125, n)
+        direct, direct_coarse, direct_size = self.hexagon_sums(k, 0.125, n)
         assert abs(fine - direct) < 1e-13 * abs(direct)
         assert abs(coarse - direct_coarse) < 1e-13 * abs(direct_coarse)
         assert abs(size - direct_size) < 1e-13 * direct_size
         # the least even 2^i, 3 2^i or 5 2^i that does not wrap around
         assert length == min(m << i for m in (1, 3, 5) for i in range(1, 12)
-                             if m << i >= na + nb + max(na, nb) - 2)
+                             if m << i >= 3 * n - 2)
 
     @pytest.mark.parametrize("s,t,m2,eps", [(-1.0, -2.0, -0.5, 0.3), (-1.0, -100.0, -0.01, 0.95)])
     def test_hexagon_within_the_tail_of_the_square(self, s, t, m2, eps):
@@ -490,21 +505,20 @@ class TestOneMassQuadrature:
         # less than the reported tail, also in modulus; they are summed off
         # the same grids, with C up to 2H, and scaled by the scalar integrand
         k = Kinematics(s=s, t=t, eps=eps, msq=m2)
-        ca, cb = select_contour_onemass(k)
-        na, nb = ca.nodes, cb.nodes
-        a, b, _ = mb_engine._onemass_grids(k, ca.step, na, nb)
-        c = mb_engine._onemass_grids(k, ca.step, na + nb - 1, nb)[2]
-        weight = (ca.step ** 2 / (4.0 * math.pi ** 2)
-                  * mb_onemass_integrand(ca.abscissa, cb.abscissa, k) / (a[0] * b[0] * c[0]))
+        d = mb_onemass_eval(k).diagnostics
+        (n, _), h, (a0, b0) = d["nodes"], d["step"], d["abscissa"]
+        a, b, _ = mb_engine._onemass_grids(k, h, n)
+        c = mb_engine._onemass_grids(k, h, 2 * n - 1)[2]
+        weight = (h ** 2 / (4.0 * math.pi ** 2)
+                  * mb_onemass_integrand(a0, b0, k) / (a[0] * b[0] * c[0]))
         whole = [np.concatenate([g[:0:-1].conj(), g]) for g in (a, b, c)]
-        sigma = full_nodes(ca)[:, None] + full_nodes(cb)[None, :]
-        f = weight * whole[0][:, None] * whole[1][None, :] * whole[2][sigma + na + nb - 2]
-        inside = abs(sigma) < max(na, nb)
-        fine, _, _ = mb_engine._mb_onemass_sums(k, ca, cb)
+        sigma = full_nodes(n)[:, None] + full_nodes(n)[None, :]
+        f = weight * whole[0][:, None] * whole[1][None, :] * whole[2][sigma + 2 * n - 2]
+        inside = abs(sigma) < n
+        fine, _, _ = mb_engine._mb_onemass_sums(k, h, n)
         assert abs(fine - f[inside].sum().real) < 1e-13 * abs(fine)
         corners = f[~inside]
-        assert abs(corners.sum()) <= np.abs(corners).sum() <= mb_onemass_eval(k).diagnostics[
-            "tail_estimate"]
+        assert abs(corners.sum()) <= np.abs(corners).sum() <= d["tail_estimate"]
 
     @staticmethod
     def three_factor_products(k, alpha, beta, sigma):
@@ -519,23 +533,22 @@ class TestOneMassQuadrature:
 
     def test_shared_line_grids_match_three_factor_products(self):
         # the default pair at the heights j h of the sums' upper halves, the
-        # sigma line as high as the higher of the two
+        # sigma line as high as the other two
         k = Kinematics(s=-3.0, t=-2.0, eps=0.3, msq=-0.5).unit[0]
-        ca, cb = select_contour_onemass(k)
-        heights = ca.step * np.arange(max(ca.nodes, cb.nodes))
-        alpha = ca.abscissa + 1j * heights[:ca.nodes]
-        beta = cb.abscissa + 1j * heights[:cb.nodes]
-        sigma = ca.abscissa + cb.abscissa + 1j * heights
-        grids = mb_engine._onemass_grids(k, ca.step, ca.nodes, cb.nodes)
-        assert [len(g) for g in grids] == [ca.nodes, cb.nodes, len(heights)]
+        d = mb_onemass_eval(k).diagnostics
+        (n, _), h, (a0, b0) = d["nodes"], d["step"], d["abscissa"]
+        heights = h * np.arange(n)
+        alpha, beta, sigma = a0 + 1j * heights, b0 + 1j * heights, a0 + b0 + 1j * heights
+        grids = mb_engine._onemass_grids(k, h, n)
+        assert [len(g) for g in grids] == [n, n, n]
         refs = self.three_factor_products(k, alpha[::5], beta[::5], sigma[::5])
         for grid, ref in zip(grids, refs):
             assert np.all(abs(grid[::5] - ref) < 1e-13 * np.abs(ref))
 
     def test_one_log_gamma_half_line_on_the_default_pair(self, monkeypatch):
-        # one log-gamma and one cosecant line of L = max(na, nb) points, also
-        # on pairs given by hand with other nodes and heights, and no complex
-        # Lanczos sum; gamma_points counts them
+        # one log-gamma and one cosecant line of n points for n nodes a line,
+        # also on lines given by hand with other nodes and height, and no
+        # complex Lanczos sum; gamma_points counts them
         points = {"ln_gamma_line": [], "_pi_csc_line": []}
         for name in points:
             def counting(x, y, real=getattr(mb_engine, name), sizes=points[name]):
@@ -545,13 +558,13 @@ class TestOneMassQuadrature:
         monkeypatch.setattr(sf, "_lanczos_ln_gamma", None)
         assert not hasattr(mb_engine, "ln_gamma_grid")
         k = Kinematics(s=-1.0, t=-2.0, eps=0.4, msq=-0.5)
-        ca, cb = select_contour_onemass(k)
-        for pair in ((ca, cb), tuple(ContourSpec(c.abscissa, 4.0, 301) for c in (ca, cb)),
-                     (ContourSpec(ca.abscissa, 4.0, 201), ContourSpec(cb.abscissa, 6.0, 301))):
-            monkeypatch.setattr(mb_engine, "select_contour_onemass", lambda k, pair=pair: pair)
+        for given in (None, (4.0, 301)):
+            if given:
+                given_line(monkeypatch, *given)
             v = mb_onemass_eval(k)
             assert v.diagnostics["passes"] == 1
-            n = max(c.nodes for c in pair)
+            n, _ = v.diagnostics["nodes"]
+            assert not given or n == given[1]
             assert points == {"ln_gamma_line": [n], "_pi_csc_line": [n]}
             assert v.diagnostics["gamma_points"] == n
             for sizes in points.values():
@@ -561,12 +574,12 @@ class TestOneMassQuadrature:
         # the grids' conjugates are the products on the lower halves, Im < 0,
         # which the real spectra take for granted
         k = Kinematics(s=-3.0, t=-2.0, eps=0.3, msq=-0.5).unit[0]
-        ca, cb = select_contour_onemass(k)
-        grids = [g[::7].conj() for g in mb_engine._onemass_grids(k, ca.step, ca.nodes, cb.nodes)]
-        lower = -ca.step * np.arange(max(ca.nodes, cb.nodes))[::7]
-        refs = self.three_factor_products(k, ca.abscissa + 1j * lower[:len(grids[0])],
-                                          cb.abscissa + 1j * lower[:len(grids[1])],
-                                          ca.abscissa + cb.abscissa + 1j * lower)
+        d = mb_onemass_eval(k).diagnostics
+        (n, _), h, (a0, b0) = d["nodes"], d["step"], d["abscissa"]
+        grids = [g[::7].conj() for g in mb_engine._onemass_grids(k, h, n)]
+        lower = -h * np.arange(n)[::7]
+        refs = self.three_factor_products(k, a0 + 1j * lower, b0 + 1j * lower,
+                                          a0 + b0 + 1j * lower)
         for grid, ref in zip(grids, refs):
             assert np.all(abs(grid - ref) < 1e-13 * np.abs(ref))
 
@@ -588,15 +601,14 @@ class TestOneMassQuadrature:
         # |f| at the top centre of the alpha and beta edges and at the middle
         # (H/2, H/2) of the sigma edge, or the node nearest it
         k = Kinematics(s=s, t=t, eps=eps, msq=m2)
-        ca, cb = select_contour_onemass(k)
-        top_a, top_b = ca.abscissa + 1j * ca.height, cb.abscissa + 1j * cb.height
-        half = (ca.nodes - 1) // 2
-        cut = (ca.abscissa + 1j * half * ca.step,
-               cb.abscissa + 1j * (cb.nodes - 1 - half) * cb.step)
+        d = mb_onemass_eval(k).diagnostics
+        (n, _), h, (a0, b0) = d["nodes"], d["step"], d["abscissa"]
+        half = (n - 1) // 2
+        cut = (a0 + 1j * half * h, b0 + 1j * (n - 1 - half) * h)
         ref = (abs(mb_onemass_integrand(*cut, k))
-               + abs(mb_onemass_integrand(top_a, cb.abscissa, k))
-               + abs(mb_onemass_integrand(ca.abscissa, top_b, k))) / (4.0 * math.pi ** 2)
-        tail = mb_engine._mb_onemass_sums(k, ca, cb)[2][1]
+               + abs(mb_onemass_integrand(a0 + 7.0j, b0, k))
+               + abs(mb_onemass_integrand(a0, b0 + 7.0j, k))) / (4.0 * math.pi ** 2)
+        tail = mb_engine._mb_onemass_sums(k, h, n)[2][1]
         assert abs(tail - ref) < 1e-12 * ref
 
     def test_integrand_conjugate_symmetry(self):
@@ -608,9 +620,10 @@ class TestOneMassQuadrature:
     def test_step_and_height_invariance(self):
         # the default pair's abscissae on a higher rule with a finer step
         k = Kinematics(s=-1.0, t=-2.0, eps=0.4, msq=-0.5)
-        base = mb_onemass_eval(k).value
-        v, _, _ = mb_engine._mb_onemass_sums(k, *(ContourSpec(c.abscissa, 9.0, 2 * c.nodes)
-                                                  for c in select_contour_onemass(k)))
+        first = mb_onemass_eval(k)
+        n, _ = first.diagnostics["nodes"]
+        base = first.value
+        v, _, _ = mb_engine._mb_onemass_sums(k, 9.0 / (2 * n - 1), 2 * n)
         assert abs(v - base) < 1e-13 * abs(base)
 
     def test_massless_trend(self):

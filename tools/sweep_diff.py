@@ -1,0 +1,109 @@
+"""Byte-for-byte comparison of the benchmark sweep reports of two checkouts.
+
+    python3 tools/sweep_diff.py --base ../parent
+
+``--base`` is the root of another checkout, for example a parent commit
+unpacked with ``git archive <rev> | tar -x -C ../parent``.  The grids of
+the three benchmark workloads (``analytic``, ``mb-massless``,
+``mb-onemass``), seeds 1-3, are built once with this checkout's
+``perfbench/grid.make_grid``, and each checkout sweeps all nine with
+``mbbox.cli.cmd_sweep`` in one fresh interpreter with
+``PYTHONPATH=<root>/src``, the two sides at once.  For each report that
+differs it prints the workload, the seed and the first record that
+differs, with both sides (or the summary, when every record is the
+same); it exits 1 on any difference and 0 when all nine reports are
+byte-identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEEDS = (1, 2, 3)
+SIDES = ("base", "change")
+SWEEP_CODE = ("import sys\nfrom mbbox.cli import cmd_sweep\n"
+              "for grid, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+              "    cmd_sweep(grid, out)\n")
+
+
+def write_grids(directory: str) -> list[str]:
+    """Write ``<workload>-<seed>.json`` grids into ``directory``; their names."""
+    spec = importlib.util.spec_from_file_location(
+        "grid", os.path.join(ROOT, "perfbench", "grid.py"))
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    names = []
+    for workload in grid.WORKLOADS:
+        for seed in SEEDS:
+            name = f"{workload}-{seed}"
+            with open(os.path.join(directory, f"{name}.json"), "w") as fh:
+                json.dump(grid.make_grid(workload, seed), fh)
+            names.append(name)
+    return names
+
+
+def sweep(root: str, directory: str, names: list[str], side: str) -> subprocess.Popen:
+    """Start sweeping each grid of ``names`` through ``root``'s ``src/``
+    into ``<directory>/<side>/<name>.json``."""
+    os.makedirs(os.path.join(directory, side), exist_ok=True)
+    args = [path for name in names
+            for path in (os.path.join(directory, f"{name}.json"),
+                         os.path.join(directory, side, f"{name}.json"))]
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(root), "src")}
+    return subprocess.Popen([sys.executable, "-c", SWEEP_CODE, *args], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+
+
+def first_difference(base: str, change: str) -> str:
+    """Where two report texts first differ: a record, or else the summary."""
+    a, b = json.loads(base), json.loads(change)
+    for i, (ra, rb) in enumerate(zip(a["records"], b["records"])):
+        if json.dumps(ra) != json.dumps(rb):
+            return f"record {i}\n  base:   {json.dumps(ra)}\n  change: {json.dumps(rb)}"
+    if len(a["records"]) != len(b["records"]):
+        return f"{len(a['records'])} records against {len(b['records'])}"
+    return f"summary\n  base:   {json.dumps(a['summary'])}\n  change: {json.dumps(b['summary'])}"
+
+
+def differences(directory: str, names: list[str]) -> list[str]:
+    """One line per report of ``names`` whose two sides differ, naming it
+    and its first difference."""
+    found = []
+    for name in names:
+        base, change = (pathlib.Path(directory, side, f"{name}.json").read_text()
+                        for side in SIDES)
+        if base != change:
+            found.append(f"{name}: {first_difference(base, change)}")
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="byte-for-byte sweep-report diff of "
+                                                 "this checkout against another")
+    parser.add_argument("--base", required=True, help="root of the checkout to compare with")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as directory:
+        names = write_grids(directory)
+        roots = (args.base, ROOT)
+        procs = [sweep(root, directory, names, side) for side, root in zip(SIDES, roots)]
+        for root, proc in zip(roots, procs):
+            err = proc.communicate()[1]
+            if proc.returncode != 0:
+                raise RuntimeError(f"sweeping in {root} exited {proc.returncode}:\n{err[-2000:]}")
+        found = differences(directory, names)
+    for line in found:
+        print(line)
+    print(f"{len(names) - len(found)} of {len(names)} reports byte-identical")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
