@@ -27,7 +27,6 @@ from .errors import (
     DivisionByZeroSeries,
     DomainError,
     EuclideanRegionViolation,
-    InfeasibleContour,
     MbboxError,
     NonConvergence,
     NotConverged,
@@ -35,14 +34,12 @@ from .errors import (
 )
 from .mb_engine import (
     mb_massless_eval,
-    mb_massless_integrand,
     mb_onemass_eval,
     residue_massless,
     residue_onemass,
 )
 from .oracles import (
     beta_oracle,
-    euler_f21_oracle,
     feynman_1d_massless,
     feynman_1d_onemass,
 )

@@ -41,7 +41,6 @@ from .closed_form import (
 )
 from .errors import (
     DegenerateKinematics,
-    InfeasibleContour,
     MbboxError,
     NonConvergence,
 )
@@ -577,9 +576,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_NOT_CONVERGED
         return EXIT_OK if report.summary["failures"] == 0 else EXIT_VERIFY_FAILED
     except MbboxError as exc:
-        # bad input is named by these two classes; every other failure is numerical
+        # bad input is named by DegenerateKinematics; every other failure is numerical
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        if isinstance(exc, (DegenerateKinematics, InfeasibleContour)):
+        if isinstance(exc, DegenerateKinematics):
             return EXIT_INPUT_ERROR
         return EXIT_NOT_CONVERGED
 

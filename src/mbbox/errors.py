@@ -32,6 +32,3 @@ class DegenerateKinematics(MbboxError, ValueError):
 class EuclideanRegionViolation(DegenerateKinematics):
     """Invariant with the wrong sign for the Euclidean region."""
 
-
-class InfeasibleContour(MbboxError, ValueError):
-    """No vertical contour separates the left/right pole families."""

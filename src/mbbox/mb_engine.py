@@ -24,13 +24,12 @@ Every route returns a :class:`~mbbox.closed_form.BoxValue`.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
 from .closed_form import BoxValue, Kinematics, _gammas
-from .errors import InfeasibleContour, NotConverged, PoleError
+from .errors import NotConverged
 from .specfun import (
     EULER_GAMMA,
     PV,
@@ -41,15 +40,12 @@ from .specfun import (
     f21_11,
     f21_11_split,
     gamma_abs2_line,
-    ln_gamma,
     ln_gamma_line,
     _f21_11_tail,
 )
 
 __all__ = [
-    "mb_massless_integrand",
     "mb_massless_eval",
-    "mb_onemass_integrand",
     "mb_onemass_eval",
     "residue_massless",
     "residue_onemass",
@@ -135,7 +131,7 @@ def _onemass_abscissae(eps: float) -> tuple[float, float]:
 # ln|Gamma| plus arg Gamma of specfun.ln_gamma_line is within 4.1e-15 for
 # |Im| <= 3 (past that |f| is below about e^-19 of its peak) and 1.5e-14 up to
 # 14, twice the sigma line's top; :func:`_pi_csc_line` within 1.3e-15 and 7.6e-15.
-# The estimate counts it once per gamma factor of the scalar integrand, seven
+# The estimate counts it once per gamma factor of the integrand, seven
 # a node, for three log-gammas and two cosecants: the rounding of h^2 sum f is
 # at most that times h^2 sum |f|; the spectra add about log2(N) * 2.2e-16 of
 # it, for the FFT length N, about 3n for n nodes a line.
@@ -150,25 +146,6 @@ _LN_GAMMA_ERR = 1e-14
 # lines: the sum is at least 1.17 times every error.
 _MASSLESS_ULPS = 12.0
 _MASSLESS_NODE_ULPS = 4.0
-
-
-def mb_massless_integrand(w, k: Kinematics) -> complex:
-    """Contour integrand of the massless box, including the 1/Gamma(2 eps) factor.
-
-    Takes the six gamma factors literally at a complex point w and checks
-    it against the pole families.  :func:`mb_massless_eval` takes the real
-    modulus-times-phase form of :func:`_line_nodes` instead, which the
-    tests hold to this form.
-    """
-    k.require_massless()
-    e = k.eps
-    w = complex(w)
-    for arg in (w + 1.0, 2.0 - e + w, -w, e - 1.0 - w):
-        if arg.imag == 0.0 and arg.real <= 0.0 and arg.real == math.floor(arg.real):
-            raise PoleError(f"integrand pole at w={w}")
-    return cmath.exp(w * math.log(-k.t) - (2.0 - e + w) * math.log(-k.s)
-                     + 2.0 * ln_gamma(w + 1.0) + ln_gamma(2.0 - e + w)
-                     + ln_gamma(-w) + 2.0 * ln_gamma(e - 1.0 - w) - ln_gamma(2.0 * e).real)
 
 
 def _mirror_sum(x: np.ndarray, first: int = 0, stride: int = 1) -> float:
@@ -308,7 +285,7 @@ def mb_massless_eval(k: Kinematics, crossed: bool | None = None) -> BoxValue:
     uncrossed one at -1 + eps/2 (see :func:`_massless_gap`); without it the
     line is that of the wider band, crossed for eps < 1/2, so the pole gap
     is at least 1/4 at every eps.  Anything but a bool, such as an
-    abscissa, raises :class:`InfeasibleContour`.  Both lines are
+    abscissa, raises :class:`TypeError`.  Both lines are
     self-conjugate, so a node takes one |Gamma|^2 and one |csc|^2 in real
     arithmetic (see :func:`_line_nodes`).  In the Euclidean region
     f(conj w) = conj f(w), so the rule sums only the nodes with Im w >= 0:
@@ -333,8 +310,8 @@ def mb_massless_eval(k: Kinematics, crossed: bool | None = None) -> BoxValue:
     if crossed is None:
         crossed = k.eps < 0.5
     elif not isinstance(crossed, (bool, np.bool_)):
-        raise InfeasibleContour(f"the massless line is crossed=True or crossed=False, "
-                                f"got {crossed!r}")
+        raise TypeError(f"the massless line is crossed=True or crossed=False, "
+                        f"got {crossed!r}")
     crossed = bool(crossed)
     gap = _massless_gap(k.eps, crossed)
     nodes = _first_nodes(MASSLESS_HEIGHT, gap, 60.0, abs(math.log(k.s / k.t)))
@@ -367,20 +344,6 @@ def mb_massless_eval(k: Kinematics, crossed: bool | None = None) -> BoxValue:
     return _contour_value(step, fine, coarse, tail, rounding, nodes=nodes,
                           height=MASSLESS_HEIGHT, abscissa=-gap if crossed else -1.0 + gap,
                           passes=passes)
-
-
-def mb_onemass_integrand(alpha, beta, k: Kinematics):
-    """Integrand of the iterated two-variable representation (scalar form)."""
-    k.require_onemass()
-    e = k.eps
-    ln_ms, ln_mt, ln_mm = math.log(-k.s), math.log(-k.t), math.log(-k.msq)
-    a, b = complex(alpha), complex(beta)
-    return cmath.exp(
-        a * ln_mm + b * ln_ms + (e - 2.0 - a - b) * ln_mt
-        + ln_gamma(-a) + ln_gamma(-b) + ln_gamma(2.0 - e + a + b)
-        + ln_gamma(e - 1.0 - a - b) + ln_gamma(1.0 + b)
-        + ln_gamma(e - 1.0 - b) + ln_gamma(1.0 + a + b)
-        - ln_gamma(2.0 * e).real)
 
 
 def _pi_csc_line(u: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -486,7 +449,7 @@ def mb_onemass_eval(k: Kinematics) -> BoxValue:
     (see :func:`_first_nodes`).  The grids read every factor off one
     log-gamma and one cosecant half-line of n points (see
     :func:`_mb_onemass_sums`).  The rounding term counts the seven gamma
-    factors of the scalar integrand per node and h^2 sum |f| / 4 pi^2.
+    factors of the integrand per node and h^2 sum |f| / 4 pi^2.
     While the node-doubling delta is above ``ONEMASS_DELTA_RTOL`` of the
     value, both lines go to 2n - 1 nodes and the sums are redone, up to
     ``MAX_NODES``, past which it raises :class:`NotConverged`.

@@ -1,11 +1,11 @@
 """Independent brute-force references for the closed-form and contour pipelines.
 
 Everything here goes through direct quadrature: the one-dimensional
-Feynman-parameter integrals for both boxes, the Euler integral behind the
-2F1 family, and the Beta integral behind the gamma prefactor.  None of it
-calls :mod:`mbbox.specfun`, but the Feynman prefactor's ``math.lgamma`` and the
-evaluators' real ``math.gamma`` share CPython's Lanczos sum: only the mpmath
-tests of ``specfun.gamma`` check that prefactor independently of the evaluators.
+Feynman-parameter integrals for both boxes and the Beta integral behind
+the gamma prefactor.  None of it calls :mod:`mbbox.specfun`, but the
+Feynman prefactor's ``math.lgamma`` and the evaluators' real ``math.gamma``
+share CPython's Lanczos sum: only the mpmath tests of ``specfun.gamma``
+check that prefactor independently of the evaluators.
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ import numpy as np
 
 from .closed_form import BoxValue, Kinematics
 from .errors import DomainError, NotConverged
-from .specfun import ABOVE, BELOW, PV, CutPrescription
 
 __all__ = [
     "feynman_1d_massless",
     "feynman_1d_onemass",
-    "euler_f21_oracle",
     "beta_oracle",
 ]
 
@@ -184,45 +182,6 @@ def feynman_1d_onemass(k: Kinematics) -> BoxValue:
     the massless integrand with a = z(-s) + (1-z)(-msq)."""
     k.require_onemass()
     return _feynman(k, "onemass")
-
-
-def euler_f21_oracle(eps: float, w_arg: float, cut: CutPrescription = PV) -> complex:
-    """Euler-integral reference for (1/eps) 2F1(1, eps; eps+1; w).
-
-    The integral of z^(eps-1)/(1 - w z) over [0, 1], in u = z^eps, which
-    absorbs the z = 0 endpoint.  For w > 1 the integrand has a pole at
-    z0 = 1/w.  Its principal value subtracts the pole term
-    z0^(eps-1)/(1 - w z), whose principal value is z0^(eps-1) (-ln(w-1)/w);
-    the remainder is smooth through z0 and is integrated over [0, z0], in
-    u, and over [z0, 1], as the two rows of one quadrature.  The one-sided
-    prescriptions add the half-residue term +- i pi w^(-eps).
-    """
-    if not (0.0 < eps < 1.0):
-        raise DomainError(f"eps={eps} outside (0, 1)")
-    if w_arg == 1.0:
-        raise DomainError("integrand pole sits at the endpoint z=1")
-    inv_eps = 1.0 / eps
-    if w_arg < 1.0:
-        val, _, _ = quad(lambda u: inv_eps / (1.0 - w_arg * u ** inv_eps), 0.0, 1.0, "euler")
-        return complex(val)
-
-    z0 = 1.0 / w_arg
-    q = 1.0 - eps
-    weight = np.array([[z0 * inv_eps], [z0 ** eps]])
-
-    def g(x):
-        # rows: u on [0, z0^eps], where z = u^(1/eps) <= z0, then z on [z0, 1];
-        # the remainder times dz/du or dz is weight * _quotient(min, max)
-        z = np.concatenate((x[:1] ** inv_eps, x[1:]))
-        return weight * _quotient(np.minimum(z, z0), np.maximum(z, z0), q)
-
-    val, _, _ = quad(g, (0.0, z0), (z0 ** eps, 1.0), "euler on the cut")
-    pv = val - z0 ** eps * math.log(w_arg - 1.0)
-    if cut is ABOVE:
-        return complex(pv, math.pi * w_arg ** (-eps))
-    if cut is BELOW:
-        return complex(pv, -math.pi * w_arg ** (-eps))
-    return complex(pv)
 
 
 def beta_oracle(eps: float) -> float:

@@ -1,11 +1,13 @@
 """Shared helpers for the test suite: extrapolation-based coefficient
-extraction, an mpmath reference for the box values and seeded samplers of
+extraction, an mpmath reference for the box values, the one-mass
+Mellin-Barnes integrand on scipy's log-gamma and seeded samplers of
 massless and one-mass points."""
 
 import math
 
 import mpmath as mp
 import numpy as np
+from scipy.special import loggamma
 
 
 def neville_to_zero(xs, ys):
@@ -75,6 +77,23 @@ def _mp_box(s, t, eps, msq):
     q = s + t - m
     return pref * ((-s) ** e * f21(q / t) + (-t) ** e * f21(q / s)
                    - (-m) ** e * f21(m * q / (s * t)))
+
+
+def onemass_integrand(alpha, beta, k):
+    """The one-mass box's iterated Mellin-Barnes integrand at alpha and beta
+    (numbers or arrays) for the point ``k``: its seven gamma factors over
+    Gamma(2 eps) times (-msq)^alpha (-s)^beta (-t)^(eps - 2 - alpha - beta).
+
+    Each factor is taken literally from ``scipy.special.loggamma``, so it
+    shares no code with the package's grids.
+    """
+    e = k.eps
+    a, b = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
+    sigma = a + b
+    return np.exp(a * math.log(-k.msq) + b * math.log(-k.s) + (e - 2.0 - sigma) * math.log(-k.t)
+                  + loggamma(-a) + loggamma(-b) + loggamma(2.0 - e + sigma)
+                  + loggamma(e - 1.0 - sigma) + loggamma(1.0 + b)
+                  + loggamma(e - 1.0 - b) + loggamma(1.0 + sigma) - math.lgamma(2.0 * e))
 
 
 def sample(rng, n):

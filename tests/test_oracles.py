@@ -7,10 +7,9 @@ import pytest
 from helpers import mp_box
 from mbbox import specfun as sf
 from mbbox.closed_form import Kinematics, massless_box, onemass_box
-from mbbox.errors import DomainError, NotConverged
+from mbbox.errors import NotConverged
 from mbbox.oracles import (
     beta_oracle,
-    euler_f21_oracle,
     feynman_1d_massless,
     feynman_1d_onemass,
     quad,
@@ -125,52 +124,14 @@ class TestFeynmanOneMass:
             assert abs(a - b) < 1e-9 * abs(a), lam
 
 
-class TestEulerOracle:
-    def test_w_zero(self):
-        assert abs(euler_f21_oracle(0.25, 0.0) - 4.0) < 1e-11
-
-    def test_inside_disk(self):
-        e, w = 0.3, 0.5
-        assert abs(euler_f21_oracle(e, w) - sf.f21_1e(w, e) / e) < 1e-10
-
-    def test_pv_on_cut(self):
-        e, w = 0.3, 2.0
-        lhs = euler_f21_oracle(e, w, sf.PV)
-        rhs = sf.f21_1e(w, e, sf.PV) / e
-        assert abs(lhs - rhs) < 1e-13 * abs(rhs)
-
-    def test_sides_on_cut(self):
-        e, w = 0.45, 3.0
-        above = euler_f21_oracle(e, w, sf.ABOVE)
-        below = euler_f21_oracle(e, w, sf.BELOW)
-        assert abs(above.imag - math.pi * w ** (-e)) < 1e-12
-        assert abs(above - below.conjugate()) < 1e-12
-        ref = sf.f21_1e(w, e, sf.ABOVE) / e
-        assert abs(above - ref) < 1e-13 * abs(ref)
-
-    @pytest.mark.parametrize("e, w", [(0.3, 2.0), (0.35, 5.0), (0.95, 50.0)])
-    def test_on_cut_against_mpmath(self, e, w):
-        # mpmath's 2F1 just above the cut; the pole subtraction leaves a
-        # smooth remainder, so the oracle is good to a few ulps
-        ref = complex(mpmath.hyp2f1(1, e, e + 1, mpmath.mpc(w, 1e-40)) / e)
-        assert abs(euler_f21_oracle(e, w, sf.ABOVE) - ref) < 1e-13 * abs(ref)
-        assert abs(euler_f21_oracle(e, w, sf.PV) - ref.real) < 1e-13 * abs(ref)
-
-    def test_endpoint_pole_rejected(self):
-        with pytest.raises(DomainError):
-            euler_f21_oracle(0.3, 1.0)
-
-
 class TestDoubleSeries:
     def test_reduction_identity(self):
         # F2(a; 1, 1; a, a; x, y) = 2F1(1, 1; a; z) / ((1-x)(1-y)) with
-        # z = xy/((1-x)(1-y)); after Pfaff, 2F1(1, 1; 2-e; z) is the Euler
-        # integral at eps' = 1-e and w = z/(z-1)
+        # z = xy/((1-x)(1-y)), and 2F1(1, 1; 2-e; z) is f21_11
         e, x, y = 0.3, 0.2, 0.3
         lhs = complex(mpmath.appellf2(2.0 - e, 1, 1, 2.0 - e, 2.0 - e, x, y))
         z = x * y / ((1.0 - x) * (1.0 - y))
-        f = (1.0 - e) / (1.0 - z) * euler_f21_oracle(1.0 - e, z / (z - 1.0))
-        rhs = f / ((1.0 - x) * (1.0 - y))
+        rhs = sf.f21_11(z, e) / ((1.0 - x) * (1.0 - y))
         assert abs(lhs - rhs) < 1e-10 * abs(lhs)
 
 

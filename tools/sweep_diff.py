@@ -1,4 +1,5 @@
-"""Byte-for-byte comparison of the benchmark sweep reports of two checkouts.
+"""Byte-for-byte comparison of the benchmark sweep reports and the
+``verify --suite all`` report of two checkouts.
 
     python3 tools/sweep_diff.py --base ../parent
 
@@ -7,12 +8,12 @@ unpacked with ``git archive <rev> | tar -x -C ../parent``.  The grids of
 the three benchmark workloads (``analytic``, ``mb-massless``,
 ``mb-onemass``), seeds 1-3, are built once with this checkout's
 ``perfbench/grid.make_grid``, and each checkout sweeps all nine with
-``mbbox.cli.cmd_sweep`` in one fresh interpreter with
-``PYTHONPATH=<root>/src``, the two sides at once.  For each report that
-differs it prints the workload, the seed and the first record that
-differs, with both sides (or the summary, when every record is the
-same); it exits 1 on any difference and 0 when all nine reports are
-byte-identical.
+``mbbox.cli.cmd_sweep`` and then runs ``verify --suite all --out``, in one
+fresh interpreter with ``PYTHONPATH=<root>/src``, the two sides at once.
+For each report that differs it prints its name (the workload and the
+seed, or ``verify``) and the first record that differs, with both sides
+(or the summary, when every record is the same); it exits 1 on any
+difference and 0 when all ten reports are byte-identical.
 """
 
 from __future__ import annotations
@@ -29,9 +30,14 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
 SIDES = ("base", "change")
-SWEEP_CODE = ("import sys\nfrom mbbox.cli import cmd_sweep\n"
-              "for grid, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
-              "    cmd_sweep(grid, out)\n")
+VERIFY = "verify"
+# sweeps each (grid, report) pair of arguments, then writes the verify report
+# to the last argument; verify's exit 1, a failed check, is in its report
+RUN_CODE = ("import sys\nfrom mbbox.cli import cmd_sweep, main\n"
+            "for grid, out in zip(sys.argv[1:-1:2], sys.argv[2:-1:2]):\n"
+            "    cmd_sweep(grid, out)\n"
+            "status = main(['verify', '--suite', 'all', '--out', sys.argv[-1]])\n"
+            "sys.exit(0 if status == 1 else status)\n")
 
 
 def write_grids(directory: str) -> list[str]:
@@ -52,13 +58,15 @@ def write_grids(directory: str) -> list[str]:
 
 def sweep(root: str, directory: str, names: list[str], side: str) -> subprocess.Popen:
     """Start sweeping each grid of ``names`` through ``root``'s ``src/``
-    into ``<directory>/<side>/<name>.json``."""
+    into ``<directory>/<side>/<name>.json``, then running ``verify --suite
+    all`` into ``<directory>/<side>/verify.json``."""
     os.makedirs(os.path.join(directory, side), exist_ok=True)
     args = [path for name in names
             for path in (os.path.join(directory, f"{name}.json"),
                          os.path.join(directory, side, f"{name}.json"))]
+    args.append(os.path.join(directory, side, f"{VERIFY}.json"))
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(root), "src")}
-    return subprocess.Popen([sys.executable, "-c", SWEEP_CODE, *args], env=env,
+    return subprocess.Popen([sys.executable, "-c", RUN_CODE, *args], env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
 
 
@@ -86,8 +94,8 @@ def differences(directory: str, names: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="byte-for-byte sweep-report diff of "
-                                                 "this checkout against another")
+    parser = argparse.ArgumentParser(description="byte-for-byte sweep- and verify-report "
+                                                 "diff of this checkout against another")
     parser.add_argument("--base", required=True, help="root of the checkout to compare with")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as directory:
@@ -98,10 +106,13 @@ def main(argv=None) -> int:
             err = proc.communicate()[1]
             if proc.returncode != 0:
                 raise RuntimeError(f"sweeping in {root} exited {proc.returncode}:\n{err[-2000:]}")
-        found = differences(directory, names)
+        found = differences(directory, names + [VERIFY])
     for line in found:
         print(line)
-    print(f"{len(names) - len(found)} of {len(names)} reports byte-identical")
+    verify_differs = any(line.startswith(f"{VERIFY}:") for line in found)
+    print(f"{len(names) - len(found) + verify_differs} of {len(names)} sweep reports "
+          f"byte-identical")
+    print(f"verify --suite all reports {'differ' if verify_differs else 'byte-identical'}")
     return 1 if found else 0
 
 
