@@ -49,10 +49,6 @@ from .series import (
     power_series,
 )
 from .specfun import (
-    ABOVE,
-    BELOW,
-    PV,
-    CutPrescription,
     digamma,
     f21_11,
     f21_11_split,

@@ -14,7 +14,8 @@ with full-precision repr floats and no locale formatting.
 ``--tol`` sets the tolerance of ``verify`` and ``sweep``, and no
 environment variable is read.  Each ``mb`` point runs the one
 self-refining contour rule of its route; no option sets its nodes or
-height.
+height.  Every route gives the real Euclidean box, the principal value
+on each branch cut; no option picks a side of a cut.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ from .errors import (
     NonConvergence,
 )
 from .specfun import (
-    ABOVE,
-    BELOW,
-    PV,
-    CutPrescription,
     f21_1e,
     f21_2e,
     f21_11,
@@ -64,10 +61,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NOT_CONVERGED = 3
 
-_CUTS = {"pv": PV, "above": ABOVE, "below": BELOW}
 _METHODS = ("closed", "closed_alt", "mb", "residue", "feynman")
-# the methods that read a cut prescription; mb and feynman give the PV value only
-_CUT_METHODS = ("closed", "closed_alt", "residue")
 _INTEGRALS = ("massless", "onemass")
 _NUMBER_OPTIONS = ("--s", "--t", "--msq", "--eps")
 
@@ -82,7 +76,6 @@ class RunConfig:
     eps: float
     msq: float | None = None
     method: str = "closed"
-    cut: CutPrescription = PV
 
     def kinematics(self) -> Kinematics:
         _check_integral(self.integral, self.msq, "")
@@ -142,16 +135,16 @@ def _tolerance(args, default: float) -> float:
 
 # (integral, method) -> route; the lambdas look the functions up at call time
 _ROUTES = {
-    ("massless", "closed"): lambda cfg, k: massless_box(k, cfg.cut),
-    ("massless", "closed_alt"): lambda cfg, k: massless_box_alt(k, cfg.cut),
-    ("massless", "feynman"): lambda cfg, k: oracles.feynman_1d_massless(k),
-    ("massless", "mb"): lambda cfg, k: mb_engine.mb_massless_eval(k),
-    ("massless", "residue"): lambda cfg, k: mb_engine.residue_massless(k, cfg.cut),
-    ("onemass", "closed"): lambda cfg, k: onemass_box(k, cfg.cut),
-    ("onemass", "closed_alt"): lambda cfg, k: onemass_box_alt(k, cfg.cut),
-    ("onemass", "feynman"): lambda cfg, k: oracles.feynman_1d_onemass(k),
-    ("onemass", "mb"): lambda cfg, k: mb_engine.mb_onemass_eval(k),
-    ("onemass", "residue"): lambda cfg, k: mb_engine.residue_onemass(k, cfg.cut),
+    ("massless", "closed"): lambda k: massless_box(k),
+    ("massless", "closed_alt"): lambda k: massless_box_alt(k),
+    ("massless", "feynman"): lambda k: oracles.feynman_1d_massless(k),
+    ("massless", "mb"): lambda k: mb_engine.mb_massless_eval(k),
+    ("massless", "residue"): lambda k: mb_engine.residue_massless(k),
+    ("onemass", "closed"): lambda k: onemass_box(k),
+    ("onemass", "closed_alt"): lambda k: onemass_box_alt(k),
+    ("onemass", "feynman"): lambda k: oracles.feynman_1d_onemass(k),
+    ("onemass", "mb"): lambda k: mb_engine.mb_onemass_eval(k),
+    ("onemass", "residue"): lambda k: mb_engine.residue_onemass(k),
 }
 
 
@@ -178,11 +171,7 @@ def _evaluate(cfg: RunConfig, k: Kinematics):
     route = _ROUTES.get((cfg.integral, cfg.method))
     if route is None:
         raise DegenerateKinematics(f"unknown method {cfg.method}")
-    if cfg.cut is not PV and cfg.method not in _CUT_METHODS:
-        raise DegenerateKinematics(f"--cut {cfg.cut.value} is not read by method {cfg.method}, "
-                                   "which gives the principal value only; use "
-                                   f"{', '.join(_CUT_METHODS)}")
-    return _numerical(f"method {cfg.method}", k, lambda: route(cfg, k), lambda r: (r.value,))
+    return _numerical(f"method {cfg.method}", k, lambda: route(k), lambda r: (r.value,))
 
 
 def _record(cfg: RunConfig, k: Kinematics, method: str, **fields) -> dict:
@@ -237,33 +226,26 @@ def verify_identities(tol: float = 1e-11) -> Report:
         rhs = math.pi ** 2 / 6.0 - li2(x) - math.log(x) * math.log(1.0 - x)
         _check(checks, f"dilog reflection x={x}", abs(lhs - rhs), tol)
 
-    for (e, z) in ((0.3, 0.6), (0.4, 0.5), (0.25, -0.8), (0.7, 0.2), (0.55, -2.5)):
+    for (e, z) in ((0.3, 0.6), (0.4, 0.5), (0.25, -0.8), (0.7, 0.2), (0.55, -2.5),
+                   (0.3, 1.5), (0.45, 2.0), (0.2, 3.5), (0.6, 1.2), (0.35, 5.0)):
         lhs = f21_1e(z, e) / e
         rhs = 1.0 / e + z / (1.0 + e) * f21_2e(z, e)
         _check(checks, f"parameter-shift identity e={e} z={z}",
-               abs(lhs - rhs) / max(1.0, abs(lhs)), tol)
-    for (e, z) in ((0.3, 1.5), (0.45, 2.0), (0.2, 3.5), (0.6, 1.2), (0.35, 5.0)):
-        for cut in (PV, ABOVE, BELOW):
-            lhs = f21_1e(z, e, cut) / e
-            rhs = 1.0 / e + z / (1.0 + e) * f21_2e(z, e, cut)
-            _check(checks, f"parameter-shift identity e={e} z={z} {cut.value}",
-                   abs(lhs - rhs) / max(1.0, abs(lhs)), cut_tol)
+               abs(lhs - rhs) / max(1.0, abs(lhs)), cut_tol if z > 1.0 else tol)
 
     for (s, t, e) in ((-1.0, -2.0, 0.3), (-3.0, -1.0, 0.45), (-0.5, -2.0, 0.2),
                       (-1.0, -1.0, 0.35), (-2.0, -3.0, 0.6)):
-        for cut in (PV, ABOVE, BELOW):
-            head, alg = f21_11_split(t / s, e, cut)
-            direct = f21_11(-s / t, e, cut)
-            _check(checks, f"resummation split s={s} t={t} e={e} {cut.value}",
-                   abs(head + alg - direct) / max(1.0, abs(direct)), cut_tol)
+        head, alg = f21_11_split(t / s, e)
+        direct = f21_11(-s / t, e)
+        _check(checks, f"resummation split s={s} t={t} e={e}",
+               abs(head + alg - direct) / max(1.0, abs(direct)), cut_tol)
 
     for (e, z) in ((0.3, -0.5), (0.45, -3.0), (0.2, 0.4), (0.35, -9.0), (0.6, 0.85)):
-        # both cut-sensitive factors taken from above; the imaginary parts
-        # cancel in the sum for z < 0 where the left side is real
+        # for z < 0 both factors are on their cut; the left side is real, and
+        # the PV of each factor is the real part of its value from above
         lhs = f21_11(z, e)
-        head = -((1.0 - e) / e) / z * f21_1e(1.0 - 1.0 / z, e, ABOVE)
-        tail = gamma(2.0 - e) * gamma(e) * cut_power(1.0 - z, -e) \
-            * cut_power(z, e - 1.0, ABOVE)
+        head = -((1.0 - e) / e) / z * f21_1e(1.0 - 1.0 / z, e)
+        tail = gamma(2.0 - e) * gamma(e) * cut_power(1.0 - z, -e) * cut_power(z, e - 1.0)
         rhs = head + tail
         _check(checks, f"inverse-argument connection e={e} z={z}",
                abs(lhs - rhs) / max(1.0, abs(lhs)),
@@ -482,7 +464,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate one point")
     add_kinematics(p_eval)
     p_eval.add_argument("--method", choices=_METHODS, default="closed")
-    p_eval.add_argument("--cut", choices=sorted(_CUTS), default="pv")
     p_eval.add_argument("--json", action="store_true",
                         help="emit the full JSON record (default: value only)")
     p_eval.add_argument("--out", default=None)
@@ -543,8 +524,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "eval":
             cfg = RunConfig(integral=args.integral, s=args.s, t=args.t,
-                            eps=args.eps, msq=args.msq, method=args.method,
-                            cut=_CUTS[args.cut])
+                            eps=args.eps, msq=args.msq, method=args.method)
             report = cmd_eval(cfg)
             if args.json or args.out:
                 _emit(report, args)

@@ -4,7 +4,8 @@ The massless box and the box with one off-shell external leg are evaluated
 from their exact hypergeometric representations, in two algebraically
 different forms each, plus the Laurent expansion through the finite order.
 All evaluations are restricted to the Euclidean region (every invariant
-negative), where the principal-value prescription renders the results real.
+negative), where each special function is taken at its principal value on
+its branch cut and the results are real.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from dataclasses import dataclass, field
 from .errors import DegenerateKinematics, EuclideanRegionViolation
 from .specfun import (
     EULER_GAMMA,
-    PV,
-    CutPrescription,
     f21_1e,
     f21_2e,
     gamma,
@@ -132,15 +131,15 @@ def _gammas(e: float) -> tuple:
     return ge, gamma(1.0 - e).real, ge / gamma(2.0 * e).real
 
 
-def _closed(k: Kinematics, cut: CutPrescription) -> complex:
+def _closed(k: Kinematics) -> complex:
     u, factor = k.unit
     e = k.eps
     ge, g1me, ratio = _gammas(e)
-    total = sum(sign * neg ** e * f21_1e(z, e, cut) for sign, neg, z, _ in _channels(u))
+    total = sum(sign * neg ** e * f21_1e(z, e) for sign, neg, z, _ in _channels(u))
     return ratio * ge * g1me / e * factor / (u.s * u.t) * total
 
 
-def _closed_alt(k: Kinematics, cut: CutPrescription) -> complex:
+def _closed_alt(k: Kinematics) -> complex:
     # F(1,e;1+e;z)/e = 1/e + z/(1+e) F(1,1+e;2+e;z), channel by channel
     u, factor = k.unit
     e = k.eps
@@ -149,7 +148,7 @@ def _closed_alt(k: Kinematics, cut: CutPrescription) -> complex:
     for sign, neg, z, _ in _channels(u):
         power = sign * neg ** e / (u.s * u.t)
         head += power
-        tail += power * z * f21_2e(z, e, cut)
+        tail += power * z * f21_2e(z, e)
     # head and tail cancel to 1e-9 at (s, t, msq, e) = (-1, -1e-3, -1e3, 0.99),
     # so the order of these roundings sets the route's error there (6e-8)
     return ratio * ge * factor * (g1me / e * head + g1me / (1.0 + e) * tail)
@@ -176,13 +175,13 @@ def _laurent(k: Kinematics) -> tuple[float, float, float]:
 # the public routes: massless and one-mass box
 # ---------------------------------------------------------------------------
 
-def massless_box(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
+def massless_box(k: Kinematics) -> BoxValue:
     """Exact massless box from the two-term hypergeometric representation."""
     k.require_massless()
-    return BoxValue(_closed(k, cut), "closed")
+    return BoxValue(_closed(k), "closed")
 
 
-def massless_box_alt(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
+def massless_box_alt(k: Kinematics) -> BoxValue:
     """Massless box in the shifted-parameter form.
 
     Algebraically equal to :func:`massless_box` through the contiguous
@@ -190,7 +189,7 @@ def massless_box_alt(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     nontrivial numerical cross-check.
     """
     k.require_massless()
-    return BoxValue(_closed_alt(k, cut), "closed_alt")
+    return BoxValue(_closed_alt(k), "closed_alt")
 
 
 def massless_box_laurent(k: Kinematics) -> tuple[float, float, float]:
@@ -204,16 +203,16 @@ def massless_box_laurent(k: Kinematics) -> tuple[float, float, float]:
     return _laurent(k)
 
 
-def onemass_box(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
+def onemass_box(k: Kinematics) -> BoxValue:
     """Exact one-mass box: mass-channel pair plus the t-channel term."""
     k.require_onemass()
-    return BoxValue(_closed(k, cut), "closed")
+    return BoxValue(_closed(k), "closed")
 
 
-def onemass_box_alt(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
+def onemass_box_alt(k: Kinematics) -> BoxValue:
     """One-mass box in the three-power shifted-parameter form."""
     k.require_onemass()
-    return BoxValue(_closed_alt(k, cut), "closed_alt")
+    return BoxValue(_closed_alt(k), "closed_alt")
 
 
 def onemass_box_laurent(k: Kinematics) -> tuple[float, float, float]:

@@ -32,8 +32,6 @@ from .closed_form import BoxValue, Kinematics, _gammas
 from .errors import NotConverged
 from .specfun import (
     EULER_GAMMA,
-    PV,
-    CutPrescription,
     cut_log,
     digamma,
     f21_1e,
@@ -479,7 +477,7 @@ def mb_onemass_eval(k: Kinematics) -> BoxValue:
 # residue resummation, massless
 # ---------------------------------------------------------------------------
 
-def residue_massless(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
+def residue_massless(k: Kinematics) -> BoxValue:
     """Massless box reconstructed from the left-closure pole families.
 
     The simple-pole family resums into F(1, 1; 2-eps; -s/t); its
@@ -505,7 +503,7 @@ def residue_massless(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     # simple-pole family: Gamma(e)^2 Gamma(1-e)^2 / (Gamma(2e) Gamma(2-e)) (-t)^(e-2)
     # F(1,1;2-e;-s/t), with Gamma(2-e) = (1-e) Gamma(1-e), split by the continuation
     c1 = g / (1.0 - e) * (-t) ** (e - 2.0) * factor
-    hyp_piece, alg_piece = f21_11_split(t / s, e, cut)
+    hyp_piece, alg_piece = f21_11_split(t / s, e)
     i1 = c1 * (hyp_piece + alg_piece)
     spur_1 = c1 * alg_piece
 
@@ -521,8 +519,8 @@ def residue_massless(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     # unshifted simple poles: the exact half, -Gamma(e)^2 Gamma(-e) / Gamma(2e) with
     # Gamma(-e) = -Gamma(1-e)/e, plus the pole/log leftover (1/d) (-s/t)^d
     pref_b = g * kernel
-    exact = g / e / st * f21_1e(1.0 + s / t, e, cut) * factor
-    spur_2b = cut_log(-s / t, cut) * pref_b
+    exact = g / e / st * f21_1e(1.0 + s / t, e) * factor
+    spur_2b = cut_log(-s / t) * pref_b
     i2b = exact + spur_2b
 
     return BoxValue(i1 + i2a + i2b, "residue", {
@@ -543,7 +541,7 @@ def residue_massless(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
 # residue resummation, one-mass
 # ---------------------------------------------------------------------------
 
-def residue_onemass(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
+def residue_onemass(k: Kinematics) -> BoxValue:
     """One-mass box reconstructed from the two-variable pole families.
 
     The three right-closure families resum into single-variable
@@ -564,20 +562,20 @@ def residue_onemass(k: Kinematics, cut: CutPrescription = PV) -> BoxValue:
     # two closure sub-families, Gamma(e)/(1-e) [tail - F(1,1;2-e;x1)], where F = head + tail
     # is the connection of f21_11_split at t/s = -1/x1 = (t - m2)/s: minus the head remains
     pref_1 = factor * (-t) ** e / (t * (m2 - t)) * (ratio * g1me)
-    im1 = -pref_1 * ge / (1.0 - e) * f21_11_split((t - m2) / s, e, cut)[0]
+    im1 = -pref_1 * ge / (1.0 - e) * f21_11_split((t - m2) / s, e)[0]
 
     # second family: reduced two-variable function, then continued, with prefactor
     # Gamma(e) Gamma(1-e) Gamma(e-1) / Gamma(2e), Gamma(e-1) = Gamma(e)/(e-1)
     z2a = st / ((m2 - s) * (m2 - t))
     coef_2a = -factor * (-m2) ** e / ((m2 - t) * (m2 - s)) * (g / (e - 1.0))
-    im2a = coef_2a * f21_11(z2a, e, cut)
-    spur_2a = coef_2a * _f21_11_tail(e, z2a, cut)
+    im2a = coef_2a * f21_11(z2a, e)
+    spur_2a = coef_2a * _f21_11_tail(e, z2a)
 
     # third family, with prefactor Gamma(e)^2 Gamma(1-e) / Gamma(2e) / (1-e)
     z2b = t / (m2 - s)
     coef_2b = -factor / (s * (m2 - s)) * g / (1.0 - e)
-    im2b = coef_2b * f21_11(z2b, e, cut)
-    spur_2b = coef_2b * _f21_11_tail(e, z2b, cut)
+    im2b = coef_2b * f21_11(z2b, e)
+    spur_2b = coef_2b * _f21_11_tail(e, z2b)
 
     return BoxValue(im1 + im2a + im2b, "residue", {
         "Im1": im1,

@@ -7,33 +7,24 @@ transformation, and the plain Gauss series.  One power-series loop sums
 the dilogarithm and F(1, b; 1+b; x) near 0.  They take real arguments, in
 real arithmetic; only the log-gamma kernels take complex ones.
 
-Branch conventions, fixed globally:
-
-* powers and logs are cut along the negative real axis, with
-  ``(-x)**p = |x|**p * exp(+i*pi*p)`` for ``x > 0`` (the value continued
-  from above the cut), as :func:`cut_power` and :func:`cut_log` give it;
-* the dilogarithm and the hypergeometric evaluators are cut along
-  ``[1, inf)``.  Their kernels give the principal value (the average of the
-  two one-sided limits, real), and a :class:`CutPrescription` adds the jump
-  in closed form: F(1, b; 1+b; x +- i0) = PV +- i pi b x^(-b) (DLMF
-  15.2.3) and Li2(x +- i0) = PV +- i pi ln(x).
+Branch conventions, fixed globally: every function gives the principal
+value (PV) on its cut, the average of the two one-sided limits, which is
+real.  Powers and logs are cut along the negative real axis, so
+:func:`cut_power` gives ``|x|**p cos(pi p)`` and :func:`cut_log` gives
+``log|x|`` for ``x < 0``; the dilogarithm and the hypergeometric evaluators
+are cut along ``[1, inf)``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError, NonConvergence, PoleError
 
 __all__ = [
-    "CutPrescription",
-    "PV",
-    "ABOVE",
-    "BELOW",
     "ln_gamma",
     "ln_gamma_grid",
     "gamma_abs2_line",
@@ -59,19 +50,6 @@ PI = math.pi
 LN_SQRT_2PI = 0.9189385332046727418
 
 
-class CutPrescription(Enum):
-    """Which boundary value to take on a branch cut."""
-
-    PRINCIPAL_VALUE = "pv"
-    ABOVE_CUT = "above"
-    BELOW_CUT = "below"
-
-
-PV = CutPrescription.PRINCIPAL_VALUE
-ABOVE = CutPrescription.ABOVE_CUT
-BELOW = CutPrescription.BELOW_CUT
-
-
 def _require_finite(value, what="value"):
     v = complex(value)
     if not (math.isfinite(v.real) and math.isfinite(v.imag)):
@@ -85,11 +63,6 @@ def _argument(x, what: str) -> float:
     if math.isnan(x):
         raise NonConvergence(f"{what}={x!r} is not a number")
     return x
-
-
-def _jump(cut: CutPrescription, size: float) -> float:
-    """The imaginary part on a cut: +size above it, -size below it, 0 for the PV."""
-    return size if cut is ABOVE else -size if cut is BELOW else 0.0
 
 
 def _is_nonpositive_integer(z) -> bool:
@@ -311,37 +284,27 @@ def polygamma(k: int, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# cut-aware elementary pieces
+# principal values of the elementary functions on their cut
 # ---------------------------------------------------------------------------
 
-def cut_log(x, cut: CutPrescription = PV) -> complex:
-    """log(x) of a real x, where a negative x is resolved by the cut prescription.
-
-    Above the cut gives ``log|x| + i pi`` (the principal value in the sense
-    of the global branch convention), below gives ``-i pi``, and the
-    principal-value mode keeps only ``log|x|``.
-    """
+def cut_log(x) -> complex:
+    """The principal value of log(x) at a real x: ``log|x|``, also for x < 0."""
     x = float(x)
     if x == 0:
         raise DomainError("log of zero")
-    return complex(math.log(abs(x)), _jump(cut, PI) if x < 0.0 else 0.0)
+    return complex(math.log(abs(x)), 0.0)
 
 
-def cut_power(x, p: float, cut: CutPrescription = PV) -> complex:
-    """x**p of a real x, where a negative x is resolved by the cut prescription.
-
-    The above-cut mode reproduces the global convention
-    ``(-1)**p = exp(+i pi p)``; the principal-value mode is the average of
-    the two boundary values, ``|x|**p cos(pi p)``.
-    """
+def cut_power(x, p: float) -> complex:
+    """The principal value of x**p at a real x: for x < 0 the average of
+    the two boundary values, ``|x|**p cos(pi p)``."""
     x = float(x)
     if x == 0:
         if p > 0:
             return 0.0 + 0.0j
         raise DomainError("zero base with non-positive exponent")
     if x < 0.0:
-        mag = (-x) ** p
-        return complex(mag * math.cos(PI * p), _jump(cut, mag * math.sin(PI * p)))
+        return complex((-x) ** p * math.cos(PI * p), 0.0)
     return complex(x ** p, 0.0)
 
 
@@ -384,18 +347,14 @@ def _li2_below_one(x: float) -> float:
     return -_power_sum(x / (x - 1.0), 2, 0, 1, 0.0) - 0.5 * (log * log)
 
 
-def li2(z, cut: CutPrescription = PV) -> complex:
-    """Dilogarithm Li2(x) of a real x, cut on [1, inf).
-
-    The ``cut`` prescription only matters for x > 1, where it adds
-    +-i pi ln(x) to the principal value.
-    """
+def li2(z) -> complex:
+    """Dilogarithm Li2(x) of a real x, cut on [1, inf), where it gives the
+    principal value."""
     x = _argument(z, "li2 argument z")
     if x > 1.0:
-        # Li2(x +- i0) = pi^2/3 - ln(x)^2/2 - Li2(1/x) +- i pi ln(x)
+        # Re Li2(x +- i0) = pi^2/3 - ln(x)^2/2 - Li2(1/x)
         log = math.log(x)
-        return complex(PI * PI / 3.0 - 0.5 * log ** 2 - _li2_below_one(1.0 / x),
-                       _jump(cut, PI * log))
+        return complex(PI * PI / 3.0 - 0.5 * log ** 2 - _li2_below_one(1.0 / x), 0.0)
     if x == 1.0:
         return complex(PI * PI / 6.0, 0.0)
     return _require_finite(_li2_below_one(x), "li2")
@@ -484,20 +443,11 @@ def _f21_1b_logcase(b: float, x: float) -> float:
     return b * (s_psi - math.log(abs(w)) * binomial)
 
 
-def _flip(cut: CutPrescription) -> CutPrescription:
-    # the maps x -> 1-x and x -> x/(x-1) reverse the approach side
-    if cut is ABOVE:
-        return BELOW
-    if cut is BELOW:
-        return ABOVE
-    return PV
-
-
 def _f21_1b(b: float, x: float) -> float:
     """The principal value of F(1, b; 1+b; x) at every real x != 1: the
     series for |x| <= 0.7, the log case for |1 - x| <= 0.7, the inversion
     for |x| >= 1.4, and Pfaff on -1.4 < x < -0.7, where x/(x-1) is in
-    (0.41, 0.59).  No branch sees a side of the cut (see :func:`_f21_1b_cut`)."""
+    (0.41, 0.59).  No branch sees a side of the cut."""
     if x == 0:
         return 1.0
     ax = abs(x)
@@ -515,17 +465,10 @@ def _f21_1b(b: float, x: float) -> float:
     return (1.0 - x) ** (-b) * f21_general_series(b, b, 1.0 + b, x / (x - 1.0)).real
 
 
-def _f21_1b_cut(b: float, x: float, cut: CutPrescription) -> complex:
-    """F(1, b; 1+b; x) on the side ``cut`` of [1, inf): the principal value
-    plus the jump +-i pi b x^(-b) for x > 1 (DLMF 15.2.3)."""
-    return complex(_f21_1b(b, x), _jump(cut, PI * b * x ** (-b)) if x > 1.0 else 0.0)
-
-
-def _f21_11_tail(e: float, z: float, cut: CutPrescription) -> complex:
+def _f21_11_tail(e: float, z: float) -> complex:
     """Algebraic tail Gamma(2-e) Gamma(e) z^(e-1) (1-z)^(-e) of the connection
-    of F(1, 1; 2-e; z) through 1 - z; ``cut`` is the side of z."""
-    return gamma(2.0 - e) * gamma(e) * cut_power(1.0 - z, -e, _flip(cut)) \
-        * cut_power(z, e - 1.0, cut)
+    of F(1, 1; 2-e; z) through 1 - z, at the principal value."""
+    return gamma(2.0 - e) * gamma(e) * cut_power(1.0 - z, -e) * cut_power(z, e - 1.0)
 
 
 def _check_eps(eps: float):
@@ -533,47 +476,43 @@ def _check_eps(eps: float):
         raise DomainError(f"regulator eps={eps} outside (0, 1)")
 
 
-def f21_1e(z, eps: float, cut: CutPrescription = PV) -> complex:
-    """2F1(1, eps; eps+1; x) at a real x, with the cut on [1, inf) resolved
-    by ``cut``: defined at every real x except the pole x = 1."""
+def f21_1e(z, eps: float) -> complex:
+    """2F1(1, eps; eps+1; x) at a real x, the principal value on [1, inf):
+    defined at every real x except the pole x = 1."""
     _check_eps(eps)
-    return _require_finite(_f21_1b_cut(eps, _argument(z, "f21_1e argument z"), cut), "f21_1e")
+    return _require_finite(_f21_1b(eps, _argument(z, "f21_1e argument z")), "f21_1e")
 
 
-def f21_2e(z, eps: float, cut: CutPrescription = PV) -> complex:
-    """2F1(1, 1+eps; 2+eps; x) with the cut on [1, inf) resolved by ``cut``."""
+def f21_2e(z, eps: float) -> complex:
+    """2F1(1, 1+eps; 2+eps; x), the principal value on [1, inf)."""
     _check_eps(eps)
-    return _require_finite(_f21_1b_cut(1.0 + eps, _argument(z, "f21_2e argument z"), cut),
-                           "f21_2e")
+    return _require_finite(_f21_1b(1.0 + eps, _argument(z, "f21_2e argument z")), "f21_2e")
 
 
-def f21_11(z, eps: float, cut: CutPrescription = PV) -> complex:
-    """2F1(1, 1; 2-eps; x) with the cut on [1, inf) resolved by ``cut``:
-    F(1, 1-eps; 2-eps; x/(x-1)) / (1-x), 0 < eps < 1 (Pfaff, DLMF 15.8.1);
-    x/(x-1) is on the cut where x is, on the other side."""
+def f21_11(z, eps: float) -> complex:
+    """2F1(1, 1; 2-eps; x), the principal value on [1, inf):
+    F(1, 1-eps; 2-eps; x/(x-1)) / (1-x), 0 < eps < 1 (Pfaff, DLMF 15.8.1)."""
     _check_eps(eps)
     x = _argument(z, "f21_11 argument z")
     if x == 1:
         raise PoleError("F(1,1;2-e;z) diverges at z=1")
-    return _require_finite(_f21_1b_cut(1.0 - eps, x / (x - 1.0), _flip(cut)) / (1.0 - x),
-                           "f21_11")
+    # complex arithmetic (also in f21_11_split): reports show the zero imaginary sign
+    return _require_finite(complex(_f21_1b(1.0 - eps, x / (x - 1.0))) / (1.0 - x), "f21_11")
 
 
-def f21_11_split(t_over_s, eps: float, cut: CutPrescription = PV) -> tuple[complex, complex]:
+def f21_11_split(t_over_s, eps: float) -> tuple[complex, complex]:
     """Two-piece continuation of 2F1(1, 1; 2-eps; -s/t), given t/s.
 
     Returns ``(hypergeometric_piece, algebraic_piece)``, the connection
-    through 1 - z at z = -s/t, whose sum equals ``f21_11(-1/t_over_s, eps)``
-    for every prescription.  The first piece is
-    -(1-eps)/eps F(1, eps; eps+1; 1 - 1/z) / z, whose argument 1 - 1/z =
-    1 + t/s keeps the side of z; the second, :func:`_f21_11_tail`, is the
-    algebraic leftover of the continuation.  For Euclidean ratios (t/s > 0)
-    both pieces are individually complex away from the principal-value mode.
+    through 1 - z at z = -s/t, whose sum equals ``f21_11(-1/t_over_s, eps)``.
+    The first piece is -(1-eps)/eps F(1, eps; eps+1; 1 - 1/z) / z at
+    1 - 1/z = 1 + t/s; the second, :func:`_f21_11_tail`, is the algebraic
+    leftover of the continuation.  Both are principal values, real.
     """
     _check_eps(eps)
     r = _argument(t_over_s, "f21_11_split argument t_over_s")
     if r == 0:
         raise DomainError("t/s must be nonzero")
-    head = (1.0 - eps) / eps * r * _f21_1b_cut(eps, 1.0 + r, cut)
+    head = (1.0 - eps) / eps * r * complex(_f21_1b(eps, 1.0 + r))
     return (_require_finite(head, "continuation head"),
-            _require_finite(_f21_11_tail(eps, -1.0 / r, cut), "continuation tail"))
+            _require_finite(_f21_11_tail(eps, -1.0 / r), "continuation tail"))

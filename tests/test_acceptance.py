@@ -147,11 +147,11 @@ def test_criterion_6_laurent_coefficients():
         worst_id = max(worst_id, abs(lhs - rhs))
     for (s, t, m2) in ((-1.0, -2.0, -0.5), (-2.0, -2.0, -1.0)):
         u, v = (m2 - t) / s, (m2 - s) / t
-        direct = (sf.li2(u, sf.PV) + sf.li2(v, sf.PV) - sf.li2(u * v, sf.PV)).real
+        direct = (sf.li2(u) + sf.li2(v) - sf.li2(u * v)).real
 
         def reflected(x):
-            return math.pi ** 2 / 6.0 - sf.li2(1.0 - x, sf.PV).real \
-                - sf.cut_log(x, sf.PV).real * sf.cut_log(1.0 - x, sf.PV).real
+            return math.pi ** 2 / 6.0 - sf.li2(1.0 - x).real \
+                - sf.cut_log(x).real * sf.cut_log(1.0 - x).real
 
         via = reflected(u) + reflected(v) - reflected(u * v)
         worst_id = max(worst_id, abs(direct - via))

@@ -99,28 +99,19 @@ class TestEval:
     def test_every_route_returns_box_value(self, integral, method):
         msq = -0.5 if integral == "onemass" else None
         cfg = RunConfig(integral, -1.0, -2.0, 0.3, msq=msq, method=method)
-        result = cli._ROUTES[(integral, method)](cfg, cfg.kinematics())
+        result = cli._ROUTES[(integral, method)](cfg.kinematics())
         assert isinstance(result, BoxValue)
         assert result.method == method
         json.dumps(cli._jsonable(result.diagnostics), allow_nan=False)
 
-    @pytest.mark.parametrize("method", ["mb", "feynman"])
-    @pytest.mark.parametrize("cut", ["above", "below"])
-    def test_one_sided_cut_refused_where_unread(self, method, cut, capsys):
-        code = run_main(["eval", "--s", "-1", "--t", "-2", "--eps", "0.3",
-                         "--method", method, "--cut", cut])
-        assert code == EXIT_INPUT_ERROR
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert f"--cut {cut} is not read by method {method}" in err
-        assert err.count("\n") == 1
-
     @pytest.mark.parametrize("method", ["closed", "closed_alt", "residue", "feynman", "mb"])
-    @pytest.mark.parametrize("option", [["--nodes", "5"], ["--height=-1"], ["--height", "3"]],
-                             ids=["nodes", "negative-height", "height"])
+    @pytest.mark.parametrize("option", [["--nodes", "5"], ["--height=-1"], ["--height", "3"],
+                                        ["--cut", "above"]],
+                             ids=["nodes", "negative-height", "height", "cut-above"])
     def test_contour_option_refused_where_unread(self, method, option, capsys):
-        # no method reads a node count or a height, mb included: each mb
-        # point runs its route's one self-refining rule
+        # no method reads a node count, a height or a side of a cut, mb
+        # included: each mb point runs its route's one self-refining rule,
+        # and every route gives the principal value
         with pytest.raises(SystemExit) as exc:
             run_main(["eval", "--s", "-1", "--t", "-2", "--eps", "0.3",
                       "--method", method, *option])
@@ -136,14 +127,14 @@ class TestEval:
             run_main(["eval", "--help"])
         assert exc.value.code == EXIT_OK
         options = re.findall(r"(?<![\w-])(--?[a-z]+)", capsys.readouterr().out)
-        assert sorted(set(options)) == ["--cut", "--eps", "--help", "--integral", "--json",
+        assert sorted(set(options)) == ["--eps", "--help", "--integral", "--json",
                                         "--method", "--msq", "--out", "--s", "--t", "-h"]
 
     @pytest.mark.parametrize("integral, method", sorted(cli._ROUTES))
     def test_principal_value_cut_works_everywhere(self, integral, method, capsys):
         msq = ["--msq", "-0.5"] if integral == "onemass" else []
         code = run_main(["eval", "--integral", integral, "--s", "-1", "--t", "-2", *msq,
-                         "--eps", "0.3", "--method", method, "--cut", "pv"])
+                         "--eps", "0.3", "--method", method])
         assert code == EXIT_OK
         assert capsys.readouterr().err == ""
 

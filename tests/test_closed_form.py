@@ -287,10 +287,10 @@ class TestOneMassLaurent:
         s, t, m2 = -1.0, -2.0, -0.5
         u = (m2 - t) / s
         v = (m2 - s) / t
-        direct = (sf.li2(u, sf.PV) + sf.li2(v, sf.PV) - sf.li2(u * v, sf.PV)).real \
+        direct = (sf.li2(u) + sf.li2(v) - sf.li2(u * v)).real \
             - math.pi ** 2 / 6.0
         def reflect(x):
-            return math.pi ** 2 / 6.0 - sf.li2(1.0 - x, sf.PV).real \
-                - sf.cut_log(x, sf.PV).real * sf.cut_log(1.0 - x, sf.PV).real
+            return math.pi ** 2 / 6.0 - sf.li2(1.0 - x).real \
+                - sf.cut_log(x).real * sf.cut_log(1.0 - x).real
         via_reflection = reflect(u) + reflect(v) - reflect(u * v) - math.pi ** 2 / 6.0
         assert abs(direct - via_reflection) < 1e-12

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -122,17 +121,6 @@ class TestFeynmanOneMass:
             b = feynman_1d_onemass(
                 Kinematics(s=-1.0, t=-2.0, eps=e, msq=-0.5)).value * lam ** (e - 2.0)
             assert abs(a - b) < 1e-9 * abs(a), lam
-
-
-class TestDoubleSeries:
-    def test_reduction_identity(self):
-        # F2(a; 1, 1; a, a; x, y) = 2F1(1, 1; a; z) / ((1-x)(1-y)) with
-        # z = xy/((1-x)(1-y)), and 2F1(1, 1; 2-e; z) is f21_11
-        e, x, y = 0.3, 0.2, 0.3
-        lhs = complex(mpmath.appellf2(2.0 - e, 1, 1, 2.0 - e, 2.0 - e, x, y))
-        z = x * y / ((1.0 - x) * (1.0 - y))
-        rhs = sf.f21_11(z, e) / ((1.0 - x) * (1.0 - y))
-        assert abs(lhs - rhs) < 1e-10 * abs(lhs)
 
 
 class TestBetaOracle:

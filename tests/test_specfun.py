@@ -6,7 +6,6 @@ import pytest
 
 from mbbox import specfun as sf
 from mbbox.errors import DomainError, NonConvergence, PoleError
-from mbbox.specfun import ABOVE, BELOW, PV
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -178,14 +177,6 @@ class TestDilogarithm:
             rhs = -math.pi ** 2 / 6 - 0.5 * math.log(x) ** 2
             assert abs(lhs - rhs) < 1e-12
 
-    def test_cut_prescriptions(self):
-        x = 2.5
-        above = sf.li2(x, ABOVE)
-        below = sf.li2(x, BELOW)
-        assert above.imag > 0 > below.imag
-        assert abs(above.imag - math.pi * math.log(x)) < 1e-12
-        assert abs((above + below) / 2 - sf.li2(x, PV)) < 1e-13
-
     @pytest.mark.parametrize("x", [-50.0, -1.4, -1.39, -0.76, -0.75, 0.25, 0.75, 0.76,
                                    0.999, 1.0, 1.001, 1.4, 50.0])
     def test_against_mpmath(self, x):
@@ -265,11 +256,11 @@ class TestHypergeometric:
             lhs = sf.f21_1e(z, e) / e
             rhs = 1.0 / e + z / (1.0 + e) * sf.f21_2e(z, e)
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
-        for cut in (PV, ABOVE, BELOW):
-            e, z = 0.35, 2.2
-            lhs = sf.f21_1e(z, e, cut) / e
-            rhs = 1.0 / e + z / (1.0 + e) * sf.f21_2e(z, e, cut)
-            assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
+        # on the cut, at the principal value
+        e, z = 0.35, 2.2
+        lhs = sf.f21_1e(z, e) / e
+        rhs = 1.0 / e + z / (1.0 + e) * sf.f21_2e(z, e)
+        assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
 
     def test_two_route_consistency_negative_axis(self):
         # Pfaff-transformed series vs the inversion route
@@ -278,23 +269,14 @@ class TestHypergeometric:
         pfaff = sf.f21_general_series(1.0, 1.0 - e, 2.0 - e, z / (z - 1.0)) / (1.0 - z)
         assert abs(direct - pfaff) < 1e-12 * abs(direct)
 
-    def test_pv_is_average(self):
-        for f, e, z in ((sf.f21_1e, 0.3, 1.8), (sf.f21_2e, 0.45, 2.6),
-                        (sf.f21_11, 0.2, 1.4)):
-            pv = f(z, e, PV)
-            avg = (f(z, e, ABOVE) + f(z, e, BELOW)) / 2.0
-            assert abs(pv - avg) < 1e-13 * max(1.0, abs(pv))
-            assert pv.imag == 0.0
-
     def test_against_euler_on_cut(self):
         # mpmath's 2F1 at 1e-40 above and below the cut; the principal value
         # is their mean
         e, z = 0.3, 2.0
         above, below = (complex(mpmath.hyp2f1(1, e, e + 1, mpmath.mpc(z, side))) / e
                         for side in (1e-40, -1e-40))
-        for cut, rhs in ((PV, (above + below) / 2.0), (ABOVE, above), (BELOW, below)):
-            lhs = sf.f21_1e(z, e, cut) / e
-            assert abs(lhs - rhs) < 1e-13 * abs(lhs), cut
+        lhs = sf.f21_1e(z, e) / e
+        assert abs(lhs - (above + below) / 2.0) < 1e-13 * abs(lhs)
 
     def test_eps_domain(self):
         with pytest.raises(DomainError):
@@ -305,10 +287,9 @@ class TestContinuationSplit:
     @pytest.mark.parametrize("s,t,eps", [(-1.0, -2.0, 0.3), (-3.0, -1.0, 0.45),
                                          (-0.5, -2.0, 0.2)])
     def test_pieces_sum(self, s, t, eps):
-        for cut in (PV, ABOVE, BELOW):
-            head, alg = sf.f21_11_split(t / s, eps, cut)
-            direct = sf.f21_11(-s / t, eps, cut)
-            assert abs(head + alg - direct) < 1e-12 * max(1.0, abs(direct))
+        head, alg = sf.f21_11_split(t / s, eps)
+        direct = sf.f21_11(-s / t, eps)
+        assert abs(head + alg - direct) < 1e-12 * max(1.0, abs(direct))
 
     def test_small_ratio_limit(self):
         # -s/t -> 0 forces the resummed function to one
@@ -350,7 +331,7 @@ class TestF21OneOneAgainstMpmath:
                                         (0.3, 1.001), (0.3, 1.4), (0.6, 2.5), (0.15, 9.0)])
     def test_off_the_unit_interval(self, eps, z):
         ref = complex(mpmath.hyp2f1(1, 1, 2 - mpmath.mpf(eps), z)).real
-        val = sf.f21_11(z, eps, PV)
+        val = sf.f21_11(z, eps)
         assert val.imag == 0.0
         assert abs(val.real - ref) < 1e-13 * abs(ref)
 
@@ -362,11 +343,12 @@ FAMILIES = [(sf.f21_1e, lambda e: (1, e, 1 + e)),
 
 
 class TestOneSidedAgainstMpmath:
-    """Every continuation branch, one-sided, against mpmath's hyp2f1 just off
-    the real axis at 40 digits: on the cut (the log-case series, the
-    inversion and, for f21_11, the connection through 1 - z) and on the
-    negative axis (the Pfaff series and the inversion), with both sides of
-    each switch between branches: |x| = 0.7, |1 - x| = 0.7 and |x| = 1.4."""
+    """Every continuation branch against the real part of mpmath's hyp2f1
+    just above the real axis at 40 digits, the principal value on the cut:
+    on the cut (the log-case series, the inversion and, for f21_11, the
+    connection through 1 - z) and on the negative axis (the Pfaff series and
+    the inversion), with both sides of each switch between branches:
+    |x| = 0.7, |1 - x| = 0.7 and |x| = 1.4."""
 
     ON_AXIS = (1.05, 1.3, 1.6, 2.5, 9.0, -0.8, -5.0,
                0.71, 0.95, 1.0 - 1e-9, 1.0 + 1e-9, 1.69, -0.71, -1.39,
@@ -381,15 +363,12 @@ class TestOneSidedAgainstMpmath:
     @pytest.mark.parametrize("eps", [0.2, 0.45, 0.8])
     @pytest.mark.parametrize("f, params", FAMILIES, ids=["f21_1e", "f21_2e", "f21_11"])
     def test_boundary_values(self, f, params, eps):
-        # each side is the one real kernel value plus a purely imaginary jump
+        # each side is the principal value plus a purely imaginary jump
         for z in self.ON_AXIS:
-            pv = f(z, eps, PV)
+            pv = f(z, eps)
             assert pv.imag == 0.0
-            for cut, side in ((ABOVE, 1e-35j), (BELOW, -1e-35j)):
-                ref = self._ref(params, eps, z + side)
-                val = f(z, eps, cut)
-                assert abs(val - ref) <= 1e-13 * abs(ref), (z, cut)
-                assert val.real == pv.real, (z, cut)
+            ref = self._ref(params, eps, z + 1e-35j)
+            assert abs(pv.real - ref.real) <= 1e-13 * abs(ref.real), z
 
 
 class TestRealArgumentsOnly:

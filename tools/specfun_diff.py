@@ -7,22 +7,22 @@ real points (x, eps) is drawn: half with |x| log-uniform in [1e-3, 1e3] and
 a random sign, half with x uniform in [-3, 3], and eps uniform in
 [0.001, 0.999].  Each checkout evaluates, in its own interpreter with
 ``PYTHONPATH=<root>/src``, ``f21_1e(x, eps)``, ``f21_2e(x, eps)``,
-``f21_11(x, eps)``, both pieces of ``f21_11_split(x, eps)`` and ``li2(x)``
-under each of the three cut prescriptions, and ``gamma(x)`` and
+``f21_11(x, eps)``, both pieces of ``f21_11_split(x, eps)`` and ``li2(x)``,
+the principal value (PV) on each cut, and ``gamma(x)`` and
 ``digamma(x)``.  A second seeded sample holds lines of LINE heights y
 uniform in [0, 14], one line per x log-uniform in [1e-3, 2], as many
 (x, y) as ``--points``; on it each checkout evaluates
 ``gamma_abs2_line(x, y)`` (its real part) and ``ln_gamma_line(x, y)``
 (ln|Gamma| as the real part, arg Gamma as the imaginary one), one call per
-line.  For each function and cut it prints how many real and
+line.  For each function it prints how many real and
 how many imaginary parts differ bit for bit, with +0 and -0 taken as equal
 (a point where one side raises and the other does not, or the two raise
 different errors, counts as differing in both).  Among the differing
 parts it prints the worst error of each side against mpmath at 40 digits,
 relative to the modulus of the reference, and at how many of them the
-change is the closer.  The reference of a one-sided value is taken 1e-35
-off the real axis on that side, and the principal value is the mean of
-the two sides; that of a line function is mpmath's log-gamma at x + iy.
+change is the closer.  The reference of a PV is the mean of mpmath's
+values 1e-35 above and below the real axis; that of a line function is
+mpmath's log-gamma at x + iy.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-CUTS = ("pv", "above", "below")
-CUT_FUNCTIONS = ("f21_1e", "f21_2e", "f21_11", "f21_11_split.head", "f21_11_split.tail", "li2")
+PV_FUNCTIONS = ("f21_1e", "f21_2e", "f21_11", "f21_11_split.head", "f21_11_split.tail", "li2")
 LINE_FUNCTIONS = ("gamma_abs2_line", "ln_gamma_line")
 LINE = 160
 OFF_AXIS = 1e-35
@@ -86,19 +85,14 @@ def evaluate(points: list, lines: list) -> dict:
             return type(exc).__name__
         return [v.real, v.imag]
 
-    out = {}
-    for cut_name in CUTS:
-        cut = {"pv": sf.PV, "above": sf.ABOVE, "below": sf.BELOW}[cut_name]
-        rows = {name: [] for name in CUT_FUNCTIONS}
-        for x, e in points:
-            rows["f21_1e"].append(outcome(lambda: sf.f21_1e(x, e, cut)))
-            rows["f21_2e"].append(outcome(lambda: sf.f21_2e(x, e, cut)))
-            rows["f21_11"].append(outcome(lambda: sf.f21_11(x, e, cut)))
-            rows["f21_11_split.head"].append(outcome(lambda: sf.f21_11_split(x, e, cut)[0]))
-            rows["f21_11_split.tail"].append(outcome(lambda: sf.f21_11_split(x, e, cut)[1]))
-            rows["li2"].append(outcome(lambda: sf.li2(x, cut)))
-        for name, values in rows.items():
-            out[f"{name} {cut_name}"] = values
+    out = {name: [] for name in PV_FUNCTIONS}
+    for x, e in points:
+        out["f21_1e"].append(outcome(lambda: sf.f21_1e(x, e)))
+        out["f21_2e"].append(outcome(lambda: sf.f21_2e(x, e)))
+        out["f21_11"].append(outcome(lambda: sf.f21_11(x, e)))
+        out["f21_11_split.head"].append(outcome(lambda: sf.f21_11_split(x, e)[0]))
+        out["f21_11_split.tail"].append(outcome(lambda: sf.f21_11_split(x, e)[1]))
+        out["li2"].append(outcome(lambda: sf.li2(x)))
     out["gamma"] = [outcome(lambda: sf.gamma(x)) for x, _ in points]
     out["digamma"] = [outcome(lambda: sf.digamma(x)) for x, _ in points]
     out["gamma_abs2_line"], out["ln_gamma_line"] = [], []
@@ -121,12 +115,11 @@ def run_checkout(root: str, points: list, lines: list) -> dict:
     return json.loads(proc.stdout)
 
 
-def reference(key: str, x: float, e: float) -> complex:
-    """mpmath's value of the function and cut named by ``key`` at (x, eps),
-    or of the line function at (x, y)."""
+def reference(name: str, x: float, e: float) -> complex:
+    """mpmath's value of the function ``name`` at (x, eps), or of the line
+    function at (x, y)."""
     import mpmath
 
-    name, _, cut = key.partition(" ")
     with mpmath.workdps(DPS):
         x, e = mpmath.mpf(x), mpmath.mpf(e)
         if name == "gamma_abs2_line":
@@ -156,15 +149,11 @@ def reference(key: str, x: float, e: float) -> complex:
             w = -1 / r
             return mpmath.gamma(2 - e) * mpmath.gamma(e) * (1 - w) ** (-e) * w ** (e - 1)
 
-        if cut == "above":
-            return complex(side(1))
-        if cut == "below":
-            return complex(side(-1))
         return complex((side(1) + side(-1)) / 2)
 
 
 def compare(points: list, heights: list, parent: dict, change: dict) -> list:
-    """One summary row per function and cut (see the module docstring);
+    """One summary row per function (see the module docstring);
     ``heights`` are the (x, y) of the line functions."""
     rows = []
     for key in parent:
